@@ -252,10 +252,11 @@ int main(int argc, char** argv) {
     const BipartiteGraph graph =
         gen::ErdosRenyi(sweep.nl, sweep.nr, sweep.p, 12345);
 
-    auto best_of = [&](const Options& options) {
+    auto best_of = [&](const RunOptions& options) {
       bench::RunOutcome best;
       for (int r = 0; r < repeats; ++r) {
-        bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+        bench::RunOutcome run =
+            bench::TimedRun(graph, GraphOptions(), options, budget);
         if (r == 0 || run.seconds < best.seconds) best = run;
       }
       return best;
@@ -264,7 +265,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {sweep.label, ""};
     double t_w1 = 0.0, t_best_batched = 0.0;
     for (uint32_t width : widths) {
-      Options options;
+      RunOptions options;
       options.mbet.batch_width = width;
       const bench::RunOutcome run = best_of(options);
       row[1] = std::to_string(run.bicliques);
@@ -286,7 +287,7 @@ int main(int argc, char** argv) {
              std::to_string(run.stats.batch_kernel_calls)}}});
     }
 
-    Options tuned;
+    RunOptions tuned;
     tuned.auto_tune = true;
     const bench::RunOutcome auto_run = best_of(tuned);
     row.push_back(bench::TimeCell(auto_run, budget));

@@ -88,10 +88,11 @@ int main(int argc, char** argv) {
     const gen::DatasetSpec& spec = gen::FindDataset(name);
     const BipartiteGraph graph = gen::Materialize(spec, scale);
 
-    auto best_of = [&](const Options& options) {
+    auto best_of = [&](const RunOptions& options) {
       bench::RunOutcome best;
       for (int r = 0; r < repeats; ++r) {
-        bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+        bench::RunOutcome run =
+            bench::TimedRun(graph, GraphOptions(), options, budget);
         if (r == 0 || run.seconds < best.seconds) best = run;
       }
       return best;
@@ -103,7 +104,7 @@ int main(int argc, char** argv) {
     uint64_t counts[3] = {0, 0, 0};
     bool all_completed = true;
     for (size_t e = 0; e < 3; ++e) {
-      Options options;
+      RunOptions options;
       options.algorithm = engines[e].algorithm;
       options.threads = threads;
       const bench::RunOutcome run = best_of(options);
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
         seconds[2] > 0 ? seconds[0] / seconds[2] : 0.0;
     row.push_back(Fmt("%.2fx", bbk_vs_mbet));
 
-    Options tuned;
+    RunOptions tuned;
     tuned.auto_tune = true;
     tuned.threads = threads;
     const bench::RunOutcome tuned_run = best_of(tuned);

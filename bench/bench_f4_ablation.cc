@@ -25,29 +25,35 @@ int main(int argc, char** argv) {
   for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
 
-    Options full;
-    bench::RunOutcome r_full = bench::TimedRun(graph, full, budget);
+    RunOptions full;
+    bench::RunOutcome r_full =
+        bench::TimedRun(graph, GraphOptions(), full, budget);
 
-    Options no_trie;
+    RunOptions no_trie;
     no_trie.mbet.use_trie = false;
-    bench::RunOutcome r_no_trie = bench::TimedRun(graph, no_trie, budget);
+    bench::RunOutcome r_no_trie =
+        bench::TimedRun(graph, GraphOptions(), no_trie, budget);
 
-    Options no_agg;
+    RunOptions no_agg;
     no_agg.mbet.use_aggregation = false;
-    bench::RunOutcome r_no_agg = bench::TimedRun(graph, no_agg, budget);
+    bench::RunOutcome r_no_agg =
+        bench::TimedRun(graph, GraphOptions(), no_agg, budget);
 
-    Options no_both;
+    RunOptions no_both;
     no_both.mbet.use_trie = false;
     no_both.mbet.use_aggregation = false;
-    bench::RunOutcome r_no_both = bench::TimedRun(graph, no_both, budget);
+    bench::RunOutcome r_no_both =
+        bench::TimedRun(graph, GraphOptions(), no_both, budget);
 
-    Options no_q;
+    RunOptions no_q;
     no_q.mbet.prune_q = false;
-    bench::RunOutcome r_no_q = bench::TimedRun(graph, no_q, budget);
+    bench::RunOutcome r_no_q =
+        bench::TimedRun(graph, GraphOptions(), no_q, budget);
 
-    Options mbetm;
+    RunOptions mbetm;
     mbetm.algorithm = Algorithm::kMbetM;
-    bench::RunOutcome r_mbetm = bench::TimedRun(graph, mbetm, budget);
+    bench::RunOutcome r_mbetm =
+        bench::TimedRun(graph, GraphOptions(), mbetm, budget);
 
     char ratio[32];
     std::snprintf(ratio, sizeof(ratio), "%.3f",

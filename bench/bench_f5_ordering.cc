@@ -27,10 +27,11 @@ int main(int argc, char** argv) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
     std::vector<std::string> row = {name};
     for (VertexOrder order : orders) {
-      Options options;
-      options.order = order;
-      options.seed = 7;
-      bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+      GraphOptions graph_options;
+      graph_options.order = order;
+      graph_options.seed = 7;
+      bench::RunOutcome run =
+          bench::TimedRun(graph, graph_options, RunOptions(), budget);
       row.push_back(bench::TimeCell(run, budget));
     }
     table.AddRow(std::move(row));

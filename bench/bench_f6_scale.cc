@@ -33,11 +33,13 @@ int main(int argc, char** argv) {
               : gen::PowerLaw(num_left, num_right, edges, 0.85, 0.8,
                               600 + step);
 
-      Options mbet;
-      bench::RunOutcome r_mbet = bench::TimedRun(graph, mbet, budget);
-      Options imbea;
+      RunOptions mbet;
+      bench::RunOutcome r_mbet =
+          bench::TimedRun(graph, GraphOptions(), mbet, budget);
+      RunOptions imbea;
       imbea.algorithm = Algorithm::kImbea;
-      bench::RunOutcome r_imbea = bench::TimedRun(graph, imbea, budget);
+      bench::RunOutcome r_imbea =
+          bench::TimedRun(graph, GraphOptions(), imbea, budget);
 
       table.AddRow({family == 0 ? "uniform" : "power-law",
                     std::to_string(num_left), std::to_string(num_right),

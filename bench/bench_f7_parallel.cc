@@ -84,11 +84,12 @@ int main(int argc, char** argv) {
       std::vector<std::string> row = {name, config.label};
       JsonRow timing{{{"dataset", name}, {"config", config.label}}};
       for (unsigned threads : thread_counts) {
-        Options options;
+        RunOptions options;
         options.algorithm = config.algorithm;
         options.threads = threads;
         options.scheduling = config.scheduling;
-        bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+        bench::RunOutcome run =
+            bench::TimedRun(graph, GraphOptions(), options, budget);
         const std::string cell = bench::TimeCell(run, budget);
         row.push_back(cell);
         timing.fields.push_back({"t" + std::to_string(threads), cell});

@@ -62,11 +62,12 @@ int main(int argc, char** argv) {
 
   for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kMbetM}) {
     ProgressSink sink(budget);
-    Options options;
+    RunOptions options;
     options.algorithm = algorithm;
     options.threads = static_cast<unsigned>(flags.GetInt("threads"));
     if (options.threads == 0) options.threads = 1;
-    const util::Status status = Enumerate(graph, options, &sink, nullptr);
+    const util::Status status =
+        Enumerate(graph, GraphOptions(), options, &sink, nullptr);
     PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
     std::printf("%s: %s bicliques in %s%s\n", AlgorithmName(algorithm),
                 util::HumanCount(static_cast<double>(sink.count())).c_str(),

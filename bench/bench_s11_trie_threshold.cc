@@ -27,9 +27,10 @@ int main(int argc, char** argv) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
     std::vector<std::string> row = {name};
     for (uint32_t t : thresholds) {
-      Options options;
+      RunOptions options;
       options.mbet.trie_min_groups = t;
-      bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+      bench::RunOutcome run =
+          bench::TimedRun(graph, GraphOptions(), options, budget);
       row.push_back(bench::TimeCell(run, budget));
     }
     table.AddRow(std::move(row));

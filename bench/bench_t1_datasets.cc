@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
     BipartiteGraph graph = gen::Materialize(spec, scale);
     GraphStats stats = ComputeStats(graph, /*with_two_hop=*/true);
 
-    Options options;  // MBET defaults
+    RunOptions options;  // MBET defaults
     options.threads = static_cast<unsigned>(flags.GetInt("threads"));
-    bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+    bench::RunOutcome run =
+        bench::TimedRun(graph, GraphOptions(), options, budget);
     std::string count = util::HumanCount(static_cast<double>(run.bicliques));
     if (!run.completed) count = ">" + count + " (budget)";
 

@@ -31,12 +31,14 @@ int main(int argc, char** argv) {
     Algorithm algorithm;
     VertexOrder order;
     unsigned threads;
+    bool subtree_tasks = false;
   };
   const Config configs[] = {
       {Algorithm::kMineLmbc, VertexOrder::kDegreeAsc, 1},
       {Algorithm::kMbea, VertexOrder::kDegreeAsc, 1},
       {Algorithm::kImbea, VertexOrder::kDegreeAsc, 1},
-      {Algorithm::kOombeaLite, VertexOrder::kUnilateralAsc, 1},
+      // ooMBEA-lite: subtree-local iMBEA under the unilateral order.
+      {Algorithm::kImbea, VertexOrder::kUnilateralAsc, 1, true},
       {Algorithm::kMbetM, VertexOrder::kDegreeAsc, 1},
       {Algorithm::kMbet, VertexOrder::kDegreeAsc, 1},
       {Algorithm::kMbet, VertexOrder::kDegreeAsc, par_threads},
@@ -47,11 +49,14 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {name};
     std::string count_cell = "?";
     for (const Config& config : configs) {
-      Options options;
+      RunOptions options;
       options.algorithm = config.algorithm;
-      options.order = config.order;
       options.threads = config.threads;
-      bench::RunOutcome run = bench::TimedRun(graph, options, budget);
+      GraphOptions graph_options;
+      graph_options.order = config.order;
+      bench::RunOutcome run =
+          bench::TimedRun(graph, graph_options, options, budget,
+                          config.subtree_tasks);
       if (run.completed) {
         count_cell = util::HumanCount(static_cast<double>(run.bicliques));
       }

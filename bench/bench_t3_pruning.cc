@@ -33,16 +33,19 @@ int main(int argc, char** argv) {
   for (const std::string& name : bench::ResolveSuite(flags.GetString("suite"))) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
 
-    Options mbet;
-    bench::RunOutcome full = bench::TimedRun(graph, mbet, budget);
+    RunOptions mbet;
+    bench::RunOutcome full =
+        bench::TimedRun(graph, GraphOptions(), mbet, budget);
 
-    Options no_agg;
+    RunOptions no_agg;
     no_agg.mbet.use_aggregation = false;
-    bench::RunOutcome ablated = bench::TimedRun(graph, no_agg, budget);
+    bench::RunOutcome ablated =
+        bench::TimedRun(graph, GraphOptions(), no_agg, budget);
 
-    Options imbea;
+    RunOptions imbea;
     imbea.algorithm = Algorithm::kImbea;
-    bench::RunOutcome baseline = bench::TimedRun(graph, imbea, budget);
+    bench::RunOutcome baseline =
+        bench::TimedRun(graph, GraphOptions(), imbea, budget);
 
     table.AddRow({name,
                   util::HumanCount(static_cast<double>(full.bicliques)),

@@ -24,11 +24,13 @@ int main(int argc, char** argv) {
     BipartiteGraph graph = gen::Materialize(gen::FindDataset(name), scale);
     GraphStats gs = ComputeStats(graph, /*with_two_hop=*/true);
 
-    Options mbet;
-    bench::RunOutcome r_mbet = bench::TimedRun(graph, mbet, budget);
-    Options mbetm;
+    RunOptions mbet;
+    bench::RunOutcome r_mbet =
+        bench::TimedRun(graph, GraphOptions(), mbet, budget);
+    RunOptions mbetm;
     mbetm.algorithm = Algorithm::kMbetM;
-    bench::RunOutcome r_mbetm = bench::TimedRun(graph, mbetm, budget);
+    bench::RunOutcome r_mbetm =
+        bench::TimedRun(graph, GraphOptions(), mbetm, budget);
 
     // Naive bound: every active node on a subtree path keeps its own
     // (L, R, C) copy — D(V) levels of (D(V) + 2 * D2(V)) vertex ids.

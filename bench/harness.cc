@@ -107,13 +107,15 @@ bool JsonRecordingAllowed(const util::FlagParser& flags) {
   return false;
 }
 
-RunOutcome TimedRun(const BipartiteGraph& graph, const Options& options,
-                    double budget_seconds, uint64_t max_results) {
+RunOutcome TimedRun(const BipartiteGraph& graph,
+                    const GraphOptions& graph_options,
+                    const RunOptions& options, double budget_seconds,
+                    bool subtree_tasks) {
   RunOutcome outcome;
   CountSink counter;
-  BudgetSink budget(&counter, max_results, budget_seconds);
 
-  Options run_options = options;
+  RunOptions run_options = options;
+  run_options.control.deadline_seconds = budget_seconds;
   util::MemoryTracker tracker;
   if (options.algorithm == Algorithm::kMbet ||
       options.algorithm == Algorithm::kMbetM) {
@@ -122,16 +124,11 @@ RunOutcome TimedRun(const BipartiteGraph& graph, const Options& options,
 
   RunResult run;
   // Bench configs are static and valid; a failure here is a harness bug.
-  const util::Status status = Enumerate(graph, run_options, &budget, &run);
+  const util::Status status =
+      (subtree_tasks ? EnumerateSubtreeTasks : Enumerate)(
+          graph, graph_options, run_options, &counter, &run);
   PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  // A run is truncated iff one of the budgets tripped during it.
-  outcome.completed = true;
-  if (budget_seconds > 0 && run.seconds >= budget_seconds) {
-    outcome.completed = false;
-  }
-  if (max_results > 0 && budget.emitted() >= max_results) {
-    outcome.completed = false;
-  }
+  outcome.completed = run.termination == Termination::kComplete;
   outcome.seconds = run.seconds;
   outcome.bicliques = counter.count();
   outcome.stats = run.stats;

@@ -63,9 +63,12 @@ struct RunOutcome {
 };
 
 /// Runs `options` on `graph` counting results, stopping at
-/// `budget_seconds` (0 = unlimited) or `max_results` (0 = unlimited).
-RunOutcome TimedRun(const BipartiteGraph& graph, const Options& options,
-                    double budget_seconds, uint64_t max_results = 0);
+/// `budget_seconds` (0 = unlimited), through EnumerateSubtreeTasks when
+/// `subtree_tasks` is set and Enumerate otherwise.
+RunOutcome TimedRun(const BipartiteGraph& graph,
+                    const GraphOptions& graph_options,
+                    const RunOptions& options, double budget_seconds,
+                    bool subtree_tasks = false);
 
 /// Formats a timing cell: "12.3ms", or ">5s" when the run was truncated.
 std::string TimeCell(const RunOutcome& outcome, double budget_seconds);

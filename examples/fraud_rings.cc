@@ -42,10 +42,11 @@ int main() {
         }
       });
 
-  mbe::Options options;
+  mbe::RunOptions options;
   options.threads = 4;
   mbe::RunResult run;
-  if (mbe::util::Status status = mbe::Enumerate(graph, options, &sink, &run);
+  if (mbe::util::Status status =
+          mbe::Enumerate(graph, mbe::GraphOptions(), options, &sink, &run);
       !status.ok()) {
     std::printf("enumeration failed: %s\n", status.ToString().c_str());
     return 1;

@@ -24,9 +24,10 @@ int main() {
   std::printf("expression graph: %s\n", graph.Summary().c_str());
 
   mbe::CollectSink sink;
-  mbe::Options options;
+  mbe::RunOptions options;
   mbe::RunResult run;
-  if (mbe::util::Status status = mbe::Enumerate(graph, options, &sink, &run);
+  if (mbe::util::Status status =
+          mbe::Enumerate(graph, mbe::GraphOptions(), options, &sink, &run);
       !status.ok()) {
     std::printf("enumeration failed: %s\n", status.ToString().c_str());
     return 1;

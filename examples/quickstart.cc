@@ -32,10 +32,11 @@ int main(int argc, char** argv) {
   std::printf("graph: %s\n", graph.Summary().c_str());
 
   mbe::CollectSink sink;
-  mbe::Options options;  // defaults: MBET, degree-ascending order
+  mbe::RunOptions options;  // defaults: MBET, single-threaded
   options.control.deadline_seconds = 30;  // bound the run; exponential output
   mbe::RunResult run;
-  if (mbe::util::Status status = mbe::Enumerate(graph, options, &sink, &run);
+  if (mbe::util::Status status =
+          mbe::Enumerate(graph, mbe::GraphOptions(), options, &sink, &run);
       !status.ok()) {
     std::fprintf(stderr, "enumeration rejected: %s\n",
                  status.ToString().c_str());

@@ -1,69 +1,86 @@
 #include "api/mbe.h"
 
+#include <exception>
 #include <memory>
 #include <utility>
 
 namespace mbe {
 
-GraphOptions Options::graph_options() const {
-  GraphOptions graph;
-  graph.order = order;
-  graph.hub_first_left = hub_first_left;
-  graph.auto_swap_sides = auto_swap_sides;
-  // Core reduction is only exact for the size-filtering MBET family: the
-  // other algorithms enumerate everything, and bicliques below the
-  // thresholds are gone from the reduced graph.
-  const bool mbet_family =
-      algorithm == Algorithm::kMbet || algorithm == Algorithm::kMbetM;
-  graph.core_reduce = core_reduce && mbet_family;
-  graph.min_left = mbet.min_left;
-  graph.min_right = mbet.min_right;
-  graph.seed = seed;
-  return graph;
+namespace {
+
+/// Runs `session`'s subtree tasks in order on one worker of this thread,
+/// through the cooperative API a shared scheduler uses.
+util::Status RunSubtreeTasks(Session& session, ResultSink* sink,
+                             RunResult* result) {
+  util::ScopedBudgetBinding binding(&session.budget());
+  PMBE_RETURN_IF_ERROR(session.Prepare(sink));
+  RunController* ctrl = session.controller();
+  ResultSink* run_sink = session.run_sink();
+  {
+    std::unique_ptr<SubtreeWorker> worker = session.MakeWorker();
+    // Containment as in Session::Run: a failure becomes kInternal and the
+    // sink keeps its valid prefix.
+    try {
+      for (size_t v = 0; v < session.task_count() && !run_sink->ShouldStop();
+           ++v) {
+        worker->EnumerateSubtree(static_cast<VertexId>(v), run_sink);
+      }
+    } catch (const std::exception& e) {
+      ctrl->ReportInternal(e.what());
+    } catch (...) {
+      ctrl->ReportInternal("unknown exception");
+    }
+    session.AddWorkerStats(worker->stats());
+  }
+  session.Finish(result);
+  return util::Status::Ok();
 }
 
-RunOptions Options::run_options() const {
-  RunOptions run;
-  run.algorithm = algorithm;
-  run.threads = threads;
-  run.scheduling = scheduling;
-  run.max_split = max_split;
-  run.mbet = mbet;
-  run.auto_tune = auto_tune;
-  run.control = control;
-  run.max_memory_bytes = max_memory_bytes;
-  run.watchdog_stall_seconds = watchdog_stall_seconds;
-  run.checkpoint = checkpoint;
-  return run;
-}
-
-util::Status Options::Validate() const {
-  // RunOptions::Validate subsumes the graph half's checks (the size
-  // thresholds are shared fields), so the error messages stay stable.
-  return run_options().Validate();
-}
-
-util::Status Enumerate(const BipartiteGraph& graph, const Options& options,
-                       ResultSink* sink, RunResult* out_result) {
+util::Status RunOnce(const BipartiteGraph& graph,
+                     const GraphOptions& graph_options, const RunOptions& run,
+                     ResultSink* sink, RunResult* out_result,
+                     bool subtree_tasks) {
   if (sink == nullptr) {
     return util::Status::InvalidArgument("sink must not be null");
   }
-  PMBE_RETURN_IF_ERROR(options.Validate());
+  PMBE_RETURN_IF_ERROR(run.Validate());
   util::StatusOr<std::shared_ptr<const Engine>> engine =
-      Engine::Build(graph, options.graph_options());
+      Engine::Build(graph, GraphOptionsForRun(graph_options, run));
   PMBE_RETURN_IF_ERROR(engine.status());
-  Session session(engine.value(), options.run_options());
+  Session session(engine.value(), run);
   RunResult result;
-  PMBE_RETURN_IF_ERROR(session.Run(sink, &result));
+  PMBE_RETURN_IF_ERROR(subtree_tasks
+                           ? RunSubtreeTasks(session, sink, &result)
+                           : session.Run(sink, &result));
   result.preprocess_seconds = engine.value()->build_seconds();
   if (out_result != nullptr) *out_result = std::move(result);
   return util::Status::Ok();
 }
 
+}  // namespace
+
+util::Status Enumerate(const BipartiteGraph& graph,
+                       const GraphOptions& graph_options,
+                       const RunOptions& run, ResultSink* sink,
+                       RunResult* result) {
+  return RunOnce(graph, graph_options, run, sink, result,
+                 /*subtree_tasks=*/false);
+}
+
+util::Status EnumerateSubtreeTasks(const BipartiteGraph& graph,
+                                   const GraphOptions& graph_options,
+                                   const RunOptions& run, ResultSink* sink,
+                                   RunResult* result) {
+  return RunOnce(graph, graph_options, run, sink, result,
+                 /*subtree_tasks=*/true);
+}
+
 uint64_t CountMaximalBicliques(const BipartiteGraph& graph,
-                               const Options& options) {
+                               const GraphOptions& graph_options,
+                               const RunOptions& run) {
   CountSink sink;
-  const util::Status status = Enumerate(graph, options, &sink, nullptr);
+  const util::Status status =
+      Enumerate(graph, graph_options, run, &sink, nullptr);
   PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
   return sink.count();
 }
@@ -97,49 +114,24 @@ class BestEdgeSink : public ResultSink {
 }  // namespace
 
 util::Status FindMaximumBiclique(const BipartiteGraph& graph,
-                                 const Options& options, Biclique* best,
+                                 const GraphOptions& graph_options,
+                                 const RunOptions& run, Biclique* best,
                                  RunResult* result) {
   if (best == nullptr) {
     return util::Status::InvalidArgument("best must not be null");
   }
   uint64_t watermark = 0;
-  Options search = options;
+  RunOptions search = run;
   search.algorithm = Algorithm::kMbet;
   search.threads = 1;  // the watermark is unsynchronized mutable state
   search.mbet.best_edges = &watermark;
   BestEdgeSink sink(&watermark);
   // Under run control this is an anytime search: a deadline/budget stop
   // leaves the best incumbent seen so far in the sink.
-  PMBE_RETURN_IF_ERROR(Enumerate(graph, search, &sink, result));
+  PMBE_RETURN_IF_ERROR(
+      Enumerate(graph, graph_options, search, &sink, result));
   *best = sink.Take();
   return util::Status::Ok();
 }
-
-#if PMBE_ENABLE_DEPRECATED
-
-Algorithm ParseAlgorithm(const std::string& name) {
-  Algorithm algorithm = Algorithm::kMbet;
-  const util::Status status = ParseAlgorithm(name, &algorithm);
-  PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  return algorithm;
-}
-
-RunResult Enumerate(const BipartiteGraph& graph, const Options& options,
-                    ResultSink* sink) {
-  RunResult result;
-  const util::Status status = Enumerate(graph, options, sink, &result);
-  PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  return result;
-}
-
-Biclique FindMaximumBiclique(const BipartiteGraph& graph,
-                             const Options& options) {
-  Biclique best;
-  const util::Status status = FindMaximumBiclique(graph, options, &best);
-  PMBE_CHECK_MSG(status.ok(), "%s", status.ToString().c_str());
-  return best;
-}
-
-#endif  // PMBE_ENABLE_DEPRECATED
 
 }  // namespace mbe

@@ -6,55 +6,72 @@
 
 namespace mbe {
 
+namespace {
+
+struct AlgorithmEntry {
+  Algorithm algorithm;
+  const char* flag;  ///< ParseAlgorithm name
+  const char* name;  ///< AlgorithmName display name
+};
+
+constexpr AlgorithmEntry kAlgorithms[] = {
+    {Algorithm::kMbet, "mbet", "MBET"},
+    {Algorithm::kMbetM, "mbetm", "MBETM"},
+    {Algorithm::kMineLmbc, "minelmbc", "MineLMBC"},
+    {Algorithm::kMbea, "mbea", "MBEA"},
+    {Algorithm::kImbea, "imbea", "iMBEA"},
+    {Algorithm::kBbk, "bbk", "BBK"},
+};
+
+}  // namespace
+
 util::Status ParseAlgorithm(const std::string& name, Algorithm* algorithm) {
   PMBE_CHECK(algorithm != nullptr);
-  if (name == "mbet") {
-    *algorithm = Algorithm::kMbet;
-  } else if (name == "mbetm") {
-    *algorithm = Algorithm::kMbetM;
-  } else if (name == "minelmbc") {
-    *algorithm = Algorithm::kMineLmbc;
-  } else if (name == "mbea") {
-    *algorithm = Algorithm::kMbea;
-  } else if (name == "imbea") {
-    *algorithm = Algorithm::kImbea;
-  } else if (name == "oombea") {
-    *algorithm = Algorithm::kOombeaLite;
-  } else if (name == "bbk") {
-    *algorithm = Algorithm::kBbk;
-  } else {
-    return util::Status::InvalidArgument(
-        "unknown algorithm '" + name +
-        "' (expected mbet | mbetm | minelmbc | mbea | imbea | oombea | "
-        "bbk)");
+  std::string expected;
+  for (const AlgorithmEntry& entry : kAlgorithms) {
+    if (name == entry.flag) {
+      *algorithm = entry.algorithm;
+      return util::Status::Ok();
+    }
+    if (!expected.empty()) expected += " | ";
+    expected += entry.flag;
   }
-  return util::Status::Ok();
+  return util::Status::InvalidArgument("unknown algorithm '" + name +
+                                       "' (expected " + expected + ")");
+}
+
+util::Status AlgorithmFromValue(uint32_t value, Algorithm* algorithm) {
+  PMBE_CHECK(algorithm != nullptr);
+  for (const AlgorithmEntry& entry : kAlgorithms) {
+    if (value == static_cast<uint32_t>(entry.algorithm)) {
+      *algorithm = entry.algorithm;
+      return util::Status::Ok();
+    }
+  }
+  return util::Status::InvalidArgument("unknown algorithm " +
+                                       std::to_string(value));
 }
 
 const char* AlgorithmName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kMbet:
-      return "MBET";
-    case Algorithm::kMbetM:
-      return "MBETM";
-    case Algorithm::kMineLmbc:
-      return "MineLMBC";
-    case Algorithm::kMbea:
-      return "MBEA";
-    case Algorithm::kImbea:
-      return "iMBEA";
-    case Algorithm::kOombeaLite:
-      return "ooMBEA-lite";
-    case Algorithm::kBbk:
-      return "BBK";
+  for (const AlgorithmEntry& entry : kAlgorithms) {
+    if (entry.algorithm == algorithm) return entry.name;
   }
   return "?";
 }
 
 bool SupportsParallel(Algorithm algorithm) {
-  return algorithm == Algorithm::kMbet || algorithm == Algorithm::kMbetM ||
-         algorithm == Algorithm::kMbea || algorithm == Algorithm::kImbea ||
-         algorithm == Algorithm::kOombeaLite || algorithm == Algorithm::kBbk;
+  return algorithm != Algorithm::kMineLmbc;
+}
+
+bool FiltersBySize(Algorithm algorithm) {
+  return algorithm == Algorithm::kMbet || algorithm == Algorithm::kMbetM;
+}
+
+GraphOptions GraphOptionsForRun(GraphOptions graph, const RunOptions& run) {
+  graph.core_reduce = graph.core_reduce && FiltersBySize(run.algorithm);
+  graph.min_left = run.mbet.min_left;
+  graph.min_right = run.mbet.min_right;
+  return graph;
 }
 
 util::Status GraphOptions::Validate() const {

@@ -14,38 +14,44 @@
 /// \file
 /// Configuration types of the session-oriented API (docs/SERVICE.md).
 ///
-/// The old monolithic `Options` struct mixed two unrelated lifetimes:
-/// *graph preprocessing* decisions (ordering, relabeling, side swap, core
-/// reduction) that are made once when a graph is loaded, and *run control*
-/// decisions (algorithm, threads, budgets, deadlines) that differ per
-/// query. The split mirrors the two API objects:
+/// Configuration has two lifetimes: *graph preprocessing* decisions
+/// (ordering, relabeling, side swap, core reduction) are made once when a
+/// graph is loaded, and *run control* decisions (algorithm, threads,
+/// budgets, deadlines) differ per query. The two types mirror the two API
+/// objects:
 ///
 ///  * `GraphOptions` — owned by `mbe::Engine`: everything baked into the
 ///    immutable preprocessed graph, shared read-only by all sessions.
 ///  * `RunOptions` — owned by `mbe::Session`: everything a single
 ///    enumeration query controls.
 ///
-/// The legacy flat `Options` aggregate (api/mbe.h) remains for one-shot
-/// callers and converts into both halves.
+/// The one-shot facade (api/mbe.h) takes the same two types.
 
 namespace mbe {
 
-/// Which enumeration algorithm to run.
+/// Which enumeration algorithm to run. The numeric values are the wire
+/// encoding (serve/wire.h) and never change; 5 is unassigned. The
+/// ooMBEA-lite baseline of the paper is kImbea run subtree by subtree
+/// (EnumerateSubtreeTasks, api/mbe.h) under VertexOrder::kUnilateralAsc.
 enum class Algorithm {
-  kMbet,        ///< prefix-tree enumerator (the paper's contribution)
-  kMbetM,       ///< space-optimized MBET (no stored locals)
-  kMineLmbc,    ///< textbook recursive baseline
-  kMbea,        ///< MBEA (Q-set check, unsorted candidates)
-  kImbea,       ///< iMBEA (Q-set check + candidate ordering)
-  kOombeaLite,  ///< unilateral order + subtree-local iMBEA
-  kBbk,         ///< pivot-free left extension, degree-ordered candidates
-                ///< (Baudin et al. 2024) — the large-sparse-graph engine
+  kMbet = 0,      ///< prefix-tree enumerator (the paper's contribution)
+  kMbetM = 1,     ///< space-optimized MBET (no stored locals)
+  kMineLmbc = 2,  ///< textbook recursive baseline
+  kMbea = 3,      ///< MBEA (Q-set check, unsorted candidates)
+  kImbea = 4,     ///< iMBEA (Q-set check + candidate ordering)
+  kBbk = 6,       ///< pivot-free left extension, degree-ordered candidates
+                  ///< (Baudin et al. 2024) — the large-sparse-graph engine
 };
 
-/// Parses "mbet", "mbetm", "minelmbc", "mbea", "imbea", "oombea", "bbk"
-/// into `*algorithm`; returns InvalidArgument (leaving `*algorithm`
-/// untouched) on unknown names.
+/// Parses "mbet", "mbetm", "minelmbc", "mbea", "imbea", "bbk" into
+/// `*algorithm`; returns InvalidArgument (leaving `*algorithm` untouched)
+/// on unknown names.
 util::Status ParseAlgorithm(const std::string& name, Algorithm* algorithm);
+
+/// Decodes a numeric (wire) algorithm value into `*algorithm`; returns
+/// InvalidArgument (leaving `*algorithm` untouched) on values that name no
+/// algorithm.
+util::Status AlgorithmFromValue(uint32_t value, Algorithm* algorithm);
 
 /// Stable display name of an algorithm.
 const char* AlgorithmName(Algorithm algorithm);
@@ -54,12 +60,17 @@ const char* AlgorithmName(Algorithm algorithm);
 /// any parallel or pooled execution) supports.
 bool SupportsParallel(Algorithm algorithm);
 
+/// True for the size-filtering MBET family: the algorithms that honor
+/// `RunOptions::mbet.min_left/min_right`, and so the only ones that may run
+/// on a core-reduced engine.
+bool FiltersBySize(Algorithm algorithm);
+
 /// Graph preprocessing configuration, fixed at `Engine::Build` time. All
 /// vertex-size thresholds are stated in the *caller's* orientation; the
 /// engine accounts for side swapping internally.
 struct GraphOptions {
-  /// Right-side traversal order. kUnilateralAsc is the natural pairing for
-  /// Algorithm::kOombeaLite; everything else defaults to degree-ascending.
+  /// Right-side traversal order (ooMBEA-lite runs under kUnilateralAsc;
+  /// see Algorithm). Defaults to degree-ascending.
   VertexOrder order = VertexOrder::kDegreeAsc;
 
   /// Relabel the left side hub-first (descending degree) so that local
@@ -155,6 +166,15 @@ struct RunOptions {
   /// abort.
   util::Status Validate() const;
 };
+
+/// Fits `graph` to the query `run`: core reduction stays on (when
+/// `graph.core_reduce` asks for it) only for the size-filtering MBET
+/// family, baked to the query's thresholds `run.mbet.min_left/min_right`.
+/// The other algorithms ignore the thresholds, so a reduced graph would
+/// lose bicliques they report. The one-shot facade (api/mbe.h) applies
+/// this to every call; other callers that build one engine per query
+/// (`pmbe_load`'s upload) derive its options here.
+GraphOptions GraphOptionsForRun(GraphOptions graph, const RunOptions& run);
 
 }  // namespace mbe
 

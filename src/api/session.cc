@@ -8,7 +8,6 @@
 
 #include "baselines/mbea.h"
 #include "baselines/mine_lmbc.h"
-#include "baselines/oombea_lite.h"
 #include "core/mbet.h"
 #include "engines/bbk.h"
 #include "util/fault.h"
@@ -195,9 +194,7 @@ util::Status Session::ValidateAgainstEngine() const {
     return util::Status::InvalidArgument("engine must not be null");
   }
   if (engine_->reduced_min_left() > 1 || engine_->reduced_min_right() > 1) {
-    const bool mbet_family = options_.algorithm == Algorithm::kMbet ||
-                             options_.algorithm == Algorithm::kMbetM;
-    if (!mbet_family) {
+    if (!FiltersBySize(options_.algorithm)) {
       return util::Status::InvalidArgument(
           std::string("engine was core-reduced to (") +
           std::to_string(engine_->reduced_min_left()) + ", " +
@@ -365,10 +362,6 @@ std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
     case Algorithm::kMbetM:
       return std::make_unique<MbetWorker>(work, effective_mbet_, ctrl);
     case Algorithm::kImbea:
-    case Algorithm::kOombeaLite:
-      // The subtree decomposition runs iMBEA workers for both (the
-      // unilateral-order specialization is whole-graph only) — same as the
-      // parallel driver always did.
       return std::make_unique<MbeaFamilyWorker>(
           work, MbeaOptions{.improved = true}, ctrl);
     case Algorithm::kMbea:
@@ -541,13 +534,6 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
       }
       case Algorithm::kImbea: {
         MbeaEnumerator engine(work, MbeaOptions{.improved = true});
-        engine.SetRunController(ctrl);
-        engine.EnumerateAll(run_sink_);
-        AddWorkerStats(engine.stats());
-        break;
-      }
-      case Algorithm::kOombeaLite: {
-        OombeaLiteEnumerator engine(work);
         engine.SetRunController(ctrl);
         engine.EnumerateAll(run_sink_);
         AddWorkerStats(engine.stats());

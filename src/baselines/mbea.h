@@ -22,8 +22,7 @@
 ///
 /// Besides the faithful global-root EnumerateAll, the class offers the
 /// per-vertex EnumerateSubtree used by the parallel driver (the ParMBE
-/// work decomposition of Das & Tirthapura, HiPC 2019) and by the
-/// ooMBEA-lite configuration.
+/// work decomposition of Das & Tirthapura, HiPC 2019).
 
 namespace mbe {
 
@@ -41,7 +40,7 @@ class MbeaEnumerator {
   void EnumerateAll(ResultSink* sink);
 
   /// Enumerates bicliques whose minimum right vertex is `v` (subtree
-  /// decomposition; used for parallelism and ooMBEA-lite).
+  /// decomposition; used for parallelism).
   void EnumerateSubtree(VertexId v, ResultSink* sink);
 
   /// Subtree splitting support for the work-stealing scheduler; same

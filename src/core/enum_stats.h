@@ -102,7 +102,7 @@ struct EnumStats {
   uint64_t degradations = 0;
   /// High-water mark of bytes charged to the run's MemoryBudget. NOT
   /// additive: merged via max (all workers charge one shared budget).
-  /// Provably <= Options::max_memory_bytes when a cap is set.
+  /// Provably <= RunOptions::max_memory_bytes when a cap is set.
   uint64_t peak_charged_bytes = 0;
   /// Heartbeat sweeps performed by the worker watchdog monitor.
   uint64_t watchdog_checks = 0;

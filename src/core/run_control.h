@@ -22,7 +22,7 @@
 /// pieces:
 ///
 ///  * `RunControl` — the caller-facing specification (part of
-///    `mbe::Options`): a cancellation token, a deadline, result/node
+///    `mbe::RunOptions`): a cancellation token, a deadline, result/node
 ///    budgets, and a progress callback.
 ///  * `RunController` — the shared runtime state of one run: an atomic
 ///    stop flag plus the termination reason. All workers of a parallel run

@@ -64,74 +64,6 @@ uint64_t FingerprintSink::Digest() const {
   return d;
 }
 
-BudgetSink::BudgetSink(ResultSink* inner, uint64_t max_results,
-                       double deadline_seconds)
-    : inner_(inner),
-      max_results_(max_results),
-      deadline_seconds_(deadline_seconds),
-      start_(std::chrono::steady_clock::now()) {
-  PMBE_CHECK(inner != nullptr);
-}
-
-bool BudgetSink::AdmitOne() {
-  const uint64_t n = emitted_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (max_results_ > 0 && n > max_results_) {
-    emitted_.fetch_sub(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-void BudgetSink::Emit(std::span<const VertexId> left,
-                      std::span<const VertexId> right) {
-  if (!AdmitOne()) return;
-  inner_->Emit(left, right);
-}
-
-void BudgetSink::EmitBatch(const BicliqueBatch& batch) {
-  if (max_results_ == 0) {
-    // Unlimited: keep the whole-batch fast path.
-    inner_->EmitBatch(batch);
-    emitted_.fetch_add(batch.size(), std::memory_order_relaxed);
-    return;
-  }
-  // Admit per entry so a batch straddling the bound delivers exactly the
-  // admitted prefix instead of over-emitting past max_results.
-  size_t admitted = 0;
-  while (admitted < batch.size() && AdmitOne()) ++admitted;
-  if (admitted == batch.size()) {
-    inner_->EmitBatch(batch);
-    return;
-  }
-  for (size_t i = 0; i < admitted; ++i) {
-    inner_->Emit(batch.left(i), batch.right(i));
-  }
-}
-
-bool BudgetSink::ShouldStop() const {
-  if (inner_->ShouldStop()) return true;
-  if (max_results_ > 0 &&
-      emitted_.load(std::memory_order_relaxed) >= max_results_) {
-    return true;
-  }
-  if (deadline_seconds_ > 0) {
-    if (expired_.load(std::memory_order_relaxed)) return true;
-    // Sample the clock once per stride; the first call (polls_ == 0)
-    // checks immediately so short deadlines on tiny runs still trip.
-    if (polls_.fetch_add(1, std::memory_order_relaxed) % kClockStride != 0) {
-      return false;
-    }
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
-    if (elapsed >= deadline_seconds_) {
-      expired_.store(true, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
 BufferedSink::BufferedSink(ResultSink* inner, size_t max_results,
                            size_t max_bytes)
     : inner_(inner),

@@ -2,7 +2,6 @@
 #define PMBE_CORE_SINK_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -229,46 +228,6 @@ class FingerprintSink : public ResultSink {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> xor_{0};
   std::atomic<uint64_t> count_{0};
-};
-
-/// Decorates another sink with a stop condition: stop after `max_results`
-/// bicliques or after `deadline_seconds` of wall time (0 disables either).
-///
-/// The deadline path samples the clock only once every `kClockStride`
-/// ShouldStop calls (enumerators poll once per enumeration node, so a
-/// per-call clock read is measurable overhead); the deadline is therefore
-/// enforced at the same stride granularity as RunPoller.
-class BudgetSink : public ResultSink {
- public:
-  /// Clock reads happen every this many ShouldStop calls on the deadline
-  /// path (matches RunPoller::kStride).
-  static constexpr uint32_t kClockStride = 64;
-
-  BudgetSink(ResultSink* inner, uint64_t max_results, double deadline_seconds);
-
-  void Emit(std::span<const VertexId> left,
-            std::span<const VertexId> right) override;
-  void EmitBatch(const BicliqueBatch& batch) override;
-  bool ShouldStop() const override;
-
-  uint64_t emitted() const { return emitted_.load(std::memory_order_relaxed); }
-
- private:
-  /// Reserves one emission against `max_results_`; false (with the
-  /// reservation rolled back) once the budget is exhausted. Keeps
-  /// `emitted() <= max_results` exact even when racing batch deliveries
-  /// straddle the bound mid-batch.
-  bool AdmitOne();
-
-  ResultSink* inner_;
-  uint64_t max_results_;
-  double deadline_seconds_;
-  std::atomic<uint64_t> emitted_{0};
-  std::chrono::steady_clock::time_point start_;
-  /// Deadline-path stride state. `expired_` latches the first trip so the
-  /// stop stays sticky without further clock reads.
-  mutable std::atomic<uint32_t> polls_{0};
-  mutable std::atomic<bool> expired_{false};
 };
 
 /// Buffers emissions in worker-local storage and flushes them to the

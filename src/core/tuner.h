@@ -21,7 +21,7 @@
 /// bench JSON context so tuning regressions stay visible.
 ///
 /// The tuner only picks knob *values*; every knob keeps its manual
-/// override path (Options fields / CLI flags), and results are
+/// override path (RunOptions fields / CLI flags), and results are
 /// byte-identical under any decision — the knobs it touches trade speed
 /// and memory, never output.
 

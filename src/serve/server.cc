@@ -619,9 +619,10 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
                     std::string(RejectReasonName(reason)) +
                         (detail.empty() ? "" : ": " + detail)});
   };
-  if (msg.algorithm > static_cast<uint8_t>(Algorithm::kOombeaLite)) {
-    reject(RejectReason::kBadOptions,
-           "unknown algorithm " + std::to_string(msg.algorithm));
+  Algorithm algorithm = Algorithm::kMbet;
+  if (util::Status status = AlgorithmFromValue(msg.algorithm, &algorithm);
+      !status.ok()) {
+    reject(RejectReason::kBadOptions, status.message());
     return;
   }
   std::shared_ptr<const Engine> engine = registry_.Get(msg.graph);
@@ -630,7 +631,7 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
     return;
   }
   RunOptions opts;
-  opts.algorithm = static_cast<Algorithm>(msg.algorithm);
+  opts.algorithm = algorithm;
   opts.threads = 1;  // the shared pool brings the execution threads
   opts.mbet.min_left = msg.min_left;
   opts.mbet.min_right = msg.min_right;

@@ -214,12 +214,6 @@ class ScopedBudgetBinding {
   MemoryBudget* previous_;
 };
 
-/// Deprecated name of the pre-session process-wide accessor. Charging
-/// sites now resolve the thread's bound budget; use CurrentMemoryBudget()
-/// (or ProcessMemoryBudget() for the true global).
-[[deprecated("use CurrentMemoryBudget() / ProcessMemoryBudget()")]]
-inline MemoryBudget& GlobalMemoryBudget() { return CurrentMemoryBudget(); }
-
 /// RAII charge: charges `bytes` to `budget` (and `tracker`, if given) on
 /// construction and returns them on destruction. The release must be
 /// exception-safe — an exception unwinding through an enumeration node

@@ -6,6 +6,7 @@
 
 #include "api/mbe.h"
 #include "core/analysis.h"
+#include "core/run_control.h"
 #include "gen/generators.h"
 
 namespace mbe {
@@ -84,7 +85,10 @@ TEST(TeeSinkTest, FansOutAndPropagatesStop) {
   EXPECT_FALSE(tee.ShouldStop());
 
   CountSink inner;
-  BudgetSink stopper(&inner, 1, 0);
+  RunControl control;
+  control.max_results = 1;
+  RunController controller(control);
+  ControlledSink stopper(&inner, &controller);
   TeeSink tee2({&a, &stopper});
   EmitPair(tee2, {1}, {2});
   EXPECT_TRUE(tee2.ShouldStop());
@@ -96,7 +100,8 @@ TEST(AnalysisIntegrationTest, OnePassCountShapeTopK) {
   ShapeSink shape;
   TopKSink topk(5);
   TeeSink tee({&count, &shape, &topk});
-  Enumerate(graph, Options(), &tee);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &tee, nullptr).ok());
 
   EXPECT_EQ(shape.shape().count, count.count());
   const auto top = topk.Take();
@@ -113,18 +118,19 @@ TEST(AnalysisIntegrationTest, OnePassCountShapeTopK) {
 
 TEST(AnalysisIntegrationTest, ParallelTeeIsConsistent) {
   BipartiteGraph graph = gen::PowerLaw(200, 150, 1000, 0.85, 0.8, 81);
-  Options options;
+  RunOptions options;
   options.threads = 4;
   CountSink count;
   TopKSink topk(3);
   TeeSink tee({&count, &topk});
-  Enumerate(graph, options, &tee);
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &tee, nullptr).ok());
 
-  Options serial;
+  RunOptions serial;
   TopKSink serial_topk(3);
   CountSink serial_count;
   TeeSink serial_tee({&serial_count, &serial_topk});
-  Enumerate(graph, serial, &serial_tee);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), serial, &serial_tee, nullptr).ok());
 
   EXPECT_EQ(count.count(), serial_count.count());
   auto a = topk.Take();

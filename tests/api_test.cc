@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "api/mbe.h"
 #include "core/verify.h"
@@ -13,32 +14,48 @@ namespace mbe {
 namespace {
 
 TEST(ApiTest, AlgorithmNamesRoundTrip) {
-  for (Algorithm algorithm :
-       {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite}) {
-    // Display names differ from flag names; check parse of flag forms.
-    SUCCEED();
-    (void)algorithm;
+  // Flag name, enum, and pinned wire value (5 stays unassigned).
+  struct Entry {
+    const char* flag;
+    Algorithm algorithm;
+    uint32_t wire;
+  };
+  const Entry entries[] = {
+      {"mbet", Algorithm::kMbet, 0},         {"mbetm", Algorithm::kMbetM, 1},
+      {"minelmbc", Algorithm::kMineLmbc, 2}, {"mbea", Algorithm::kMbea, 3},
+      {"imbea", Algorithm::kImbea, 4},       {"bbk", Algorithm::kBbk, 6}};
+  for (const Entry& entry : entries) {
+    Algorithm parsed = Algorithm::kMbet;
+    ASSERT_TRUE(ParseAlgorithm(entry.flag, &parsed).ok()) << entry.flag;
+    EXPECT_EQ(parsed, entry.algorithm) << entry.flag;
+    EXPECT_EQ(static_cast<uint32_t>(entry.algorithm), entry.wire)
+        << entry.flag;
+    Algorithm decoded = Algorithm::kMbet;
+    ASSERT_TRUE(AlgorithmFromValue(entry.wire, &decoded).ok()) << entry.flag;
+    EXPECT_EQ(decoded, entry.algorithm) << entry.flag;
+    EXPECT_STRNE(AlgorithmName(entry.algorithm), "?") << entry.flag;
   }
-  EXPECT_EQ(ParseAlgorithm("mbet"), Algorithm::kMbet);
-  EXPECT_EQ(ParseAlgorithm("mbetm"), Algorithm::kMbetM);
-  EXPECT_EQ(ParseAlgorithm("minelmbc"), Algorithm::kMineLmbc);
-  EXPECT_EQ(ParseAlgorithm("mbea"), Algorithm::kMbea);
-  EXPECT_EQ(ParseAlgorithm("imbea"), Algorithm::kImbea);
-  EXPECT_EQ(ParseAlgorithm("oombea"), Algorithm::kOombeaLite);
+  Algorithm algorithm = Algorithm::kMbea;
+  EXPECT_FALSE(ParseAlgorithm("oombea", &algorithm).ok());
+  for (uint32_t unassigned : {5u, 7u, 255u}) {
+    EXPECT_EQ(AlgorithmFromValue(unassigned, &algorithm).code(),
+              util::StatusCode::kInvalidArgument)
+        << unassigned;
+  }
+  EXPECT_EQ(algorithm, Algorithm::kMbea);  // untouched on error
 }
 
-TEST(ApiDeathTest, UnknownAlgorithmAborts) {
-  EXPECT_DEATH(ParseAlgorithm("quantum"), "unknown algorithm");
-}
-
-TEST(ApiDeathTest, UnsupportedParallelAlgorithmAborts) {
+TEST(ApiTest, UnsupportedParallelAlgorithmIsRejected) {
   BipartiteGraph graph = gen::ErdosRenyi(5, 5, 0.5, 1);
-  Options options;
+  RunOptions options;
   options.algorithm = Algorithm::kMineLmbc;
   options.threads = 4;
   CountSink sink;
-  EXPECT_DEATH(Enumerate(graph, options, &sink), "does not support threads");
+  const util::Status status =
+      Enumerate(graph, GraphOptions(), options, &sink, nullptr);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("does not support threads"),
+            std::string::npos);
 }
 
 TEST(ApiTest, EmittedIdsAreOriginalUnderEveryPreprocessing) {
@@ -49,12 +66,13 @@ TEST(ApiTest, EmittedIdsAreOriginalUnderEveryPreprocessing) {
   for (bool hub_first : {false, true}) {
     for (VertexOrder order :
          {VertexOrder::kNone, VertexOrder::kDegreeAsc, VertexOrder::kRandom}) {
-      Options options;
-      options.hub_first_left = hub_first;
-      options.order = order;
-      options.seed = 3;
+      GraphOptions graph_options;
+      graph_options.hub_first_left = hub_first;
+      graph_options.order = order;
+      graph_options.seed = 3;
       CollectSink sink;
-      Enumerate(graph, options, &sink);
+      ASSERT_TRUE(
+          Enumerate(graph, graph_options, RunOptions(), &sink, nullptr).ok());
       const auto results = sink.TakeSorted();
       EXPECT_EQ(ValidateResultSet(graph, results), "")
           << "hub_first=" << hub_first << " order=" << VertexOrderName(order);
@@ -64,20 +82,21 @@ TEST(ApiTest, EmittedIdsAreOriginalUnderEveryPreprocessing) {
 
 TEST(ApiTest, AutoSwapOffKeepsOrientationToo) {
   BipartiteGraph graph = gen::ErdosRenyi(8, 20, 0.3, 62);
-  Options no_swap;
+  GraphOptions no_swap;
   no_swap.auto_swap_sides = false;
-  Options swap;
+  GraphOptions swap;
   swap.auto_swap_sides = true;
   CollectSink a, b;
-  Enumerate(graph, no_swap, &a);
-  Enumerate(graph, swap, &b);
+  ASSERT_TRUE(Enumerate(graph, no_swap, RunOptions(), &a, nullptr).ok());
+  ASSERT_TRUE(Enumerate(graph, swap, RunOptions(), &b, nullptr).ok());
   EXPECT_EQ(DiffResultSets(a.TakeSorted(), b.TakeSorted()), "");
 }
 
 TEST(ApiTest, RunResultReportsTimeAndStats) {
   BipartiteGraph graph = gen::PowerLaw(100, 80, 500, 0.8, 0.8, 63);
   CountSink sink;
-  RunResult run = Enumerate(graph, Options(), &sink);
+  RunResult run;
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), RunOptions(), &sink, &run).ok());
   EXPECT_GE(run.seconds, 0.0);
   EXPECT_GE(run.preprocess_seconds, 0.0);
   EXPECT_EQ(run.stats.maximal, sink.count());
@@ -86,9 +105,31 @@ TEST(ApiTest, RunResultReportsTimeAndStats) {
 TEST(ApiTest, CountHelperAgreesWithCollect) {
   BipartiteGraph graph = gen::ErdosRenyi(20, 15, 0.25, 64);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
-  EXPECT_EQ(CountMaximalBicliques(graph, Options()),
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
+  EXPECT_EQ(CountMaximalBicliques(graph, GraphOptions(), RunOptions()),
             sink.TakeSorted().size());
+}
+
+TEST(ApiTest, GraphOptionsForRunReducesOnlyForTheMbetFamily) {
+  RunOptions run;
+  run.mbet.min_left = 3;
+  run.mbet.min_right = 2;
+  GraphOptions fitted = GraphOptionsForRun(GraphOptions(), run);
+  EXPECT_TRUE(fitted.core_reduce);
+  EXPECT_EQ(fitted.min_left, 3u);
+  EXPECT_EQ(fitted.min_right, 2u);
+
+  GraphOptions off;
+  off.core_reduce = false;
+  EXPECT_FALSE(GraphOptionsForRun(off, run).core_reduce);
+
+  for (Algorithm algorithm : {Algorithm::kMineLmbc, Algorithm::kMbea,
+                              Algorithm::kImbea, Algorithm::kBbk}) {
+    run.algorithm = algorithm;
+    EXPECT_FALSE(GraphOptionsForRun(GraphOptions(), run).core_reduce)
+        << AlgorithmName(algorithm);
+  }
 }
 
 // --- Verification oracle self-tests ------------------------------------------

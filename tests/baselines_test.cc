@@ -1,12 +1,12 @@
 // Baseline-specific behavior: MBEA vs iMBEA work profiles, MineLMBC's
-// from-scratch checking, ooMBEA-lite's subtree pruning, and the direct
-// (non-facade) entry points.
+// from-scratch checking, subtree-mode pruning, and the direct (non-facade)
+// entry points.
 
 #include <gtest/gtest.h>
 
 #include "baselines/mbea.h"
 #include "baselines/mine_lmbc.h"
-#include "baselines/oombea_lite.h"
+#include "core/run_control.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "graph/ordering.h"
@@ -73,7 +73,7 @@ TEST(MineLmbcBaselineTest, EmptyAndTinyGraphs) {
   EXPECT_EQ(results[0], (Biclique{{0}, {0}}));
 }
 
-TEST(OombeaLiteBaselineTest, PrunesDominatedSubtrees) {
+TEST(MbeaBaselineTest, SubtreeModePrunesDominatedSubtrees) {
   // Twin-heavy graph: later twins must be pruned at the root.
   std::vector<Edge> edges;
   for (VertexId v = 0; v < 6; ++v) {
@@ -81,46 +81,50 @@ TEST(OombeaLiteBaselineTest, PrunesDominatedSubtrees) {
     edges.push_back({1, v});
   }
   BipartiteGraph graph = BipartiteGraph::FromEdges(2, 6, edges);
-  OombeaLiteEnumerator engine(graph);
+  MbeaEnumerator engine(graph, MbeaOptions{.improved = true});
   CountSink sink;
-  engine.EnumerateAll(&sink);
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    engine.EnumerateSubtree(v, &sink);
+  }
   EXPECT_EQ(sink.count(), 1u);
   EXPECT_EQ(engine.stats().subtrees_pruned, 5u);
 }
 
 TEST(BaselineCrossTest, AllDirectEntryPointsAgreeOnValidity) {
   BipartiteGraph graph = gen::ErdosRenyi(40, 35, 0.12, 72);
-  CollectSink mbea_sink, lmbc_sink, oombea_sink;
+  CollectSink mbea_sink, lmbc_sink, subtree_sink;
   MbeaEnumerator mbea(graph, MbeaOptions{.improved = true});
   mbea.EnumerateAll(&mbea_sink);
   MineLmbcEnumerator lmbc(graph);
   lmbc.EnumerateAll(&lmbc_sink);
-  OombeaLiteEnumerator oombea(graph);
-  oombea.EnumerateAll(&oombea_sink);
+  MbeaEnumerator subtree(graph, MbeaOptions{.improved = true});
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    subtree.EnumerateSubtree(v, &subtree_sink);
+  }
 
   const auto expected = lmbc_sink.TakeSorted();
   EXPECT_EQ(ValidateResultSet(graph, expected), "");
   EXPECT_EQ(DiffResultSets(expected, mbea_sink.TakeSorted()), "");
-  EXPECT_EQ(DiffResultSets(expected, oombea_sink.TakeSorted()), "");
+  EXPECT_EQ(DiffResultSets(expected, subtree_sink.TakeSorted()), "");
 }
 
 TEST(BaselineStopTest, BaselinesHonorCancellation) {
   BipartiteGraph graph = Workload(73);
-  for (int which = 0; which < 3; ++which) {
+  for (int which = 0; which < 2; ++which) {
     CountSink inner;
-    BudgetSink budget(&inner, /*max_results=*/50, /*deadline_seconds=*/0);
+    RunControl control;
+    control.max_results = 50;
+    RunController controller(control);
+    ControlledSink budget(&inner, &controller);
     if (which == 0) {
       MbeaEnumerator e(graph, MbeaOptions{});
       e.EnumerateAll(&budget);
-    } else if (which == 1) {
+    } else {
       MineLmbcEnumerator e(graph);
       e.EnumerateAll(&budget);
-    } else {
-      OombeaLiteEnumerator e(graph);
-      e.EnumerateAll(&budget);
     }
-    EXPECT_GE(budget.emitted(), 50u) << which;
-    EXPECT_LT(budget.emitted(), 200u) << which;  // stopped promptly
+    EXPECT_EQ(controller.termination(), Termination::kBudget) << which;
+    EXPECT_EQ(inner.count(), 50u) << which;
   }
 }
 

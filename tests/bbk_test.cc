@@ -26,7 +26,8 @@ BipartiteGraph LiteratureGraph() {
 
 std::vector<Biclique> MbetReference(const BipartiteGraph& graph) {
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
@@ -51,7 +52,8 @@ TEST(BbkEngineTest, OutputIdenticalToMbetAcrossFamilies) {
   };
   for (const BipartiteGraph& graph : graphs) {
     FingerprintSink ref;
-    Enumerate(graph, Options(), &ref);
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), RunOptions(), &ref, nullptr).ok());
 
     BbkEnumerator engine(graph);
     FingerprintSink got;
@@ -164,14 +166,14 @@ TEST(BbkEngineTest, FacadeParsesAndRunsParallel) {
 
   const BipartiteGraph graph = gen::PowerLaw(250, 180, 1400, 0.85, 0.8, 70);
   FingerprintSink serial;
-  Options o;
+  RunOptions o;
   o.algorithm = Algorithm::kBbk;
-  ASSERT_TRUE(Enumerate(graph, o, &serial, nullptr).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &serial, nullptr).ok());
 
   o.threads = 4;
   FingerprintSink parallel;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, o, &parallel, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &parallel, &run).ok());
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_EQ(parallel.Digest(), serial.Digest());
   EXPECT_EQ(parallel.count(), serial.count());

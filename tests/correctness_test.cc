@@ -17,19 +17,45 @@
 namespace mbe {
 namespace {
 
-std::vector<Biclique> RunEnum(const BipartiteGraph& graph, const Options& options) {
+std::vector<Biclique> RunEnum(const BipartiteGraph& graph,
+                              const RunOptions& options,
+                              const GraphOptions& graph_options =
+                                  GraphOptions()) {
   CollectSink sink;
-  Enumerate(graph, options, &sink);
+  EXPECT_TRUE(Enumerate(graph, graph_options, options, &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
-Options OptionsFor(Algorithm algorithm) {
-  Options options;
-  options.algorithm = algorithm;
-  if (algorithm == Algorithm::kOombeaLite) {
-    options.order = VertexOrder::kUnilateralAsc;
-  }
-  return options;
+// An algorithm under a right-side order, run whole-graph (Enumerate) or
+// subtree by subtree (EnumerateSubtreeTasks). The paper's ooMBEA-lite
+// baseline is subtree-local iMBEA under the unilateral order.
+struct EngineCase {
+  Algorithm algorithm;
+  VertexOrder order = VertexOrder::kDegreeAsc;
+  bool subtree_tasks = false;
+};
+
+constexpr EngineCase kAllEngines[] = {
+    {Algorithm::kMbet},  {Algorithm::kMbetM}, {Algorithm::kMineLmbc},
+    {Algorithm::kMbea},  {Algorithm::kImbea},
+    {Algorithm::kImbea, VertexOrder::kUnilateralAsc, true}};
+
+std::vector<Biclique> RunEnum(const BipartiteGraph& graph, EngineCase engine) {
+  RunOptions options;
+  options.algorithm = engine.algorithm;
+  GraphOptions graph_options;
+  graph_options.order = engine.order;
+  CollectSink sink;
+  EXPECT_TRUE((engine.subtree_tasks ? EnumerateSubtreeTasks : Enumerate)(
+                  graph, graph_options, options, &sink, nullptr)
+                  .ok());
+  return sink.TakeSorted();
+}
+
+std::string Label(EngineCase engine) {
+  return std::string(AlgorithmName(engine.algorithm)) + "/" +
+         VertexOrderName(engine.order) +
+         (engine.subtree_tasks ? "/subtrees" : "");
 }
 
 // --- Oracle cross-check on exhaustive small random graphs ----------------
@@ -49,14 +75,11 @@ TEST_P(OracleTest, AllAlgorithmsMatchBruteForce) {
       gen::ErdosRenyi(c.num_left, c.num_right, c.p, c.seed);
   const std::vector<Biclique> expected = BruteForceMbe(graph);
 
-  for (Algorithm algorithm :
-       {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite}) {
-    const std::vector<Biclique> actual = RunEnum(graph, OptionsFor(algorithm));
+  for (const EngineCase& engine : kAllEngines) {
+    const std::vector<Biclique> actual = RunEnum(graph, engine);
     EXPECT_EQ(DiffResultSets(expected, actual), "")
-        << AlgorithmName(algorithm) << " on " << graph.Summary()
-        << " seed=" << c.seed;
-    EXPECT_EQ(actual.size(), expected.size()) << AlgorithmName(algorithm);
+        << Label(engine) << " on " << graph.Summary() << " seed=" << c.seed;
+    EXPECT_EQ(actual.size(), expected.size()) << Label(engine);
   }
 }
 
@@ -83,12 +106,9 @@ class SkewedOracleTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SkewedOracleTest, AllAlgorithmsMatchBruteForce) {
   BipartiteGraph graph = gen::PowerLaw(18, 13, 70, 0.9, 0.9, GetParam());
   const std::vector<Biclique> expected = BruteForceMbe(graph);
-  for (Algorithm algorithm :
-       {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite}) {
-    EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, OptionsFor(algorithm))),
-              "")
-        << AlgorithmName(algorithm) << " seed=" << GetParam();
+  for (const EngineCase& engine : kAllEngines) {
+    EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, engine)), "")
+        << Label(engine) << " seed=" << GetParam();
   }
 }
 
@@ -104,7 +124,7 @@ TEST_P(PlantedOracleTest, MbetVariantsMatchBruteForce) {
       gen::PlantBicliques(base, 2, 5, 4, GetParam() + 1, nullptr);
   const std::vector<Biclique> expected = BruteForceMbe(graph);
   for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kMbetM}) {
-    EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, OptionsFor(algorithm))),
+    EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, EngineCase{algorithm})),
               "")
         << AlgorithmName(algorithm) << " seed=" << GetParam();
   }
@@ -129,7 +149,7 @@ TEST_P(AblationTest, MatchesBruteForce) {
   for (uint64_t seed : {7u, 8u, 9u}) {
     BipartiteGraph graph = gen::ErdosRenyi(12, 12, 0.35, seed);
     const std::vector<Biclique> expected = BruteForceMbe(graph);
-    Options options;
+    RunOptions options;
     options.algorithm = Algorithm::kMbet;
     options.mbet.use_trie = c.use_trie;
     options.mbet.use_aggregation = c.use_aggregation;
@@ -164,15 +184,17 @@ class OrderTest : public ::testing::TestWithParam<VertexOrder> {};
 
 TEST_P(OrderTest, SameResultUnderEveryOrder) {
   BipartiteGraph graph = gen::PowerLaw(40, 30, 200, 0.8, 0.8, 42);
-  Options base;
+  GraphOptions base;
   base.order = VertexOrder::kNone;
-  const std::vector<Biclique> expected = RunEnum(graph, base);
+  const std::vector<Biclique> expected = RunEnum(graph, RunOptions(), base);
   ASSERT_EQ(ValidateResultSet(graph, expected), "");
 
-  Options options;
-  options.order = GetParam();
-  options.seed = 5;
-  EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, options)), "")
+  GraphOptions graph_options;
+  graph_options.order = GetParam();
+  graph_options.seed = 5;
+  EXPECT_EQ(
+      DiffResultSets(expected, RunEnum(graph, RunOptions(), graph_options)),
+      "")
       << VertexOrderName(GetParam());
 }
 
@@ -186,16 +208,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CrossCheckTest, MediumPowerLawAllAlgorithmsAgree) {
   BipartiteGraph graph = gen::PowerLaw(300, 200, 1800, 0.85, 0.8, 77);
-  const std::vector<Biclique> reference =
-      RunEnum(graph, OptionsFor(Algorithm::kMbet));
+  const std::vector<Biclique> reference = RunEnum(graph, RunOptions());
   ASSERT_EQ(ValidateResultSet(graph, reference), "");
   ASSERT_GT(reference.size(), 100u) << "workload too trivial to be a test";
 
-  for (Algorithm algorithm :
-       {Algorithm::kMbetM, Algorithm::kMineLmbc, Algorithm::kMbea,
-        Algorithm::kImbea, Algorithm::kOombeaLite}) {
-    EXPECT_EQ(DiffResultSets(reference, RunEnum(graph, OptionsFor(algorithm))), "")
-        << AlgorithmName(algorithm);
+  for (const EngineCase& engine : kAllEngines) {
+    EXPECT_EQ(DiffResultSets(reference, RunEnum(graph, engine)), "")
+        << Label(engine);
   }
 }
 
@@ -205,7 +224,7 @@ TEST(CrossCheckTest, PlantedBicliquesAreFound) {
   BipartiteGraph graph = gen::PlantBicliques(base, 4, 5, 4, 12, &planted);
   ASSERT_EQ(planted.size(), 4u);
 
-  const std::vector<Biclique> results = RunEnum(graph, Options());
+  const std::vector<Biclique> results = RunEnum(graph, RunOptions());
   ASSERT_EQ(ValidateResultSet(graph, results), "");
   // Every planted block must be contained in some maximal biclique.
   for (const gen::PlantedBiclique& block : planted) {
@@ -224,13 +243,14 @@ TEST(CrossCheckTest, PlantedBicliquesAreFound) {
 
 TEST(ParallelTest, ThreadsAndSchedulingDoNotChangeResults) {
   BipartiteGraph graph = gen::PowerLaw(250, 180, 1500, 0.85, 0.8, 99);
-  const std::vector<Biclique> reference = RunEnum(graph, Options());
+  const std::vector<Biclique> reference = RunEnum(graph, RunOptions());
 
   for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kImbea}) {
     for (unsigned threads : {2u, 4u, 8u}) {
       for (Scheduling scheduling : {Scheduling::kDynamic, Scheduling::kStatic,
                                     Scheduling::kStealing}) {
-        Options options = OptionsFor(algorithm);
+        RunOptions options;
+        options.algorithm = algorithm;
         options.threads = threads;
         options.scheduling = scheduling;
         EXPECT_EQ(DiffResultSets(reference, RunEnum(graph, options)), "")
@@ -245,18 +265,19 @@ TEST(ParallelTest, ThreadsAndSchedulingDoNotChangeResults) {
 
 TEST(EdgeCaseTest, EmptyGraph) {
   BipartiteGraph graph;
-  EXPECT_EQ(CountMaximalBicliques(graph, Options()), 0u);
+  EXPECT_EQ(CountMaximalBicliques(graph, GraphOptions(), RunOptions()), 0u);
 }
 
 TEST(EdgeCaseTest, NoEdges) {
   BipartiteGraph graph = BipartiteGraph::FromEdges(5, 7, {});
-  EXPECT_EQ(CountMaximalBicliques(graph, Options()), 0u);
+  EXPECT_EQ(CountMaximalBicliques(graph, GraphOptions(), RunOptions()), 0u);
 }
 
 TEST(EdgeCaseTest, SingleEdge) {
   BipartiteGraph graph = BipartiteGraph::FromEdges(3, 3, {{1, 2}});
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0], (Biclique{{1}, {2}}));
@@ -269,7 +290,8 @@ TEST(EdgeCaseTest, CompleteBipartite) {
   }
   BipartiteGraph graph = BipartiteGraph::FromEdges(4, 5, edges);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].left.size(), 4u);
@@ -280,7 +302,7 @@ TEST(EdgeCaseTest, PerfectMatchingYieldsOneBicliquePerEdge) {
   std::vector<Edge> edges;
   for (VertexId i = 0; i < 10; ++i) edges.push_back({i, i});
   BipartiteGraph graph = BipartiteGraph::FromEdges(10, 10, edges);
-  EXPECT_EQ(CountMaximalBicliques(graph, Options()), 10u);
+  EXPECT_EQ(CountMaximalBicliques(graph, GraphOptions(), RunOptions()), 10u);
 }
 
 TEST(EdgeCaseTest, StarGraph) {
@@ -290,7 +312,8 @@ TEST(EdgeCaseTest, StarGraph) {
   for (VertexId v = 0; v < 8; ++v) edges.push_back({0, v});
   BipartiteGraph graph = BipartiteGraph::FromEdges(1, 8, edges);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].right.size(), 8u);
@@ -312,11 +335,9 @@ TEST(KnownGraphTest, LiteratureExampleHasSixMaximalBicliques) {
   BipartiteGraph graph = BipartiteGraph::FromEdges(5, 4, edges);
   const std::vector<Biclique> expected = BruteForceMbe(graph);
   EXPECT_EQ(expected.size(), 6u);
-  for (Algorithm algorithm :
-       {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite}) {
-    EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, OptionsFor(algorithm))), "")
-        << AlgorithmName(algorithm);
+  for (const EngineCase& engine : kAllEngines) {
+    EXPECT_EQ(DiffResultSets(expected, RunEnum(graph, engine)), "")
+        << Label(engine);
   }
 }
 

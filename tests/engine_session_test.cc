@@ -62,25 +62,35 @@ TEST(EngineSessionTest, MatchesFacadeForEveryAlgorithm) {
   const BipartiteGraph graph = gen::PowerLaw(30, 50, 250, 0.8, 0.8, 61);
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite}) {
+        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kBbk}) {
     SCOPED_TRACE(AlgorithmName(algorithm));
-    Options flat;
-    flat.algorithm = algorithm;
+    RunOptions options;
+    options.algorithm = algorithm;
 
     FingerprintSink facade_sink;
     RunResult facade_result;
-    ASSERT_TRUE(Enumerate(graph, flat, &facade_sink, &facade_result).ok());
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &facade_sink,
+                          &facade_result)
+                    .ok());
     ASSERT_TRUE(facade_result.complete());
 
-    auto engine = BuildEngine(graph, flat.graph_options());
+    auto engine = BuildEngine(graph, GraphOptions());
     FingerprintSink session_sink;
-    Session session(engine, flat.run_options());
+    Session session(engine, options);
     RunResult session_result;
     ASSERT_TRUE(session.Run(&session_sink, &session_result).ok());
     EXPECT_TRUE(session_result.complete());
     EXPECT_EQ(session_sink.Digest(), facade_sink.Digest());
     EXPECT_EQ(session_sink.count(), facade_sink.count());
     EXPECT_EQ(session_result.stats.maximal, facade_result.stats.maximal);
+
+    // Per-vertex subtree tasks in place of the whole-graph traversal.
+    FingerprintSink subtree_sink;
+    ASSERT_TRUE(EnumerateSubtreeTasks(graph, GraphOptions(), options,
+                                      &subtree_sink, nullptr)
+                    .ok());
+    EXPECT_EQ(subtree_sink.Digest(), facade_sink.Digest());
+    EXPECT_EQ(subtree_sink.count(), facade_sink.count());
   }
 }
 

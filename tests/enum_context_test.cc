@@ -169,7 +169,8 @@ TEST(EnumContextTest, NoScratchEscapesARewoundFrameInAnyEngine) {
   {
     CountSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, Options(), &sink, &run).ok());
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), RunOptions(), &sink, &run).ok());
     want = sink.count();
   }
   ASSERT_GT(want, 0u);
@@ -177,13 +178,13 @@ TEST(EnumContextTest, NoScratchEscapesARewoundFrameInAnyEngine) {
   EnumContext::SetParanoidForTesting(true);
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite}) {
+        Algorithm::kMbea, Algorithm::kImbea}) {
     // MineLMBC and MBEA have no parallel driver support.
     const bool parallel_ok = algorithm != Algorithm::kMineLmbc &&
                              algorithm != Algorithm::kMbea;
     for (unsigned threads : {1u, 4u}) {
       if (threads > 1 && !parallel_ok) continue;
-      Options options;
+      RunOptions options;
       options.algorithm = algorithm;
       options.threads = threads;
       // Exercise the bitmap classification path too (kernel scratch lives
@@ -191,7 +192,7 @@ TEST(EnumContextTest, NoScratchEscapesARewoundFrameInAnyEngine) {
       options.mbet.bitmap_density = 0.0;
       CountSink sink;
       RunResult run;
-      ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+      ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
       EXPECT_EQ(sink.count(), want)
           << AlgorithmName(algorithm) << " threads=" << threads;
     }

@@ -31,13 +31,15 @@ BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(60, 60, 0.5, 11); }
 // Used by the fault-build sweeps only; regular builds compile it out of use.
 [[maybe_unused]] std::vector<Biclique> ReferenceSet(const BipartiteGraph& graph) {
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
 uint64_t ReferenceDigest(const BipartiteGraph& graph) {
   FingerprintSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   return sink.Digest();
 }
 
@@ -134,12 +136,12 @@ class MemoryLimitTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(MemoryLimitTest, TinyCapStopsWithValidPrefixUnderCap) {
   const BipartiteGraph graph = WorstCaseGraph();
-  Options options;
+  RunOptions options;
   options.threads = GetParam();
   options.max_memory_bytes = 1 << 12;  // 4 KiB: certain to be exceeded
   CollectSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kMemoryLimit)
       << TerminationName(run.termination);
   EXPECT_LE(run.stats.peak_charged_bytes, options.max_memory_bytes);
@@ -155,11 +157,11 @@ TEST(MemoryLimitTest, NoCapAccountingChangesNoResults) {
 
   // A cap far above the working set: the controller and the accounting run
   // (peak is reported) but no pressure, no degradation, no stop.
-  Options options;
+  RunOptions options;
   options.max_memory_bytes = uint64_t{1} << 40;
   FingerprintSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_EQ(sink.Digest(), reference);
   EXPECT_GT(run.stats.peak_charged_bytes, 0u);
@@ -174,11 +176,12 @@ TEST(MemoryLimitTest, CapSweepIsCompleteOrValidPrefix) {
   // prefix — never crash, never return garbage.
   for (uint64_t cap : {uint64_t{1} << 12, uint64_t{1} << 16, uint64_t{1} << 20,
                        uint64_t{1} << 30}) {
-    Options options;
+    RunOptions options;
     options.max_memory_bytes = cap;
     CollectSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok()) << cap;
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), options, &sink, &run).ok()) << cap;
     EXPECT_LE(run.stats.peak_charged_bytes, cap);
     if (run.termination == Termination::kComplete) {
       FingerprintSink digest;
@@ -198,18 +201,19 @@ TEST(MemoryLimitTest, CapSweepIsCompleteOrValidPrefix) {
 TEST(ContainmentTest, ThrowingSinkWithoutControllerIsInternalStatus) {
   ThrowAfterSink sink(4);
   RunResult run;
-  const util::Status status = Enumerate(MediumGraph(), Options(), &sink, &run);
+  const util::Status status =
+      Enumerate(MediumGraph(), GraphOptions(), RunOptions(), &sink, &run);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kInternal);
 }
 
 TEST(ContainmentTest, ThrowingSinkWithControllerIsInternalTermination) {
   const BipartiteGraph graph = MediumGraph();
-  Options options;
+  RunOptions options;
   options.control.deadline_seconds = 3600;  // activates the controller
   ThrowAfterSink sink(4);
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kInternal);
   EXPECT_FALSE(run.message.empty());
   EXPECT_EQ(sink.delivered(), 3u);
@@ -220,14 +224,14 @@ class ParallelContainmentTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelContainmentTest, ThrowingSharedSinkDrainsCleanly) {
   const BipartiteGraph graph = MediumGraph();
-  Options options;
+  RunOptions options;
   options.threads = GetParam();
   options.control.deadline_seconds = 3600;
   ThrowAfterSink sink(6);
   RunResult run;
   // The worker whose flush hits the throwing consumer quarantines its
   // buffered batch; the others drain; the run ends typed, not hung.
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kInternal);
   EXPECT_FALSE(run.message.empty());
   ExpectAllMaximal(graph, sink.collected());
@@ -241,24 +245,25 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelContainmentTest,
 TEST(WatchdogTest, HealthyParallelRunIsUnaffected) {
   const BipartiteGraph graph = MediumGraph();
   const uint64_t reference = ReferenceDigest(graph);
-  Options options;
+  RunOptions options;
   options.threads = 4;
   options.watchdog_stall_seconds = 30;
   FingerprintSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_EQ(sink.Digest(), reference);
 }
 
 TEST(WatchdogTest, MonitorSweepsDuringALongRun) {
-  Options options;
+  RunOptions options;
   options.threads = 2;
   options.control.deadline_seconds = 0.3;
   options.watchdog_stall_seconds = 30;  // sweeps every 100ms
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kDeadline);
   EXPECT_GE(run.stats.watchdog_checks, 1u);
 }
@@ -270,7 +275,7 @@ class ControlTimesBudgetTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(ControlTimesBudgetTest, CancellationDuringCappedRunYieldsValidPrefix) {
   const BipartiteGraph graph = WorstCaseGraph();
   std::atomic<bool> cancel{false};
-  Options options;
+  RunOptions options;
   options.threads = GetParam();
   options.control.cancel = &cancel;
   options.max_memory_bytes = 1 << 20;  // pressure (and maybe exhaustion)
@@ -280,7 +285,7 @@ TEST_P(ControlTimesBudgetTest, CancellationDuringCappedRunYieldsValidPrefix) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     cancel.store(true);
   });
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   trigger.join();
   // Whichever limit won the race, the stop must be typed and the prefix
   // valid.
@@ -293,14 +298,14 @@ TEST_P(ControlTimesBudgetTest, CancellationDuringCappedRunYieldsValidPrefix) {
 
 TEST_P(ControlTimesBudgetTest, DeadlineDuringWatchdoggedDrainYieldsValidPrefix) {
   const BipartiteGraph graph = WorstCaseGraph();
-  Options options;
+  RunOptions options;
   options.threads = GetParam();
   options.control.deadline_seconds = 0.05;
   options.watchdog_stall_seconds = 30;
   options.max_memory_bytes = uint64_t{1} << 30;
   CollectSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_TRUE(run.termination == Termination::kDeadline ||
               run.termination == Termination::kMemoryLimit)
       << TerminationName(run.termination);
@@ -393,7 +398,7 @@ TEST(FaultInjectionTest, AllocationFaultYieldsMemoryLimit) {
   util::FaultRegistry::Global().ArmCountdown("arena.grow", 1);
   CollectSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, Options(), &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), RunOptions(), &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kMemoryLimit)
       << TerminationName(run.termination);
   EXPECT_GE(run.stats.faults_injected, 1u);
@@ -404,11 +409,11 @@ TEST(FaultInjectionTest, SinkFlushFaultYieldsInternal) {
   DisarmGuard guard;
   const BipartiteGraph graph = MediumGraph();
   util::FaultRegistry::Global().ArmCountdown("sink.flush", 1);
-  Options options;
+  RunOptions options;
   options.threads = 2;  // BufferedSink (and its flush point) is per-worker
   CollectSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kInternal)
       << TerminationName(run.termination);
   EXPECT_FALSE(run.message.empty());
@@ -418,12 +423,13 @@ TEST(FaultInjectionTest, SinkFlushFaultYieldsInternal) {
 TEST(FaultInjectionTest, WorkerStallTripsTheWatchdog) {
   DisarmGuard guard;
   util::FaultRegistry::Global().ArmCountdown("worker.stall", 1);
-  Options options;
+  RunOptions options;
   options.threads = 2;
   options.watchdog_stall_seconds = 0.05;  // stall sleeps well past this
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(MediumGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(MediumGraph(), GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kInternal)
       << TerminationName(run.termination);
   EXPECT_FALSE(run.message.empty());
@@ -449,12 +455,13 @@ TEST(FaultSweepTest, EveryPointCountdownOneIsTypedAndValid) {
     if (std::string(point) == "loader.line") continue;  // not in Enumerate
     DisarmGuard guard;
     util::FaultRegistry::Global().ArmCountdown(point, 1);
-    Options options;
+    RunOptions options;
     options.threads = 2;
     options.watchdog_stall_seconds = 1;  // covers worker.stall (sleeps 200ms)
     CollectSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok()) << point;
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), options, &sink, &run).ok()) << point;
     EXPECT_TRUE(run.termination == Termination::kComplete ||
                 run.termination == Termination::kMemoryLimit ||
                 run.termination == Termination::kInternal)
@@ -474,7 +481,8 @@ TEST(FaultSweepTest, ArenaCountdownSweepKeepsPrefixesValid) {
     util::FaultRegistry::Global().ArmCountdown("arena.grow", nth);
     CollectSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, Options(), &sink, &run).ok()) << nth;
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), RunOptions(), &sink, &run)
+                    .ok()) << nth;
     const std::vector<Biclique> got = sink.TakeSorted();
     if (run.termination == Termination::kComplete) {
       EXPECT_EQ(got.size(), reference.size()) << nth;
@@ -493,12 +501,13 @@ TEST(FaultSweepTest, ProbabilisticChaosRunsStayTyped) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     DisarmGuard guard;
     util::FaultRegistry::Global().ArmProbability(0.02, seed);
-    Options options;
+    RunOptions options;
     options.threads = 2;
     options.watchdog_stall_seconds = 1;
     CollectSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok()) << seed;
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), options, &sink, &run).ok()) << seed;
     EXPECT_TRUE(run.termination == Termination::kComplete ||
                 run.termination == Termination::kMemoryLimit ||
                 run.termination == Termination::kInternal)

@@ -37,12 +37,13 @@ TEST_P(SizeFilterTest, MatchesFilteredOracle) {
         OracleFiltered(graph, c.min_left, c.min_right);
 
     for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kMbetM}) {
-      Options options;
+      RunOptions options;
       options.algorithm = algorithm;
       options.mbet.min_left = c.min_left;
       options.mbet.min_right = c.min_right;
       CollectSink sink;
-      Enumerate(graph, options, &sink);
+      ASSERT_TRUE(
+          Enumerate(graph, GraphOptions(), options, &sink, nullptr).ok());
       EXPECT_EQ(DiffResultSets(expected, sink.TakeSorted()), "")
           << AlgorithmName(algorithm) << " min_left=" << c.min_left
           << " min_right=" << c.min_right << " seed=" << seed;
@@ -64,30 +65,32 @@ TEST(SizeFilterTest, ConstraintsFollowCallerOrientationUnderAutoSwap) {
   ASSERT_GT(graph.num_right(), graph.num_left());
   const std::vector<Biclique> expected = OracleFiltered(graph, 3, 2);
 
-  Options options;
+  RunOptions options;
   options.mbet.min_left = 3;
   options.mbet.min_right = 2;
-  ASSERT_TRUE(options.auto_swap_sides);
+  const GraphOptions graph_options;
+  ASSERT_TRUE(graph_options.auto_swap_sides);
   CollectSink sink;
-  Enumerate(graph, options, &sink);
+  ASSERT_TRUE(Enumerate(graph, graph_options, options, &sink, nullptr).ok());
   EXPECT_EQ(DiffResultSets(expected, sink.TakeSorted()), "");
 }
 
 TEST(SizeFilterTest, FilterPrunesWork) {
   BipartiteGraph graph = gen::PowerLaw(400, 250, 2500, 0.85, 0.8, 5);
-  Options unfiltered;
   RunResult full;
   {
     CountSink sink;
-    full = Enumerate(graph, unfiltered, &sink);
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), RunOptions(), &sink, &full).ok());
   }
-  Options filtered;
+  RunOptions filtered;
   filtered.mbet.min_left = 4;
   filtered.mbet.min_right = 4;
   RunResult pruned;
   {
     CountSink sink;
-    pruned = Enumerate(graph, filtered, &sink);
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), filtered, &sink, &pruned).ok());
   }
   // The thresholds must actually prune the search tree, not post-filter.
   EXPECT_LT(pruned.stats.nodes_expanded, full.stats.nodes_expanded);
@@ -106,11 +109,20 @@ uint64_t OracleMaxEdges(const BipartiteGraph& graph, size_t min_left,
   return best;
 }
 
+// The maximum biclique under `options`.
+Biclique MaximumBiclique(const BipartiteGraph& graph,
+                         const RunOptions& options = RunOptions()) {
+  Biclique best;
+  EXPECT_TRUE(
+      FindMaximumBiclique(graph, GraphOptions(), options, &best).ok());
+  return best;
+}
+
 TEST(MaximumBicliqueTest, MatchesOracleOnRandomGraphs) {
   for (uint64_t seed = 100; seed < 130; ++seed) {
     BipartiteGraph graph = gen::ErdosRenyi(13, 13, 0.35, seed);
     const uint64_t expected = OracleMaxEdges(graph, 1, 1);
-    const Biclique best = FindMaximumBiclique(graph, Options());
+    const Biclique best = MaximumBiclique(graph);
     if (expected == 0) {
       EXPECT_TRUE(best.left.empty()) << "seed=" << seed;
       continue;
@@ -123,10 +135,10 @@ TEST(MaximumBicliqueTest, MatchesOracleOnRandomGraphs) {
 TEST(MaximumBicliqueTest, RespectsSizeConstraints) {
   for (uint64_t seed = 200; seed < 215; ++seed) {
     BipartiteGraph graph = gen::ErdosRenyi(14, 12, 0.45, seed);
-    Options options;
+    RunOptions options;
     options.mbet.min_left = 3;
     options.mbet.min_right = 3;
-    const Biclique best = FindMaximumBiclique(graph, options);
+    const Biclique best = MaximumBiclique(graph, options);
     const uint64_t expected = OracleMaxEdges(graph, 3, 3);
     if (expected == 0) {
       EXPECT_TRUE(best.left.empty()) << "seed=" << seed;
@@ -142,7 +154,7 @@ TEST(MaximumBicliqueTest, FindsPlantedBlock) {
   BipartiteGraph base = gen::ErdosRenyi(200, 150, 0.01, 9);
   std::vector<gen::PlantedBiclique> planted;
   BipartiteGraph graph = gen::PlantBicliques(base, 1, 12, 10, 10, &planted);
-  const Biclique best = FindMaximumBiclique(graph, Options());
+  const Biclique best = MaximumBiclique(graph);
   // The planted 12x10 block dwarfs anything the sparse background forms;
   // the maximum must contain it.
   EXPECT_GE(best.num_edges(), 120u);
@@ -160,10 +172,12 @@ TEST(MaximumBicliqueTest, AgreesWithFullEnumerationOnMediumGraph) {
       [&](std::span<const VertexId> l, std::span<const VertexId> r) {
         expected = std::max<uint64_t>(expected, l.size() * r.size());
       });
-  Enumerate(graph, Options(), &max_tracker);
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), RunOptions(), &max_tracker,
+                        nullptr)
+                  .ok());
   ASSERT_GT(expected, 0u);
 
-  const Biclique best = FindMaximumBiclique(graph, Options());
+  const Biclique best = MaximumBiclique(graph);
   EXPECT_EQ(best.num_edges(), expected);
   EXPECT_TRUE(IsMaximalBiclique(graph, best));
 }

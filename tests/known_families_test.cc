@@ -12,18 +12,33 @@
 namespace mbe {
 namespace {
 
-uint64_t Count(const BipartiteGraph& graph, Algorithm algorithm) {
-  Options options;
-  options.algorithm = algorithm;
-  if (algorithm == Algorithm::kOombeaLite) {
-    options.order = VertexOrder::kUnilateralAsc;
-  }
-  return CountMaximalBicliques(graph, options);
+// An algorithm under a right-side order, run whole-graph (Enumerate) or
+// subtree by subtree (EnumerateSubtreeTasks). The paper's ooMBEA-lite
+// baseline is subtree-local iMBEA under the unilateral order.
+struct EngineCase {
+  Algorithm algorithm;
+  VertexOrder order = VertexOrder::kDegreeAsc;
+  bool subtree_tasks = false;
+};
+
+uint64_t Count(const BipartiteGraph& graph, EngineCase engine) {
+  RunOptions options;
+  options.algorithm = engine.algorithm;
+  GraphOptions graph_options;
+  graph_options.order = engine.order;
+  CountSink sink;
+  EXPECT_TRUE((engine.subtree_tasks ? EnumerateSubtreeTasks : Enumerate)(
+                  graph, graph_options, options, &sink, nullptr)
+                  .ok());
+  return sink.count();
 }
 
-const Algorithm kAll[] = {Algorithm::kMbet,  Algorithm::kMbetM,
-                          Algorithm::kMbea,  Algorithm::kImbea,
-                          Algorithm::kOombeaLite};
+const EngineCase kAll[] = {
+    {Algorithm::kMbet},
+    {Algorithm::kMbetM},
+    {Algorithm::kMbea},
+    {Algorithm::kImbea},
+    {Algorithm::kImbea, VertexOrder::kUnilateralAsc, true}};
 
 /// Crown graph: K_{n,n} minus a perfect matching (u_i ~ v_j iff i != j).
 /// Every proper nonempty S ⊆ U is the left side of exactly one maximal
@@ -44,9 +59,9 @@ TEST_P(CrownTest, CountIsTwoToTheNMinusTwo) {
   const size_t n = GetParam();
   BipartiteGraph graph = Crown(n);
   const uint64_t expected = (1ull << n) - 2;
-  for (Algorithm algorithm : kAll) {
-    EXPECT_EQ(Count(graph, algorithm), expected)
-        << AlgorithmName(algorithm) << " n=" << n;
+  for (const EngineCase& engine : kAll) {
+    EXPECT_EQ(Count(graph, engine), expected)
+        << AlgorithmName(engine.algorithm) << " n=" << n;
   }
 }
 
@@ -54,7 +69,7 @@ TEST_P(CrownTest, CountIsTwoToTheNMinusTwo) {
 // run it only on the smallest sizes.
 TEST(CrownTest, MineLmbcOnSmallCrowns) {
   for (size_t n : {2u, 3u, 4u, 6u}) {
-    EXPECT_EQ(Count(Crown(n), Algorithm::kMineLmbc), (1ull << n) - 2);
+    EXPECT_EQ(Count(Crown(n), {Algorithm::kMineLmbc}), (1ull << n) - 2);
   }
 }
 
@@ -76,12 +91,13 @@ class HalfGraphTest : public ::testing::TestWithParam<size_t> {};
 TEST_P(HalfGraphTest, CountIsN) {
   const size_t n = GetParam();
   BipartiteGraph graph = HalfGraph(n);
-  for (Algorithm algorithm : kAll) {
-    EXPECT_EQ(Count(graph, algorithm), n) << AlgorithmName(algorithm);
+  for (const EngineCase& engine : kAll) {
+    EXPECT_EQ(Count(graph, engine), n) << AlgorithmName(engine.algorithm);
   }
   // And the bicliques really are the chain.
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   for (const Biclique& b : sink.TakeSorted()) {
     ASSERT_FALSE(b.left.empty());
     const VertexId i = b.left.back();
@@ -103,9 +119,9 @@ TEST(CompleteTest, SingleBiclique) {
         for (VertexId v = 0; v < b; ++v) edges.push_back({u, v});
       }
       BipartiteGraph graph = BipartiteGraph::FromEdges(a, b, edges);
-      for (Algorithm algorithm : kAll) {
-        EXPECT_EQ(Count(graph, algorithm), 1u)
-            << AlgorithmName(algorithm) << " K_" << a << "," << b;
+      for (const EngineCase& engine : kAll) {
+        EXPECT_EQ(Count(graph, engine), 1u)
+            << AlgorithmName(engine.algorithm) << " K_" << a << "," << b;
       }
     }
   }
@@ -125,8 +141,8 @@ TEST(BlockDiagonalTest, OneBicliquePerBlock) {
     }
   }
   BipartiteGraph graph = BipartiteGraph::FromEdges(blocks * a, blocks * b, edges);
-  for (Algorithm algorithm : kAll) {
-    EXPECT_EQ(Count(graph, algorithm), blocks) << AlgorithmName(algorithm);
+  for (const EngineCase& engine : kAll) {
+    EXPECT_EQ(Count(graph, engine), blocks) << AlgorithmName(engine.algorithm);
   }
 }
 
@@ -142,7 +158,8 @@ TEST(AlmostCompleteTest, MinusOneEdgeGivesTwo) {
   }
   BipartiteGraph graph = BipartiteGraph::FromEdges(n, n, edges);
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   const auto results = sink.TakeSorted();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].left.size() + results[0].right.size(), 2 * n - 1);
@@ -156,10 +173,10 @@ TEST(CrownTest, AblationsSurviveExponentialFamily) {
   const uint64_t expected = (1ull << 12) - 2;
   for (bool trie : {false, true}) {
     for (bool agg : {false, true}) {
-      Options options;
+      RunOptions options;
       options.mbet.use_trie = trie;
       options.mbet.use_aggregation = agg;
-      EXPECT_EQ(CountMaximalBicliques(graph, options), expected)
+      EXPECT_EQ(CountMaximalBicliques(graph, GraphOptions(), options), expected)
           << "trie=" << trie << " agg=" << agg;
     }
   }
@@ -182,10 +199,11 @@ TEST(CrownTest, SizeFiltersHaveClosedForm) {
       for (uint64_t s = std::max<uint64_t>(p, 1); s + q <= n; ++s) {
         expected += binom(n, s);
       }
-      Options options;
+      RunOptions options;
       options.mbet.min_left = p;
       options.mbet.min_right = q;
-      EXPECT_EQ(CountMaximalBicliques(graph, options), expected)
+      EXPECT_EQ(CountMaximalBicliques(graph, GraphOptions(), options),
+                expected)
           << "p=" << p << " q=" << q;
     }
   }

@@ -250,7 +250,10 @@ TEST(WorkStealingDriverTest, SingleThreadStealingMatchesSerial) {
 TEST(ParallelEnumerateTest, StopRequestHaltsWorkers) {
   BipartiteGraph graph = gen::PowerLaw(300, 200, 2000, 0.85, 0.8, 45);
   CountSink inner;
-  BudgetSink budget(&inner, /*max_results=*/100, /*deadline_seconds=*/0);
+  RunControl control;
+  control.max_results = 100;
+  RunController controller(control);
+  ControlledSink budget(&inner, &controller);
   ParallelOptions options;
   options.threads = 4;
   ParallelEnumerate(
@@ -259,11 +262,13 @@ TEST(ParallelEnumerateTest, StopRequestHaltsWorkers) {
         return std::make_unique<CountingWorker>(graph);
       },
       options, &budget);
-  // Workers poll ShouldStop between nodes; some overshoot is expected but
-  // the run must terminate far short of the full result set.
-  const uint64_t full = CountMaximalBicliques(graph, Options());
-  EXPECT_GE(budget.emitted(), 100u);
-  EXPECT_LT(budget.emitted(), full);
+  // Workers poll ShouldStop between nodes and stop once the budget trips;
+  // emissions past it are dropped, so the sink holds exactly the budget.
+  const uint64_t full =
+      CountMaximalBicliques(graph, GraphOptions(), RunOptions());
+  EXPECT_EQ(controller.termination(), Termination::kBudget);
+  EXPECT_EQ(inner.count(), 100u);
+  EXPECT_LT(inner.count(), full);
 }
 
 }  // namespace

@@ -81,16 +81,17 @@ TEST(PqCoreReduceTest, PreservesQualifyingBicliquesEndToEnd) {
   // agree exactly — on graphs where the reduction removes a lot.
   for (uint64_t seed : {31u, 32u, 33u, 34u}) {
     BipartiteGraph g = gen::PowerLaw(300, 200, 1200, 0.9, 0.85, seed);
-    Options with;
-    with.mbet.min_left = 3;
-    with.mbet.min_right = 3;
+    RunOptions options;
+    options.mbet.min_left = 3;
+    options.mbet.min_right = 3;
+    GraphOptions with;
     with.core_reduce = true;
-    Options without = with;
+    GraphOptions without;
     without.core_reduce = false;
 
     CollectSink a, b;
-    Enumerate(g, with, &a);
-    Enumerate(g, without, &b);
+    ASSERT_TRUE(Enumerate(g, with, options, &a, nullptr).ok());
+    ASSERT_TRUE(Enumerate(g, without, options, &b, nullptr).ok());
     EXPECT_EQ(DiffResultSets(b.TakeSorted(), a.TakeSorted()), "")
         << "seed=" << seed;
   }
@@ -108,10 +109,10 @@ TEST(PqCoreReduceTest, ReductionShrinksSkewedGraphs) {
 
 TEST(PqCoreReduceTest, EmptyCoreYieldsEmptyEnumeration) {
   BipartiteGraph g = gen::ErdosRenyi(40, 40, 0.03, 36);
-  Options options;
+  RunOptions options;
   options.mbet.min_left = 20;
   options.mbet.min_right = 20;
-  EXPECT_EQ(CountMaximalBicliques(g, options), 0u);
+  EXPECT_EQ(CountMaximalBicliques(g, GraphOptions(), options), 0u);
 }
 
 }  // namespace

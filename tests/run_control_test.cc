@@ -1,6 +1,6 @@
 // Tests of the run-control subsystem: cooperative cancellation, deadlines,
 // result/node budgets, progress reporting, termination reasons across every
-// algorithm (serial and parallel), and Options::Validate rejections.
+// algorithm (serial and parallel), and RunOptions::Validate rejections.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,8 @@ BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(90, 90, 0.5, 11); }
 
 std::vector<Biclique> ReferenceSet(const BipartiteGraph& graph) {
   CollectSink sink;
-  Enumerate(graph, Options(), &sink);
+  EXPECT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &sink, nullptr).ok());
   return sink.TakeSorted();
 }
 
@@ -50,7 +51,8 @@ TEST(RunControlTest, InertControlIsInactive) {
 TEST(RunControlTest, UncontrolledRunReportsComplete) {
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(MediumGraph(), Options(), &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(MediumGraph(), GraphOptions(), RunOptions(), &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_TRUE(run.complete());
   EXPECT_EQ(run.results_emitted, sink.count());
@@ -61,11 +63,11 @@ TEST(RunControlTest, ResultBudgetEmitsExactPrefixOfMaximalBicliques) {
   const std::vector<Biclique> reference = ReferenceSet(graph);
   ASSERT_GE(reference.size(), 20u);
 
-  Options options;
+  RunOptions options;
   options.control.max_results = 10;
   CollectSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kBudget);
   EXPECT_EQ(run.results_emitted, 10u);
 
@@ -83,36 +85,33 @@ TEST(RunControlTest, ResultBudgetReportedForEveryAlgorithm) {
   const BipartiteGraph graph = MediumGraph();
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kOombeaLite,
-        Algorithm::kBbk}) {
-    Options options;
-    options.algorithm = algorithm;
-    if (algorithm == Algorithm::kOombeaLite) {
-      options.order = VertexOrder::kUnilateralAsc;
-    }
-    options.control.max_results = 5;
-    CollectSink sink;
-    RunResult run;
-    ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok())
-        << AlgorithmName(algorithm);
-    EXPECT_EQ(run.termination, Termination::kBudget)
-        << AlgorithmName(algorithm);
-    EXPECT_EQ(sink.results().size(), 5u) << AlgorithmName(algorithm);
-    for (const Biclique& b : sink.results()) {
-      EXPECT_TRUE(IsMaximalBiclique(graph, b))
-          << AlgorithmName(algorithm) << ": " << ToString(b);
+        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kBbk}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    for (auto* enumerate : {&Enumerate, &EnumerateSubtreeTasks}) {
+      SCOPED_TRACE(enumerate == &Enumerate ? "whole graph" : "subtree tasks");
+      RunOptions options;
+      options.algorithm = algorithm;
+      options.control.max_results = 5;
+      CollectSink sink;
+      RunResult run;
+      ASSERT_TRUE(enumerate(graph, GraphOptions(), options, &sink, &run).ok());
+      EXPECT_EQ(run.termination, Termination::kBudget);
+      EXPECT_EQ(sink.results().size(), 5u);
+      for (const Biclique& b : sink.results()) {
+        EXPECT_TRUE(IsMaximalBiclique(graph, b)) << ToString(b);
+      }
     }
   }
 }
 
 TEST(RunControlTest, ResultBudgetStopsAllWorkers) {
   const BipartiteGraph graph = MediumGraph();
-  Options options;
+  RunOptions options;
   options.threads = 4;
   options.control.max_results = 8;
   CollectSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kBudget);
   // AdmitEmit makes the cap exact even under concurrent emission.
   EXPECT_EQ(run.results_emitted, 8u);
@@ -124,23 +123,25 @@ TEST(RunControlTest, ResultBudgetStopsAllWorkers) {
 }
 
 TEST(RunControlTest, NodeBudgetTripsOnLargeRuns) {
-  Options options;
+  RunOptions options;
   options.control.max_nodes_expanded = 100;
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kBudget);
   // Polling-granular: overshoot is bounded by the stride per worker.
   EXPECT_LT(run.stats.nodes_expanded, 100 + 2 * RunPoller::kStride);
 }
 
 TEST(RunControlTest, DeadlineStopsWorstCaseRunQuickly) {
-  Options options;
+  RunOptions options;
   options.control.deadline_seconds = 0.2;
   CountSink sink;
   RunResult run;
   util::WallTimer timer;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   const double elapsed = timer.Seconds();
   EXPECT_EQ(run.termination, Termination::kDeadline);
   // ~1.2x headroom in the acceptance criterion; be generous for CI noise
@@ -150,13 +151,14 @@ TEST(RunControlTest, DeadlineStopsWorstCaseRunQuickly) {
 }
 
 TEST(RunControlTest, DeadlineStopsTheWholeFleet) {
-  Options options;
+  RunOptions options;
   options.threads = 4;
   options.control.deadline_seconds = 0.2;
   CountSink sink;
   RunResult run;
   util::WallTimer timer;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   const double elapsed = timer.Seconds();
   EXPECT_EQ(run.termination, Termination::kDeadline);
   EXPECT_LT(elapsed, 2.0);
@@ -165,14 +167,15 @@ TEST(RunControlTest, DeadlineStopsTheWholeFleet) {
 TEST(RunControlTest, DeadlineReportedForEveryParallelAlgorithm) {
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kImbea,
-        Algorithm::kOombeaLite, Algorithm::kBbk}) {
-    Options options;
+        Algorithm::kBbk}) {
+    RunOptions options;
     options.algorithm = algorithm;
     options.threads = 4;
     options.control.deadline_seconds = 0.1;
     CountSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok())
+    ASSERT_TRUE(
+        Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok())
         << AlgorithmName(algorithm);
     EXPECT_EQ(run.termination, Termination::kDeadline)
         << AlgorithmName(algorithm);
@@ -181,11 +184,12 @@ TEST(RunControlTest, DeadlineReportedForEveryParallelAlgorithm) {
 
 TEST(RunControlTest, PreSetCancellationTokenStopsImmediately) {
   std::atomic<bool> cancel{true};
-  Options options;
+  RunOptions options;
   options.control.cancel = &cancel;
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kCancelled);
   EXPECT_EQ(sink.count(), 0u);
 }
@@ -193,7 +197,7 @@ TEST(RunControlTest, PreSetCancellationTokenStopsImmediately) {
 TEST(RunControlTest, CancellationMidRunYieldsValidPrefix) {
   const BipartiteGraph graph = WorstCaseGraph();
   std::atomic<bool> cancel{false};
-  Options options;
+  RunOptions options;
   options.control.cancel = &cancel;
   options.threads = 4;
   CountSink sink;
@@ -202,7 +206,7 @@ TEST(RunControlTest, CancellationMidRunYieldsValidPrefix) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     cancel.store(true);
   });
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   canceller.join();
   EXPECT_EQ(run.termination, Termination::kCancelled);
   EXPECT_GT(sink.count(), 0u);
@@ -211,7 +215,7 @@ TEST(RunControlTest, CancellationMidRunYieldsValidPrefix) {
 TEST(RunControlTest, ProgressCallbackFiresWithLiveCounters) {
   std::atomic<uint64_t> fires{0};
   std::atomic<uint64_t> last_nodes{0};
-  Options options;
+  RunOptions options;
   options.control.progress_every_s = 0;  // fire on every checkpoint
   options.control.progress = [&](const RunProgress& p) {
     fires.fetch_add(1);
@@ -221,19 +225,21 @@ TEST(RunControlTest, ProgressCallbackFiresWithLiveCounters) {
   options.control.max_nodes_expanded = 2000;
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   EXPECT_GT(fires.load(), 0u);
   EXPECT_GT(last_nodes.load(), 0u);
 }
 
 TEST(RunControlTest, AnytimeMaximumBicliqueReturnsIncumbentAtDeadline) {
   const BipartiteGraph graph = WorstCaseGraph();
-  Options options;
+  RunOptions options;
   options.control.deadline_seconds = 0.2;
   Biclique best;
   RunResult run;
   util::WallTimer timer;
-  ASSERT_TRUE(FindMaximumBiclique(graph, options, &best, &run).ok());
+  ASSERT_TRUE(
+      FindMaximumBiclique(graph, GraphOptions(), options, &best, &run).ok());
   EXPECT_LT(timer.Seconds(), 2.0);
   EXPECT_EQ(run.termination, Termination::kDeadline);
   // The incumbent is a real (maximal) biclique — a usable lower bound.
@@ -241,14 +247,19 @@ TEST(RunControlTest, AnytimeMaximumBicliqueReturnsIncumbentAtDeadline) {
   EXPECT_TRUE(IsBiclique(graph, best)) << ToString(best);
 }
 
-TEST(RunControlTest, MaximumBicliqueCompleteRunMatchesLegacyShim) {
+TEST(RunControlTest, MaximumBicliqueCompleteRunIsOptimal) {
   const BipartiteGraph graph = MediumGraph();
-  Biclique via_status;
+  Biclique best;
   RunResult run;
-  ASSERT_TRUE(FindMaximumBiclique(graph, Options(), &via_status, &run).ok());
+  ASSERT_TRUE(
+      FindMaximumBiclique(graph, GraphOptions(), RunOptions(), &best, &run)
+          .ok());
   EXPECT_TRUE(run.complete());
-  const Biclique via_shim = FindMaximumBiclique(graph, Options());
-  EXPECT_EQ(via_status.num_edges(), via_shim.num_edges());
+  size_t most_edges = 0;
+  for (const Biclique& b : ReferenceSet(graph)) {
+    most_edges = std::max(most_edges, b.num_edges());
+  }
+  EXPECT_EQ(best.num_edges(), most_edges);
 }
 
 // --- Status facade -----------------------------------------------------------
@@ -266,67 +277,70 @@ TEST(StatusFacadeTest, ParseAlgorithmStatusOverload) {
 TEST(StatusFacadeTest, NullSinkIsAnErrorNotACrash) {
   RunResult run;
   const util::Status status =
-      Enumerate(MediumGraph(), Options(), nullptr, &run);
+      Enumerate(MediumGraph(), GraphOptions(), RunOptions(), nullptr, &run);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(StatusFacadeTest, NullResultPointerIsAllowed) {
   CountSink sink;
-  EXPECT_TRUE(Enumerate(MediumGraph(), Options(), &sink, nullptr).ok());
+  EXPECT_TRUE(Enumerate(MediumGraph(), GraphOptions(), RunOptions(), &sink,
+                        nullptr)
+                  .ok());
   EXPECT_GT(sink.count(), 0u);
 }
 
 TEST(StatusFacadeTest, InvalidOptionsAreAnErrorNotACrash) {
-  Options options;
+  RunOptions options;
   options.algorithm = Algorithm::kMineLmbc;
   options.threads = 4;
   CountSink sink;
   RunResult run;
-  const util::Status status = Enumerate(MediumGraph(), options, &sink, &run);
+  const util::Status status =
+      Enumerate(MediumGraph(), GraphOptions(), options, &sink, &run);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(sink.count(), 0u);  // rejected before any work
 }
 
 TEST(ValidateTest, DefaultOptionsAreValid) {
-  EXPECT_TRUE(Options().Validate().ok());
+  EXPECT_TRUE(RunOptions().Validate().ok());
 }
 
 TEST(ValidateTest, RejectsEachMalformedField) {
   {
-    Options o;
+    RunOptions o;
     o.threads = 0;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;
+    RunOptions o;
     o.algorithm = Algorithm::kMineLmbc;
     o.threads = 2;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;
+    RunOptions o;
     o.mbet.min_left = 0;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;
+    RunOptions o;
     o.mbet.min_right = 0;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;
+    RunOptions o;
     o.mbet.trie_min_groups = 0;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;
+    RunOptions o;
     uint64_t watermark = 0;
     o.mbet.best_edges = &watermark;
     o.threads = 2;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;
+    RunOptions o;
     o.control.deadline_seconds = -1;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
@@ -335,14 +349,14 @@ TEST(ValidateTest, RejectsEachMalformedField) {
 TEST(ValidateTest, ParallelSupportMatrix) {
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMbea,
-        Algorithm::kImbea, Algorithm::kOombeaLite, Algorithm::kBbk}) {
-    Options o;
+        Algorithm::kImbea, Algorithm::kBbk}) {
+    RunOptions o;
     o.algorithm = algorithm;
     o.threads = 8;
     EXPECT_TRUE(o.Validate().ok()) << AlgorithmName(algorithm);
   }
   for (Algorithm algorithm : {Algorithm::kMineLmbc}) {
-    Options o;
+    RunOptions o;
     o.algorithm = algorithm;
     o.threads = 8;
     EXPECT_FALSE(o.Validate().ok()) << AlgorithmName(algorithm);
@@ -355,12 +369,12 @@ TEST(RunControlTest, TruncatedPrefixIsSubsetOfFullRun) {
   const BipartiteGraph graph = MediumGraph();
   const std::vector<Biclique> reference = ReferenceSet(graph);
   for (unsigned threads : {1u, 4u}) {
-    Options options;
+    RunOptions options;
     options.threads = threads;
     options.control.max_results = reference.size() / 2;
     CollectSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
     EXPECT_EQ(run.termination, Termination::kBudget);
     for (const Biclique& b : sink.TakeSorted()) {
       EXPECT_TRUE(std::binary_search(reference.begin(), reference.end(), b))

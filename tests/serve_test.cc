@@ -166,11 +166,31 @@ std::shared_ptr<const Engine> HugeEngine() {
   return std::move(engine).value();
 }
 
-/// Solo digest/count of the default session options over `engine`.
+/// Crown graph: K_{40,40} minus a perfect matching. It has 2^40 - 2
+/// maximal bicliques, and a full enumeration must emit every one of them,
+/// so no host finishes it within any test's deadline or before a cancel
+/// arrives: a session on it is still running whenever the test looks.
+std::shared_ptr<const Engine> EndlessEngine() {
+  constexpr VertexId kSide = 40;
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < kSide; ++u) {
+    for (VertexId v = 0; v < kSide; ++v) {
+      if (u != v) edges.push_back({u, v});
+    }
+  }
+  auto engine = Engine::Build(BipartiteGraph::FromEdges(kSide, kSide, edges),
+                              GraphOptions{});
+  EXPECT_TRUE(engine.ok());
+  return std::move(engine).value();
+}
+
+/// Solo digest/count of `options` (default: the default session options)
+/// over `engine`.
 void SoloReference(const std::shared_ptr<const Engine>& engine,
-                   uint64_t* digest, uint64_t* count) {
+                   uint64_t* digest, uint64_t* count,
+                   const RunOptions& options = RunOptions{}) {
   FingerprintSink sink;
-  Session session(engine, RunOptions{});
+  Session session(engine, options);
   RunResult result;
   ASSERT_TRUE(session.Run(&sink, &result).ok());
   ASSERT_TRUE(result.complete());
@@ -327,10 +347,12 @@ TEST(ServeTest, CancelStopsOnlyTheTargetedSession) {
 
   Harness h("cancel");
   h.server->registry().Put("small", small);
-  h.server->registry().Put("huge", HugeEngine());
+  h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
-  ASSERT_TRUE(h.client.Send(SlowStart("huge")));
+  StartSessionMsg endless;
+  endless.graph = "endless";
+  ASSERT_TRUE(h.client.Send(endless));
   std::optional<Message> started =
       h.client.ReadUntil(MsgType::kSessionStarted);
   ASSERT_TRUE(started.has_value());
@@ -378,9 +400,13 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
   Harness h("limits");
   h.server->registry().Put("small", small);
   h.server->registry().Put("huge", HugeEngine());
+  h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
-  StartSessionMsg deadline = SlowStart("huge");
+  // The deadline session cannot complete first: its graph's output alone
+  // outlasts the deadline on any host.
+  StartSessionMsg deadline;
+  deadline.graph = "endless";
   deadline.deadline_seconds = 0.05;
   StartSessionMsg budget = SlowStart("huge");
   budget.max_memory_bytes = 1 << 12;  // 4 KiB: certain to be exceeded
@@ -424,6 +450,45 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
   EXPECT_EQ(deadline_hits, 1);
   EXPECT_EQ(memory_hits, 1);
   EXPECT_EQ(complete_hits, 1);
+}
+
+TEST(ServeTest, EveryAlgorithmServesTheSoloResult) {
+  auto small = SmallEngine();
+  Harness h("algorithms");
+  h.server->registry().Put("g", small);
+  h.StartAndConnect();
+
+  for (Algorithm algorithm :
+       {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
+        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kBbk}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    RunOptions options;
+    options.algorithm = algorithm;
+    uint64_t want_digest = 0, want_count = 0;
+    SoloReference(small, &want_digest, &want_count, options);
+
+    StartSessionMsg start;
+    start.graph = "g";
+    start.algorithm = static_cast<uint8_t>(algorithm);
+    ASSERT_TRUE(h.client.Send(start));
+    std::optional<Message> reply = h.client.Read();
+    ASSERT_TRUE(reply.has_value());
+    if (const auto* rejected = std::get_if<RejectedMsg>(&*reply)) {
+      FAIL() << "rejected: " << rejected->detail;
+    }
+    ASSERT_TRUE(std::holds_alternative<SessionStartedMsg>(*reply));
+    const uint64_t id = std::get<SessionStartedMsg>(*reply).session_id;
+
+    FingerprintSink sink;
+    std::map<uint64_t, FingerprintSink*> sinks = {{id, &sink}};
+    std::optional<Message> done =
+        h.client.ReadUntil(MsgType::kSessionDone, &sinks);
+    ASSERT_TRUE(done.has_value());
+    const auto& d = std::get<SessionDoneMsg>(*done);
+    EXPECT_EQ(d.termination, static_cast<uint8_t>(Termination::kComplete));
+    EXPECT_EQ(sink.Digest(), want_digest);
+    EXPECT_EQ(sink.count(), want_count);
+  }
 }
 
 TEST(ServeTest, UnknownGraphAndBadOptionsRejected) {

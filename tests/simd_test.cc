@@ -362,9 +362,11 @@ TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossLevels) {
       for (size_t li = 0; li < levels.size(); ++li) {
         ScopedDispatch forced(levels[li]);
         FingerprintSink sink;
-        Options options;
+        RunOptions options;
         options.algorithm = algorithm;
-        RunResult run = Enumerate(graph, options, &sink);
+        RunResult run;
+        ASSERT_TRUE(
+            Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
         EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch),
                   levels[li]);
         if (li == 0) {
@@ -397,10 +399,12 @@ TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossBatchWidths) {
       for (uint32_t width : {1u, 8u, 32u}) {
         for (unsigned threads : {1u, 8u}) {
           FingerprintSink sink;
-          Options options;
+          RunOptions options;
           options.mbet.batch_width = width;
           options.threads = threads;
-          RunResult run = Enumerate(graph, options, &sink);
+          RunResult run;
+          ASSERT_TRUE(
+              Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
           if (!have_ref) {
             ref_digest = sink.Digest();
             ref_count = sink.count();

@@ -1,11 +1,12 @@
 // Unit tests for the result sinks: counting, collection, callbacks,
-// order-independent fingerprints, and budget-based cancellation.
+// order-independent fingerprints, and the result budget of ControlledSink.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "core/run_control.h"
 #include "core/sink.h"
 
 namespace mbe {
@@ -88,43 +89,41 @@ TEST(FingerprintSinkTest, DistinguishesDifferentSets) {
   EXPECT_NE(c.Digest(), d.Digest());
 }
 
-TEST(BudgetSinkTest, StopsAtMaxResults) {
+// A ControlledSink over a controller whose only limit is `max_results`.
+struct Budgeted {
+  explicit Budgeted(uint64_t max_results)
+      : controller([max_results] {
+          RunControl control;
+          control.max_results = max_results;
+          return control;
+        }()),
+        sink(&inner, &controller) {}
+
   CountSink inner;
-  BudgetSink budget(&inner, /*max_results=*/3, /*deadline_seconds=*/0);
-  EXPECT_FALSE(budget.ShouldStop());
-  EmitPair(budget, {1}, {2});
-  EmitPair(budget, {1}, {2});
-  EXPECT_FALSE(budget.ShouldStop());
-  EmitPair(budget, {1}, {2});
-  EXPECT_TRUE(budget.ShouldStop());
-  EXPECT_EQ(inner.count(), 3u);
-  EXPECT_EQ(budget.emitted(), 3u);
+  RunController controller;
+  ControlledSink sink;
+};
+
+TEST(ControlledSinkTest, StopsAtMaxResults) {
+  Budgeted budget(3);
+  EXPECT_FALSE(budget.sink.ShouldStop());
+  EmitPair(budget.sink, {1}, {2});
+  EmitPair(budget.sink, {1}, {2});
+  EXPECT_FALSE(budget.sink.ShouldStop());
+  EmitPair(budget.sink, {1}, {2});
+  EXPECT_TRUE(budget.sink.ShouldStop());
+  EXPECT_EQ(budget.inner.count(), 3u);
+  EXPECT_EQ(budget.controller.results(), 3u);
 }
 
-TEST(BudgetSinkTest, StopsAtDeadline) {
-  CountSink inner;
-  BudgetSink budget(&inner, 0, /*deadline_seconds=*/0.02);
-  EXPECT_FALSE(budget.ShouldStop());
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  // The deadline path samples the clock once per kClockStride polls, so
-  // the stop is guaranteed within one stride of polls — and once tripped
-  // it stays tripped without further clock reads.
-  bool stopped = false;
-  for (uint32_t i = 0; i < BudgetSink::kClockStride && !stopped; ++i) {
-    stopped = budget.ShouldStop();
-  }
-  EXPECT_TRUE(stopped);
-  EXPECT_TRUE(budget.ShouldStop());
+TEST(ControlledSinkTest, UnlimitedNeverStops) {
+  Budgeted budget(0);
+  for (int i = 0; i < 100; ++i) EmitPair(budget.sink, {1}, {2});
+  EXPECT_FALSE(budget.sink.ShouldStop());
+  EXPECT_EQ(budget.inner.count(), 100u);
 }
 
-TEST(BudgetSinkTest, UnlimitedNeverStops) {
-  CountSink inner;
-  BudgetSink budget(&inner, 0, 0);
-  for (int i = 0; i < 100; ++i) EmitPair(budget, {1}, {2});
-  EXPECT_FALSE(budget.ShouldStop());
-}
-
-TEST(BudgetSinkTest, PropagatesInnerStop) {
+TEST(ControlledSinkTest, PropagatesInnerStop) {
   // An inner sink that stops immediately.
   class StopSink : public ResultSink {
    public:
@@ -132,8 +131,9 @@ TEST(BudgetSinkTest, PropagatesInnerStop) {
     bool ShouldStop() const override { return true; }
   };
   StopSink inner;
-  BudgetSink budget(&inner, 0, 0);
-  EXPECT_TRUE(budget.ShouldStop());
+  RunController controller{RunControl()};
+  ControlledSink sink(&inner, &controller);
+  EXPECT_TRUE(sink.ShouldStop());
 }
 
 TEST(HashBicliqueTest, SideSplitMatters) {
@@ -264,35 +264,32 @@ TEST(BufferedSinkTest, ShouldStopForwardsUnbuffered) {
   EXPECT_TRUE(buffered.ShouldStop()) << "stop must not wait for a flush";
 }
 
-TEST(BudgetSinkTest, CountsBatchedEmissions) {
-  CountSink inner;
-  BudgetSink budget(&inner, /*max_results=*/5, 0);
+TEST(ControlledSinkTest, CountsBatchedEmissions) {
+  Budgeted budget(5);
   BicliqueBatch batch;
   std::vector<VertexId> l = {1}, r = {2};
   for (int i = 0; i < 6; ++i) batch.Append(l, r);
-  budget.EmitBatch(batch);
-  // Regression: a batch straddling the bound used to be delivered whole,
-  // over-emitting past max_results. Exactly the admitted prefix goes down.
-  EXPECT_EQ(inner.count(), 5u);
-  EXPECT_EQ(budget.emitted(), 5u);
-  EXPECT_TRUE(budget.ShouldStop());
+  budget.sink.EmitBatch(batch);
+  // A batch straddling the bound delivers exactly the admitted prefix.
+  EXPECT_EQ(budget.inner.count(), 5u);
+  EXPECT_EQ(budget.controller.results(), 5u);
+  EXPECT_TRUE(budget.sink.ShouldStop());
 }
 
-TEST(BudgetSinkTest, ExactBoundAcrossBatchesAndSingles) {
-  CountSink inner;
-  BudgetSink budget(&inner, /*max_results=*/4, 0);
+TEST(ControlledSinkTest, ExactBoundAcrossBatchesAndSingles) {
+  Budgeted budget(4);
   BicliqueBatch batch;
   std::vector<VertexId> l = {1}, r = {2};
   for (int i = 0; i < 3; ++i) batch.Append(l, r);
-  budget.EmitBatch(batch);  // 3 of 4 admitted
-  EXPECT_EQ(inner.count(), 3u);
-  EXPECT_FALSE(budget.ShouldStop());
-  budget.EmitBatch(batch);  // only 1 seat left
-  EXPECT_EQ(inner.count(), 4u);
-  EXPECT_TRUE(budget.ShouldStop());
-  budget.Emit(l, r);  // singles past the bound are dropped too
-  EXPECT_EQ(inner.count(), 4u);
-  EXPECT_EQ(budget.emitted(), 4u);
+  budget.sink.EmitBatch(batch);  // 3 of 4 admitted
+  EXPECT_EQ(budget.inner.count(), 3u);
+  EXPECT_FALSE(budget.sink.ShouldStop());
+  budget.sink.EmitBatch(batch);  // only 1 seat left
+  EXPECT_EQ(budget.inner.count(), 4u);
+  EXPECT_TRUE(budget.sink.ShouldStop());
+  budget.sink.Emit(l, r);  // singles past the bound are dropped too
+  EXPECT_EQ(budget.inner.count(), 4u);
+  EXPECT_EQ(budget.controller.results(), 4u);
 }
 
 }  // namespace

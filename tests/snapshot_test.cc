@@ -406,7 +406,7 @@ DurableRun RunDurable(const BipartiteGraph& graph, Algorithm algorithm,
   // Fresh durable runs refuse to overwrite an existing snapshot; clear
   // any leftover from an earlier (possibly crashed) test run.
   if (!resume) std::remove(path.c_str());
-  Options options;
+  RunOptions options;
   options.algorithm = algorithm;
   options.threads = threads;
   options.checkpoint.path = path;
@@ -414,7 +414,8 @@ DurableRun RunDurable(const BipartiteGraph& graph, Algorithm algorithm,
   options.checkpoint.every_s = 3600;  // only the final snapshot
   CountSink sink;
   RunResult run;
-  const util::Status status = Enumerate(graph, options, &sink, &run);
+  const util::Status status =
+      Enumerate(graph, GraphOptions(), options, &sink, &run);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return {run.frontier_digest, run.frontier_completed, run.frontier_pending,
           run.results_emitted, run.termination};
@@ -468,7 +469,7 @@ TEST(CheckpointResumeTest, InterruptedRunResumesToReferenceDigest) {
       // truncated tasks stay pending in the final snapshot.
       const std::string path = TempPath("interrupted.pmbf");
       std::remove(path.c_str());
-      Options options;
+      RunOptions options;
       options.algorithm = algorithm;
       options.threads = threads;
       options.checkpoint.path = path;
@@ -476,7 +477,7 @@ TEST(CheckpointResumeTest, InterruptedRunResumesToReferenceDigest) {
       options.control.max_results = reference.emitted / 3 + 1;
       CountSink sink;
       RunResult run;
-      ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+      ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
       EXPECT_EQ(run.termination, Termination::kBudget);
       EXPECT_GT(run.frontier_pending, 0u)
           << AlgorithmName(algorithm) << " x" << threads;
@@ -519,13 +520,14 @@ TEST(CheckpointResumeTest, FreshRunRefusesToOverwriteExistingSnapshot) {
   const DurableRun first = RunDurable(graph, Algorithm::kMbet, 2, path);
   EXPECT_EQ(first.termination, Termination::kComplete);
 
-  Options options;
+  RunOptions options;
   options.algorithm = Algorithm::kMbet;
   options.threads = 2;
   options.checkpoint.path = path;
   options.checkpoint.every_s = 3600;
   CountSink sink;
-  const util::Status status = Enumerate(graph, options, &sink, nullptr);
+  const util::Status status =
+      Enumerate(graph, GraphOptions(), options, &sink, nullptr);
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(sink.count(), 0u);
 
@@ -577,14 +579,14 @@ TEST(CheckpointResumeTest, SnapshotNeverCompletesUndeliveredTasks) {
 
   const std::string path = TempPath("barrier.pmbf");
   std::remove(path.c_str());
-  Options options;
+  RunOptions options;
   options.algorithm = Algorithm::kMbet;
   options.threads = 4;
   options.checkpoint.path = path;
   options.checkpoint.every_s = 3600;
   FailAfterSink sink(reference.emitted / 2 + 1);
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kInternal);
 
   util::StatusOr<FrontierSnapshot> snap = ReadSnapshotFile(path);
@@ -600,24 +602,25 @@ TEST(CheckpointResumeTest, ResumeRejectsDifferentGraphOrAlgorithm) {
   RunDurable(MediumGraph(), Algorithm::kMbet, 1, path);
 
   {
-    Options options;
+    RunOptions options;
     options.algorithm = Algorithm::kMbet;
     options.checkpoint.path = path;
     options.checkpoint.resume = true;
     CountSink sink;
     const util::Status status =
-        Enumerate(gen::ErdosRenyi(24, 24, 0.4, 8), options, &sink, nullptr);
+        Enumerate(gen::ErdosRenyi(24, 24, 0.4, 8), GraphOptions(), options,
+                  &sink, nullptr);
     EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
     EXPECT_EQ(sink.count(), 0u);
   }
   {
-    Options options;
+    RunOptions options;
     options.algorithm = Algorithm::kImbea;
     options.checkpoint.path = path;
     options.checkpoint.resume = true;
     CountSink sink;
     const util::Status status =
-        Enumerate(MediumGraph(), options, &sink, nullptr);
+        Enumerate(MediumGraph(), GraphOptions(), options, &sink, nullptr);
     EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
   }
   std::remove(path.c_str());
@@ -630,7 +633,7 @@ TEST(CheckpointResumeTest, CheckpointStopYieldsTypedTermination) {
   const std::string path = TempPath("stop.pmbf");
   std::remove(path.c_str());
   std::atomic<bool> stop{true};
-  Options options;
+  RunOptions options;
   options.algorithm = Algorithm::kMbet;
   options.threads = 4;
   options.checkpoint.path = path;
@@ -638,7 +641,8 @@ TEST(CheckpointResumeTest, CheckpointStopYieldsTypedTermination) {
   options.checkpoint.checkpoint_stop = &stop;
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(WorstCaseGraph(), options, &sink, &run).ok());
+  ASSERT_TRUE(
+      Enumerate(WorstCaseGraph(), GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kCheckpointed);
   EXPECT_GT(run.frontier_pending, 0u);
 
@@ -663,7 +667,7 @@ TEST(CheckpointResumeTest, FourShardsMergeToSingleProcessDigest) {
     const std::string path =
         TempPath("shard-" + std::to_string(i) + ".pmbf");
     std::remove(path.c_str());
-    Options options;
+    RunOptions options;
     options.algorithm = Algorithm::kMbet;
     options.threads = 2;
     options.checkpoint.path = path;
@@ -672,7 +676,7 @@ TEST(CheckpointResumeTest, FourShardsMergeToSingleProcessDigest) {
     options.checkpoint.shard_count = 4;
     CountSink sink;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
     EXPECT_EQ(run.termination, Termination::kComplete);
     total_emitted += run.results_emitted;
     util::StatusOr<FrontierSnapshot> snap = ReadSnapshotFile(path);
@@ -689,48 +693,48 @@ TEST(CheckpointResumeTest, FourShardsMergeToSingleProcessDigest) {
 
 TEST(CheckpointOptionsTest, ValidateRejectsIncoherentCheckpointing) {
   {
-    Options o;  // resume without a path
+    RunOptions o;  // resume without a path
     o.checkpoint.resume = true;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // whole-graph algorithm cannot checkpoint
+    RunOptions o;  // whole-graph algorithm cannot checkpoint
     o.algorithm = Algorithm::kMineLmbc;
     o.checkpoint.path = "x.pmbf";
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // frontier needs the stealing scheduler
+    RunOptions o;  // frontier needs the stealing scheduler
     o.checkpoint.path = "x.pmbf";
     o.scheduling = Scheduling::kDynamic;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // shard coordinates out of range
+    RunOptions o;  // shard coordinates out of range
     o.checkpoint.path = "x.pmbf";
     o.checkpoint.shard_index = 4;
     o.checkpoint.shard_count = 4;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // sharding without a snapshot path
+    RunOptions o;  // sharding without a snapshot path
     o.checkpoint.shard_count = 4;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // negative snapshot cadence
+    RunOptions o;  // negative snapshot cadence
     o.checkpoint.path = "x.pmbf";
     o.checkpoint.every_s = -1;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {
-    Options o;  // 0 = final snapshot only — valid (matches the CLI's >= 0)
+    RunOptions o;  // 0 = final snapshot only — valid (matches the CLI's >= 0)
     o.checkpoint.path = "x.pmbf";
     o.checkpoint.every_s = 0;
     EXPECT_TRUE(o.Validate().ok());
   }
   {
-    Options o;  // a coherent durable configuration passes
+    RunOptions o;  // a coherent durable configuration passes
     o.checkpoint.path = "x.pmbf";
     o.checkpoint.shard_index = 1;
     o.checkpoint.shard_count = 4;

@@ -131,16 +131,16 @@ TEST(TunerEndToEndTest, AutoTunedRunIsOutputIdenticalAndRecorded) {
   const BipartiteGraph graph = gen::ErdosRenyi(50, 40, 0.15, 9);
 
   FingerprintSink ref;
-  Options base;
+  RunOptions base;
   RunResult base_run;
-  ASSERT_TRUE(Enumerate(graph, base, &ref, &base_run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), base, &ref, &base_run).ok());
   EXPECT_EQ(base_run.stats.auto_tuned, 0u);
 
   FingerprintSink tuned;
-  Options o;
+  RunOptions o;
   o.auto_tune = true;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, o, &tuned, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &tuned, &run).ok());
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_NE(run.stats.tuner_rule, static_cast<uint64_t>(TunerRule::kNone));
   EXPECT_GE(run.stats.tuned_batch_width, 1u);
@@ -165,15 +165,16 @@ TEST(TunerEndToEndTest, EngineRecommendationDispatchesBbk) {
   ASSERT_EQ(d.engine, TunerEngine::kBbk) << TunerRuleName(d.rule);
 
   FingerprintSink ref;
-  ASSERT_TRUE(Enumerate(graph, Options(), &ref, nullptr).ok());
+  ASSERT_TRUE(
+      Enumerate(graph, GraphOptions(), RunOptions(), &ref, nullptr).ok());
 
   for (unsigned threads : {1u, 4u}) {
     FingerprintSink tuned;
-    Options o;
+    RunOptions o;
     o.auto_tune = true;
     o.threads = threads;
     RunResult run;
-    ASSERT_TRUE(Enumerate(graph, o, &tuned, &run).ok());
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &tuned, &run).ok());
     EXPECT_EQ(run.stats.tuned_algorithm,
               static_cast<uint64_t>(TunerEngine::kBbk))
         << "threads=" << threads;
@@ -188,16 +189,16 @@ TEST(TunerEndToEndTest, EngineRecommendationYieldsToPinnedAlgorithm) {
   // no engine pick (0 = pinned/untuned).
   const BipartiteGraph graph = gen::PowerLaw(200, 150, 1200, 0.85, 0.8, 22);
   FingerprintSink ref;
-  Options pinned;
+  RunOptions pinned;
   pinned.algorithm = Algorithm::kImbea;
-  ASSERT_TRUE(Enumerate(graph, pinned, &ref, nullptr).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), pinned, &ref, nullptr).ok());
 
   FingerprintSink tuned;
-  Options o;
+  RunOptions o;
   o.algorithm = Algorithm::kImbea;
   o.auto_tune = true;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, o, &tuned, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &tuned, &run).ok());
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_EQ(run.stats.tuned_algorithm,
             static_cast<uint64_t>(TunerEngine::kNone));
@@ -210,15 +211,15 @@ TEST(TunerEndToEndTest, AutoTuneAppliesToParallelRuns) {
   // hold there too (the dense row picks different knobs than the default).
   const BipartiteGraph graph = gen::ErdosRenyi(48, 36, 0.25, 13);
   FingerprintSink ref;
-  Options base;
-  ASSERT_TRUE(Enumerate(graph, base, &ref, nullptr).ok());
+  RunOptions base;
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), base, &ref, nullptr).ok());
 
   FingerprintSink tuned;
-  Options o;
+  RunOptions o;
   o.auto_tune = true;
   o.threads = 4;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, o, &tuned, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &tuned, &run).ok());
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_EQ(tuned.Digest(), ref.Digest());
   EXPECT_EQ(tuned.count(), ref.count());

@@ -180,14 +180,15 @@ TEST(TaskDequeStressTest, OwnerAndThievesRetireEveryTaskOnce) {
 
 uint64_t DigestOf(const BipartiteGraph& graph, Algorithm algorithm,
                   unsigned threads, Scheduling scheduling) {
-  Options options;
+  RunOptions options;
   options.algorithm = algorithm;
   options.threads = threads;
   options.scheduling = scheduling;
   options.max_split = 8;
   FingerprintSink sink;
   RunResult run;
-  const util::Status status = Enumerate(graph, options, &sink, &run);
+  const util::Status status =
+      Enumerate(graph, GraphOptions(), options, &sink, &run);
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_GT(sink.count(), 0u);
@@ -227,13 +228,13 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, SchedulingDigestTest,
 
 TEST(StealingRunControlTest, ResultBudgetIsExactUnderBatching) {
   BipartiteGraph graph = gen::HubBlock(60, 40, 60, 120, 0.4, 0.02, 23);
-  Options options;
+  RunOptions options;
   options.threads = 8;
   options.scheduling = Scheduling::kStealing;
   options.control.max_results = 50;
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   // ControlledSink admits emissions one by one even when workers flush
   // batches, so the cap is exact despite per-worker buffering.
   EXPECT_EQ(run.termination, Termination::kBudget);
@@ -244,18 +245,18 @@ TEST(StealingRunControlTest, ResultBudgetIsExactUnderBatching) {
 TEST(StealingRunControlTest, CancellationDrainsTheFleet) {
   BipartiteGraph graph = gen::HubBlock(60, 40, 60, 120, 0.4, 0.02, 24);
   std::atomic<bool> cancel{true};  // pre-set: stop at the first poll
-  Options options;
+  RunOptions options;
   options.threads = 8;
   options.scheduling = Scheduling::kStealing;
   options.control.cancel = &cancel;
   CountSink sink;
   RunResult run;
-  ASSERT_TRUE(Enumerate(graph, options, &sink, &run).ok());
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
   EXPECT_EQ(run.termination, Termination::kCancelled);
   // Whatever was emitted before the stop is a valid prefix; the full
   // result set of this graph is far larger than any pre-stop overshoot.
-  Options full;
-  EXPECT_LT(sink.count(), CountMaximalBicliques(graph, full));
+  RunOptions full;
+  EXPECT_LT(sink.count(), CountMaximalBicliques(graph, GraphOptions(), full));
 }
 
 }  // namespace

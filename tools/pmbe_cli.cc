@@ -112,10 +112,11 @@ int main(int argc, char** argv) {
                   "generate a registry stand-in instead of loading a file");
   flags.AddDouble("scale", 1.0, "scale for --dataset");
   flags.AddString("algorithm", "mbet",
-                  "mbet | mbetm | minelmbc | mbea | imbea | oombea | bbk");
+                  "mbet | mbetm | minelmbc | mbea | imbea | bbk (ooMBEA-lite "
+                  "= imbea + --order unilateral + --threads > 1)");
   flags.AddString("order", "deg-asc",
                   "none | deg-asc | deg-desc | twohop | unilateral | random");
-  flags.AddInt("threads", 1, "worker threads (mbet/mbetm/imbea/oombea/bbk)");
+  flags.AddInt("threads", 1, "worker threads (mbet/mbetm/mbea/imbea/bbk)");
   flags.AddString("scheduling", "stealing",
                   "parallel scheduling: dynamic | static | stealing");
   flags.AddInt("max_split", 8,
@@ -155,8 +156,6 @@ int main(int argc, char** argv) {
                   "arm a fault schedule, e.g. 'arena.grow:3' or "
                   "'*:p=0.01:seed=7' (needs a -DPMBE_FAULT_INJECTION=ON "
                   "build; see docs/ROBUSTNESS.md)");
-  flags.AddDouble("budget", 0, "deprecated alias of --timeout_s");
-  flags.AddInt("limit", 0, "deprecated alias of --max_results");
   flags.AddInt("min-left", 1, "only bicliques with |L| >= this");
   flags.AddInt("min-right", 1, "only bicliques with |R| >= this");
   flags.AddDouble("bitmap_density", 0.10,
@@ -201,14 +200,15 @@ int main(int argc, char** argv) {
   }
   std::printf("graph: %s\n", graph.Summary().c_str());
 
-  Options options;
+  GraphOptions graph_options;
+  RunOptions options;
   if (util::Status parsed =
           ParseAlgorithm(flags.GetString("algorithm"), &options.algorithm);
       !parsed.ok()) {
     std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
     return 2;
   }
-  options.order = ParseVertexOrder(flags.GetString("order"));
+  graph_options.order = ParseVertexOrder(flags.GetString("order"));
   options.threads = static_cast<unsigned>(flags.GetInt("threads"));
   if (util::Status parsed =
           ParseScheduling(flags.GetString("scheduling"), &options.scheduling);
@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
   // --- Run control --------------------------------------------------------
   // Negative values would be silently reinterpreted by the unsigned /
   // fallback plumbing below; reject them up front.
-  if (flags.GetDouble("timeout_s") < 0 || flags.GetDouble("budget") < 0 ||
-      flags.GetInt("max_results") < 0 || flags.GetInt("limit") < 0 ||
+  if (flags.GetDouble("timeout_s") < 0 || flags.GetInt("max_results") < 0 ||
       flags.GetInt("max_nodes") < 0 ||
       flags.GetDouble("progress_every_s") < 0) {
     std::fprintf(stderr,
@@ -238,12 +237,9 @@ int main(int argc, char** argv) {
   }
   std::signal(SIGINT, HandleSigint);
   options.control.cancel = &g_interrupted;
-  options.control.deadline_seconds = flags.GetDouble("timeout_s") > 0
-                                         ? flags.GetDouble("timeout_s")
-                                         : flags.GetDouble("budget");
-  options.control.max_results = static_cast<uint64_t>(
-      flags.GetInt("max_results") > 0 ? flags.GetInt("max_results")
-                                      : flags.GetInt("limit"));
+  options.control.deadline_seconds = flags.GetDouble("timeout_s");
+  options.control.max_results =
+      static_cast<uint64_t>(flags.GetInt("max_results"));
   options.control.max_nodes_expanded =
       static_cast<uint64_t>(flags.GetInt("max_nodes"));
   if (flags.GetDouble("progress_every_s") > 0) {
@@ -321,7 +317,8 @@ int main(int argc, char** argv) {
     util::WallTimer timer;
     Biclique best;
     RunResult run;
-    if (util::Status found = FindMaximumBiclique(graph, options, &best, &run);
+    if (util::Status found =
+            FindMaximumBiclique(graph, graph_options, options, &best, &run);
         !found.ok()) {
       std::fprintf(stderr, "error: %s\n", found.ToString().c_str());
       return 2;
@@ -366,7 +363,9 @@ int main(int argc, char** argv) {
   });
 
   RunResult run;
-  if (util::Status ran = Enumerate(graph, options, &writer, &run); !ran.ok()) {
+  if (util::Status ran =
+          Enumerate(graph, graph_options, options, &writer, &run);
+      !ran.ok()) {
     std::fprintf(stderr, "error: %s\n", ran.ToString().c_str());
     return 2;
   }

@@ -125,17 +125,24 @@ int main(int argc, char** argv) {
   std::printf("dataset %s: %s\n", spec.name.c_str(),
               graph.Summary().c_str());
 
+  // The query every session runs, and the preprocessing the one-shot
+  // facade would pick for it: the server-side engine and the local
+  // reference both use it, so their results match.
+  mbe::RunOptions query;
+  query.algorithm = algorithm;
+  query.mbet.min_left = min_left;
+  query.mbet.min_right = min_right;
+  const mbe::GraphOptions graph_options =
+      mbe::GraphOptionsForRun(mbe::GraphOptions(), query);
+
   // Local reference fingerprint (same options the sessions will run).
   uint64_t want_digest = 0;
   uint64_t want_count = 0;
   if (verify) {
-    mbe::Options local;
-    local.algorithm = algorithm;
-    local.mbet.min_left = min_left;
-    local.mbet.min_right = min_right;
     mbe::FingerprintSink reference;
     mbe::RunResult run;
-    if (auto status = mbe::Enumerate(graph, local, &reference, &run);
+    if (auto status =
+            mbe::Enumerate(graph, graph_options, query, &reference, &run);
         !status.ok() || !run.complete()) {
       std::fprintf(stderr, "local reference run failed\n");
       return 1;
@@ -180,8 +187,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Upload the graph, mirroring the one-shot facade's preprocessing
-  // choices so the server-side engine matches the local reference.
+  // Upload the graph with the reference run's preprocessing.
   mbe::serve::LoadGraphMsg load;
   load.name = spec.name;
   load.num_left = static_cast<uint32_t>(graph.num_left());
@@ -195,10 +201,9 @@ int main(int argc, char** argv) {
       load.edge_right.push_back(e.v);
     }
   }
-  load.core_reduce = algorithm == mbe::Algorithm::kMbet ||
-                     algorithm == mbe::Algorithm::kMbetM;
-  load.min_left = min_left;
-  load.min_right = min_right;
+  load.core_reduce = graph_options.core_reduce;
+  load.min_left = graph_options.min_left;
+  load.min_right = graph_options.min_right;
   {
     auto reply = flags.GetBool("reload-upload") ? control.ReloadGraph(load)
                                                 : control.LoadGraph(load);

@@ -91,10 +91,11 @@ bool TypedTermination(Termination t) {
 // Returns a non-empty diagnostic on violation.
 std::string CheckedChaosRun(const BipartiteGraph& graph,
                             const std::vector<Biclique>& reference,
-                            const Options& options) {
+                            const RunOptions& options) {
   CollectSink sink;
   RunResult run;
-  const util::Status status = Enumerate(graph, options, &sink, &run);
+  const util::Status status =
+      Enumerate(graph, GraphOptions(), options, &sink, &run);
   if (!status.ok()) {
     return "status not OK: " + status.ToString();
   }
@@ -131,10 +132,14 @@ int RunFaultSweep() {
   auto& registry = util::FaultRegistry::Global();
   const BipartiteGraph graph = gen::ErdosRenyi(24, 24, 0.4, 7);
   CollectSink reference_sink;
-  if (!Enumerate(graph, Options(), &reference_sink, nullptr).ok()) return 1;
+  if (!Enumerate(graph, GraphOptions(), RunOptions(), &reference_sink,
+                 nullptr)
+           .ok()) {
+    return 1;
+  }
   const std::vector<Biclique> reference = reference_sink.TakeSorted();
 
-  Options options;
+  RunOptions options;
   options.threads = 2;
   options.watchdog_stall_seconds = 1;  // outlasts the worker.stall nap
 
@@ -159,7 +164,8 @@ int RunFaultSweep() {
       // The armed-but-unreachable countdown must not fail the run.
       CountSink sink;
       RunResult run;
-      if (!Enumerate(graph, options, &sink, &run).ok() || !run.complete()) {
+      if (!Enumerate(graph, GraphOptions(), options, &sink, &run).ok() ||
+          !run.complete()) {
         std::fprintf(stderr,
                      "FAULT-SWEEP FAILURE: point %s: armed-idle run did not "
                      "complete\n",
@@ -237,8 +243,8 @@ int main(int argc, char** argv) {
 
     // Reference result from MBET defaults.
     CollectSink reference_sink;
-    if (util::Status status = Enumerate(graph, Options(), &reference_sink,
-                                        nullptr);
+    if (util::Status status = Enumerate(graph, GraphOptions(), RunOptions(),
+                                        &reference_sink, nullptr);
         !status.ok()) {
       return Fail(graph, "reference enumeration failed",
                   status.ToString().c_str(), round);
@@ -275,106 +281,116 @@ int main(int argc, char** argv) {
 
     struct Config {
       const char* label;
-      Options options;
+      RunOptions options;
+      GraphOptions graph_options = GraphOptions();
+      bool subtree_tasks = false;  ///< EnumerateSubtreeTasks, not Enumerate
     };
     std::vector<Config> configs;
-    for (Algorithm algorithm :
-         {Algorithm::kMbetM, Algorithm::kMbea, Algorithm::kImbea,
-          Algorithm::kOombeaLite, Algorithm::kBbk}) {
-      Options o;
+    for (Algorithm algorithm : {Algorithm::kMbetM, Algorithm::kMbea,
+                                Algorithm::kImbea, Algorithm::kBbk}) {
+      RunOptions o;
       o.algorithm = algorithm;
-      if (algorithm == Algorithm::kOombeaLite) {
-        o.order = VertexOrder::kUnilateralAsc;
-      }
       configs.push_back({AlgorithmName(algorithm), o});
     }
     {
+      // The paper's ooMBEA-lite baseline.
+      RunOptions o;
+      o.algorithm = Algorithm::kImbea;
+      GraphOptions g;
+      g.order = VertexOrder::kUnilateralAsc;
+      configs.push_back(
+          {"ooMBEA-lite (subtree-local iMBEA, unilateral order)", o, g, true});
+    }
+    {
       // Both degenerate densities of BBK's adaptive L' representation.
-      Options o;
+      RunOptions o;
       o.algorithm = Algorithm::kBbk;
       o.mbet.bitmap_density = 0.0;
       configs.push_back({"BBK forced bitmap", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.algorithm = Algorithm::kBbk;
       o.mbet.bitmap_density = 2.0;
       configs.push_back({"BBK bitmap disabled", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.algorithm = Algorithm::kBbk;
       o.threads = 4;
       configs.push_back({"BBK x4", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.mbet.use_trie = false;
       o.mbet.use_aggregation = false;
       configs.push_back({"MBET w/o trie+agg", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.mbet.prune_q = false;
-      o.order = VertexOrder::kRandom;
-      o.seed = rng.Next();
-      configs.push_back({"MBET random order w/o Q-prune", o});
+      GraphOptions g;
+      g.order = VertexOrder::kRandom;
+      g.seed = rng.Next();
+      configs.push_back({"MBET random order w/o Q-prune", o, g});
     }
     {
       // Bitmap classification forced onto every eligible node. Disabling
       // the trie removes the higher-priority classifier so the bitmap
       // kernels actually run everywhere, not just on trie-rejected nodes.
-      Options o;
+      RunOptions o;
       o.mbet.bitmap_density = 0.0;
       o.mbet.use_trie = false;
       configs.push_back({"MBET forced bitmap w/o trie", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.mbet.bitmap_density = 0.0;
       configs.push_back({"MBET forced bitmap", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.mbet.bitmap_density = 2.0;
       configs.push_back({"MBET bitmap disabled", o});
     }
     {
       // Per-candidate classification (the pre-batching code path).
-      Options o;
+      RunOptions o;
       o.mbet.batch_width = 1;
       configs.push_back({"MBET batch off", o});
     }
     {
       // Widest frontier windows, on top of forced bitmaps so the
       // and_count_batch kernel runs (not just the trie batch walk).
-      Options o;
+      RunOptions o;
       o.mbet.batch_width = 64;
       o.mbet.bitmap_density = 0.0;
       configs.push_back({"MBET batch wide forced bitmap", o});
     }
     {
       // Whatever the tuner picks must stay output-identical.
-      Options o;
+      RunOptions o;
       o.auto_tune = true;
       configs.push_back({"MBET auto-tuned", o});
     }
     {
-      Options o;
+      RunOptions o;
       o.threads = 4;
       configs.push_back({"MBET x4", o});
     }
     // MineLMBC is exponential-cost on its own; keep it to small graphs.
     if (graph.num_edges() <= 400) {
-      Options o;
+      RunOptions o;
       o.algorithm = Algorithm::kMineLmbc;
       configs.push_back({"MineLMBC", o});
     }
 
     for (const Config& config : configs) {
       FingerprintSink sink;
-      if (util::Status status = Enumerate(graph, config.options, &sink,
-                                          nullptr);
+      if (util::Status status =
+              (config.subtree_tasks ? EnumerateSubtreeTasks : Enumerate)(
+                  graph, config.graph_options, config.options, &sink,
+                  nullptr);
           !status.ok()) {
         return Fail(graph, "engine run failed", status.ToString().c_str(),
                     round);
@@ -396,13 +412,13 @@ int main(int argc, char** argv) {
     if (reference.size() >= 4) {
       const uint64_t cap = reference.size() / 2;
       for (unsigned threads : {1u, 4u}) {
-        Options o;
+        RunOptions o;
         o.threads = threads;
         o.control.max_results = cap;
         CollectSink truncated_sink;
         RunResult run;
         const util::Status status =
-            Enumerate(graph, o, &truncated_sink, &run);
+            Enumerate(graph, GraphOptions(), o, &truncated_sink, &run);
         if (!status.ok()) {
           return Fail(graph, "controlled run rejected valid options",
                       status.ToString(), round);
@@ -436,7 +452,7 @@ int main(int argc, char** argv) {
     // contract is weaker than the differential checks — the run may stop
     // early — but it must stop *typed* and with a valid prefix.
     if (flags.GetBool("chaos")) {
-      Options chaos;
+      RunOptions chaos;
       chaos.threads = 1 + rng.Below(4);
       chaos.watchdog_stall_seconds = 1;
       // Caps from starving (16 KiB) to comfortable (2 MiB).
