@@ -248,7 +248,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   if (options_.auto_tune) {
     const TunerDecision tuned = Tune(engine_->profile());
     effective_mbet_.bitmap_density = tuned.bitmap_density;
-    effective_mbet_.batch_width = tuned.batch_width;
     effective_max_split_ = tuned.max_split;
     // Engine selection is honored only where MBET and BBK are
     // interchangeable: a plain enumeration query (no size thresholds, no
@@ -272,7 +271,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
       stats_.tuned_algorithm = static_cast<uint64_t>(tuned.engine);
     }
     stats_.auto_tuned = 1;
-    stats_.tuned_batch_width = tuned.batch_width;
     stats_.tuned_max_split = tuned.max_split;
     stats_.tuned_bitmap_density_x1000 =
         static_cast<uint64_t>(tuned.bitmap_density * 1000.0);
@@ -296,7 +294,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   kernel_difference_before_ = kernel_before.difference;
   kernel_mask_before_ = kernel_before.mask;
   kernel_word_before_ = kernel_before.word;
-  kernel_batch_before_ = kernel_before.batch;
 
   translator_ = std::make_unique<TranslatingSink>(
       sink, engine_->left_map(), engine_->right_map(), engine_->swapped());
@@ -407,7 +404,6 @@ void Session::Finish(RunResult* result) {
       after.difference - kernel_difference_before_;
   out.stats.simd_mask_calls = after.mask - kernel_mask_before_;
   out.stats.simd_word_calls = after.word - kernel_word_before_;
-  out.stats.simd_batch_calls = after.batch - kernel_batch_before_;
 
   // Robustness counters: read the budget's peak before EndRun re-baselines
   // it. Degradations diff against this session's budget — per-session by

@@ -198,7 +198,6 @@ class Session {
   uint64_t kernel_difference_before_ = 0;
   uint64_t kernel_mask_before_ = 0;
   uint64_t kernel_word_before_ = 0;
-  uint64_t kernel_batch_before_ = 0;
 
   /// Frontier accounting of a durable standalone Run, copied into the
   /// RunResult by Finish (zero for volatile runs).

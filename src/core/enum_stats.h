@@ -43,19 +43,9 @@ struct EnumStats {
   /// Intersections answered by the word-AND bitmap kernels instead of a
   /// merge/gallop over sorted lists.
   uint64_t bitmap_kernel_calls = 0;
-  /// Batched classification passes executed by the candidate frontier
-  /// (docs/TUNING.md): one per trie batch walk, one per group for the
-  /// bitmap/list batch kernels. Each pass replaces up to `batch_width`
-  /// per-candidate passes over the same data.
-  uint64_t batch_kernel_calls = 0;
-  /// Candidates whose classification was served from a precomputed batch
-  /// window instead of an individual pass.
+  /// Always 0: the batched candidate frontier that counted here is gone.
+  /// Stays until a benchmark change stops reading it.
   uint64_t batch_candidates_classified = 0;
-  /// Histogram of filled batch-window widths, bucketed by power of two:
-  /// bucket b counts windows of width in (2^(b-1), 2^b] (bucket 0 =
-  /// width 1). Tail windows land in small buckets; a healthy batched run
-  /// concentrates mass in the bucket of the configured width.
-  uint64_t batch_width_histogram[7] = {};
   /// Instruction-set level of the vectorized kernel table the run
   /// dispatched to (numeric simd::DispatchLevel: 0 scalar, 1 sse4.2,
   /// 2 avx2). NOT additive: merged via max (workers share one process-wide
@@ -72,7 +62,8 @@ struct EnumStats {
   uint64_t simd_mask_calls = 0;
   /// and_words / and_count (bitmap word) family.
   uint64_t simd_word_calls = 0;
-  /// classify_batch / and_count_batch (batched multi-mask) family.
+  /// Always 0: the batched multi-mask kernel family is gone. Stays until a
+  /// benchmark change stops reading it.
   uint64_t simd_batch_calls = 0;
   /// High-water mark of the per-thread EnumContext scratch arenas, in
   /// bytes. NOT additive: merged via max (workers' arenas coexist, but
@@ -119,7 +110,6 @@ struct EnumStats {
   uint64_t auto_tuned = 0;
   /// Knobs the tuner chose (valid only when auto_tuned; bitmap_density is
   /// stored ×1000 to stay integral). NOT additive: merged via max.
-  uint64_t tuned_batch_width = 0;
   uint64_t tuned_max_split = 0;
   uint64_t tuned_bitmap_density_x1000 = 0;
   /// Decision-table row the tuner matched (core/tuner.h TunerRule numeric
@@ -143,11 +133,6 @@ struct EnumStats {
     subtrees_pruned += other.subtrees_pruned;
     bitmap_conversions += other.bitmap_conversions;
     bitmap_kernel_calls += other.bitmap_kernel_calls;
-    batch_kernel_calls += other.batch_kernel_calls;
-    batch_candidates_classified += other.batch_candidates_classified;
-    for (int b = 0; b < 7; ++b) {
-      batch_width_histogram[b] += other.batch_width_histogram[b];
-    }
     if (other.kernel_dispatch > kernel_dispatch) {
       kernel_dispatch = other.kernel_dispatch;
     }
@@ -155,7 +140,6 @@ struct EnumStats {
     simd_difference_calls += other.simd_difference_calls;
     simd_mask_calls += other.simd_mask_calls;
     simd_word_calls += other.simd_word_calls;
-    simd_batch_calls += other.simd_batch_calls;
     if (other.arena_peak_bytes > arena_peak_bytes) {
       arena_peak_bytes = other.arena_peak_bytes;
     }
@@ -173,9 +157,6 @@ struct EnumStats {
     queue_wait_ns += other.queue_wait_ns;
     checkpoints_written += other.checkpoints_written;
     if (other.auto_tuned > auto_tuned) auto_tuned = other.auto_tuned;
-    if (other.tuned_batch_width > tuned_batch_width) {
-      tuned_batch_width = other.tuned_batch_width;
-    }
     if (other.tuned_max_split > tuned_max_split) {
       tuned_max_split = other.tuned_max_split;
     }

@@ -1,11 +1,10 @@
 #include "core/mbet.h"
 
 #include <algorithm>
-#include <bit>
 
+#include "util/bitset.h"
 #include "util/fault.h"
 #include "util/memory.h"
-#include "util/simd.h"
 
 namespace mbe {
 
@@ -21,10 +20,6 @@ MbetEnumerator::MbetEnumerator(const BipartiteGraph& graph,
   // renumbering (and with it the bitmap path) does not apply.
   if (options_.recompute_locals) options_.use_trie = false;
   renumber_ = !options_.recompute_locals;
-  // The interleaved batch layout is sized for the renumbered local
-  // universe and capped at the widest kernel lane count.
-  if (options_.batch_width < 1) options_.batch_width = 1;
-  if (options_.batch_width > 64) options_.batch_width = 64;
 #ifdef PMBE_FORCE_BITMAP
   options_.bitmap_density = 0.0;
 #endif
@@ -296,92 +291,6 @@ void MbetEnumerator::Classify(Level& lvl) {
   }
 }
 
-void MbetEnumerator::FillBatch(Level& lvl, size_t start, bool sharded) {
-  // Window selection replays the traversal loop's skip predicates (both
-  // static over the node: shard ownership is positional, min_left reads
-  // the immutable loc_len), so slot s is exactly the s-th candidate from
-  // `start` that will reach classification; skipped positions never
-  // consume counts. Counts depend only on the immutable locs — the loop's
-  // forbidden-flag mutations affect which counts are *read* (witness
-  // scans, absorption), never their values — so precomputing the whole
-  // window keeps results byte-identical to the per-candidate pass.
-  lvl.batch_slot_group.clear();
-  for (size_t i = start; i < lvl.order.size() &&
-                         lvl.batch_slot_group.size() < options_.batch_width;
-       ++i) {
-    if (sharded && i % num_shards_ != shard_) continue;
-    if (lvl.groups[lvl.order[i]].loc_len < options_.min_left) continue;
-    lvl.batch_slot_group.push_back(lvl.order[i]);
-  }
-  lvl.batch_filled = lvl.batch_slot_group.size();
-  lvl.batch_next = 0;
-  const size_t width = lvl.batch_filled;
-  if (width == 0) return;
-
-  // Interleaved word-transposed masks (util/simd.h): bit x of slot w is
-  // bit x%64 of batch_words[(x/64)*width + w], so one load reaches the
-  // same word of several candidates at once.
-  const size_t words = util::WordsFor(local_universe_);
-  lvl.batch_words->assign(words * width, 0);
-  uint64_t* bw = lvl.batch_words->data();
-  for (size_t w = 0; w < width; ++w) {
-    for (VertexId x : lvl.LocOf(lvl.groups[lvl.batch_slot_group[w]])) {
-      bw[(static_cast<size_t>(x) >> 6) * width + w] |= uint64_t{1} << (x & 63);
-    }
-  }
-
-  const size_t n = lvl.groups.size();
-  lvl.batch_counts.resize(n * width);
-  if (lvl.trie_built) {
-    // One streaming pass over the trie classifies every group against all
-    // `width` masks; the per-candidate pass would walk it `width` times.
-    lvl.trie.ClassifyAllBatch(bw, width, lvl.batch_counts.data());
-    ++stats_.batch_kernel_calls;
-  } else if (lvl.words_built) {
-    const simd::KernelTable& k = simd::Kernels();
-    const size_t gw = lvl.words_per_group;
-    for (size_t h = 0; h < n; ++h) {
-      k.and_count_batch(lvl.loc_words->data() + h * gw, bw, gw, width,
-                        lvl.batch_counts.data() + h * width);
-      simd::CountKernelCall(simd::KernelOp::kBatch);
-    }
-    stats_.batch_kernel_calls += n;
-  } else {
-    const simd::KernelTable& k = simd::Kernels();
-    for (size_t h = 0; h < n; ++h) {
-      const Group& g = lvl.groups[h];
-      k.classify_batch(lvl.locs.data() + g.loc_off, g.loc_len, bw, width,
-                       lvl.batch_counts.data() + h * width);
-      simd::CountKernelCall(simd::KernelOp::kBatch);
-    }
-    stats_.batch_kernel_calls += n;
-  }
-  // Bucket b counts windows of width in (2^(b-1), 2^b].
-  const int bucket = std::bit_width(width - 1);
-  ++stats_.batch_width_histogram[bucket < 7 ? bucket : 6];
-}
-
-void MbetEnumerator::ConsumeBatchColumn(Level& lvl, size_t slot) {
-  const size_t n = lvl.groups.size();
-  const size_t width = lvl.batch_filled;
-  lvl.counts.resize(n);
-  const uint32_t* col = lvl.batch_counts.data() + slot;
-  for (size_t h = 0; h < n; ++h) lvl.counts[h] = col[h * width];
-  // Logical probe accounting matches what the per-candidate Classify pass
-  // would have charged, so the trie-vs-direct probe ratio and the bitmap
-  // kernel counter keep their meaning at every batch width; the physical
-  // batching shows up in batch_kernel_calls / simd_batch_calls instead.
-  if (lvl.trie_built) {
-    stats_.trie_probes += lvl.trie.num_nodes();
-    stats_.local_scan_size += lvl.trie.total_list_length();
-  } else {
-    stats_.trie_probes += lvl.total_loc;
-    stats_.local_scan_size += lvl.total_loc;
-    if (lvl.words_built) stats_.bitmap_kernel_calls += n;
-  }
-  ++stats_.batch_candidates_classified;
-}
-
 MbetEnumerator::Level& MbetEnumerator::BuildChild(
     size_t depth, uint32_t traversed, std::vector<VertexId>* absorbed_members) {
   Level& lvl = *levels_[depth];
@@ -468,8 +377,6 @@ uint64_t MbetEnumerator::LevelBytes(const Level& lvl) {
   bytes += (lvl.l.size() + lvl.r.size()) * sizeof(VertexId);
   bytes += lvl.counts.size() * sizeof(uint32_t);
   bytes += lvl.order.size() * sizeof(uint32_t);
-  bytes += (lvl.batch_counts.capacity() + lvl.batch_slot_group.capacity()) *
-           sizeof(uint32_t);
   bytes += lvl.trie.MemoryBytes();
   return bytes;
 }
@@ -564,29 +471,6 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
   std::vector<VertexId>* absorbed_members = frame.AcquireIds();
   const bool sharded = depth == 0 && num_shards_ > 1;
 
-  // Batched frontier gate (docs/TUNING.md): on nodes with at least two
-  // candidates, classification runs over precomputed windows of sibling
-  // candidates instead of one pass per candidate. Needs stored, renumbered
-  // locals (the window masks pack into the local universe); MBETM has
-  // neither. Under memory pressure the node degrades to the per-candidate
-  // path — slower, byte-identical results.
-  lvl.batch_on = false;
-  lvl.batch_words = nullptr;
-  lvl.batch_filled = 0;
-  lvl.batch_next = 0;
-  if (options_.batch_width > 1 && renumber_ && lvl.order.size() >= 2) {
-    // "batch.build" models the interleaved window buffer failing to grow.
-    if (PMBE_FAULT("batch.build")) util::CurrentMemoryBudget().ForceExhaust();
-    if (util::CurrentMemoryBudget().UnderPressure() ||
-        util::CurrentMemoryBudget().exhausted()) {
-      util::CurrentMemoryBudget().NoteDegradation();
-    } else {
-      lvl.batch_words = frame.AcquireWords();
-      lvl.total_loc = 0;
-      for (const Group& g : lvl.groups) lvl.total_loc += g.loc_len;
-      lvl.batch_on = true;
-    }
-  }
   uint32_t pos = 0;
   for (uint32_t idx : lvl.order) {
     const uint32_t my_pos = pos++;
@@ -623,18 +507,11 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
     }
 
     lp_mask_.Set(child.l);
-    if (lvl.batch_on) {
-      if (lvl.batch_next >= lvl.batch_filled) FillBatch(lvl, my_pos, sharded);
-      PMBE_DCHECK(lvl.batch_next < lvl.batch_filled &&
-                  lvl.batch_slot_group[lvl.batch_next] == idx);
-      ConsumeBatchColumn(lvl, lvl.batch_next++);
-    } else {
-      if (lvl.words_built) {
-        util::ClearWords(*lvl.lp_words);
-        util::SetBits(child.l, *lvl.lp_words);
-      }
-      Classify(lvl);
+    if (lvl.words_built) {
+      util::ClearWords(*lvl.lp_words);
+      util::SetBits(child.l, *lvl.lp_words);
     }
+    Classify(lvl);
 
     // Maximality (node) check: a forbidden group dominating L' witnesses
     // that this child's bicliques are enumerated elsewhere.

@@ -76,16 +76,6 @@ struct MbetOptions {
   /// -DPMBE_FORCE_BITMAP=ON pins this to 0 (the CI differential leg).
   /// Ignored in MBETM mode, which stores no locals to convert.
   double bitmap_density = 0.10;
-  /// Width of the batched candidate frontier (docs/TUNING.md): up to this
-  /// many sibling candidates are classified in ONE pass over the node's
-  /// trie / bitmaps / group lists, with their membership masks packed into
-  /// an interleaved word-transposed layout so the streamed side is read
-  /// once per window instead of once per candidate. Counts are the exact
-  /// intersection sizes the per-candidate pass computes, so results are
-  /// byte-identical at every width. 1 disables batching (the ablation /
-  /// differential baseline); capped at 64. Ignored in MBETM mode, which
-  /// stores no locals to pack.
-  uint32_t batch_width = 16;
 
   /// Size-constrained enumeration: only maximal bicliques (of the whole
   /// graph) with |L| >= min_left and |R| >= min_right are emitted, and the
@@ -188,21 +178,6 @@ class MbetEnumerator {
     std::vector<uint64_t>* lp_words = nullptr;
     size_t words_per_group = 0;
 
-    // Batched-frontier state, valid only inside this node's Recurse frame:
-    // the classification counts of up to MbetOptions::batch_width upcoming
-    // eligible sibling candidates, precomputed in one pass (FillBatch).
-    // batch_counts is a [groups × batch_filled] row-major matrix;
-    // batch_slot_group[s] is the group index occupying slot s; batch_next
-    // is the next unconsumed slot. batch_words holds the interleaved
-    // word-transposed candidate masks (EnumContext-backed).
-    bool batch_on = false;
-    std::vector<uint32_t> batch_counts;
-    std::vector<uint32_t> batch_slot_group;
-    size_t batch_filled = 0;
-    size_t batch_next = 0;
-    std::vector<uint64_t>* batch_words = nullptr;
-    uint64_t total_loc = 0;  ///< Σ|loc| over groups (logical probe charge)
-
     std::span<const VertexId> LocOf(const Group& g) const {
       return {locs.data() + g.loc_off, g.loc_len};
     }
@@ -224,19 +199,6 @@ class MbetEnumerator {
   /// Classifies all groups of `lvl` against the current lp_mask_:
   /// fills lvl.counts with |loc(g) ∩ L'|.
   void Classify(Level& lvl);
-
-  /// Batched frontier (docs/TUNING.md): packs the next up-to-batch_width
-  /// eligible candidates of lvl.order starting at position `start` into
-  /// the interleaved mask buffer and precomputes every group's count
-  /// against each of them in one pass over the trie / bitmaps / lists.
-  /// Eligibility mirrors the traversal loop's skip predicates (shard
-  /// ownership at depth 0, min_left), which are static over the node, so
-  /// the window covers exactly the candidates that will consume counts.
-  void FillBatch(Level& lvl, size_t start, bool sharded);
-
-  /// Copies precomputed window column `slot` into lvl.counts and charges
-  /// the same logical probe counters Classify would have.
-  void ConsumeBatchColumn(Level& lvl, size_t slot);
 
   /// Builds the child level at depth+1 from the parent's classification
   /// (child.l must already hold L'). `traversed` is the group being

@@ -80,25 +80,23 @@ const char* TunerEngineName(TunerEngine engine) {
 TunerDecision Tune(const GraphProfile& profile) {
   TunerDecision d;
   // Rows are matched top to bottom; thresholds come from the
-  // bench_b12_batch / bench_s11 sweeps on the gen:: families
-  // (docs/TUNING.md records the numbers behind each row).
+  // bench_s11 / bench_b13 sweeps on the gen:: families (docs/TUNING.md
+  // records the numbers behind each row).
   if (profile.num_edges < 256) {
-    // Too little total work to amortize windows, wide bitmaps, or split
-    // bookkeeping; keep the frontier narrow and subtrees whole. MBET's
-    // fixed costs are negligible here and it filters by size for free.
+    // Too little total work to amortize wide bitmaps or split
+    // bookkeeping; keep subtrees whole. MBET's fixed costs are negligible
+    // here and it filters by size for free.
     d.rule = TunerRule::kTiny;
     d.bitmap_density = 0.10;
-    d.batch_width = 8;
     d.max_split = 1;
     d.engine = TunerEngine::kMbet;
   } else if (profile.density >= 0.08 || profile.two_hop_ratio >= 4.0) {
-    // Dense / crowded candidate space: nodes are wide (windows fill),
-    // locals fill words (bitmaps pay off earlier), subtrees are bushy
+    // Dense / crowded candidate space: nodes are wide, locals fill words
+    // (bitmaps pay off earlier), subtrees are bushy
     // enough that the default split floor is fine. The regime where the
     // prefix tree's shared-prefix savings beat BBK's lighter nodes.
     d.rule = TunerRule::kDense;
     d.bitmap_density = 0.05;
-    d.batch_width = 32;
     d.max_split = 8;
     d.engine = TunerEngine::kMbet;
   } else if (profile.degree_skew >= 8.0) {
@@ -110,7 +108,6 @@ TunerDecision Tune(const GraphProfile& profile) {
     // knob is safe even when the query pins the engine.
     d.rule = TunerRule::kSkewed;
     d.bitmap_density = 0.0;
-    d.batch_width = 8;
     d.max_split = 32;
     d.engine = TunerEngine::kBbk;
   } else {
@@ -120,7 +117,6 @@ TunerDecision Tune(const GraphProfile& profile) {
     // degree wide, so dense words stay small).
     d.rule = TunerRule::kSparse;
     d.bitmap_density = 0.0;
-    d.batch_width = 16;
     d.max_split = 8;
     d.engine = TunerEngine::kBbk;
   }

@@ -8,12 +8,12 @@
 /// \file
 /// Workload-adaptive auto-tuner (docs/TUNING.md).
 ///
-/// The enumeration knobs that matter for throughput — the bitmap density
-/// threshold, the batched-frontier width, and the subtree split factor —
-/// have workload-dependent sweet spots: dense graphs want aggressive
-/// bitmaps and wide batches (their nodes are wide and their locals fill
-/// words), skewed graphs want finer splitting (a few hub subtrees carry
-/// most of the work), tiny graphs want none of the machinery. Instead of
+/// The enumeration knobs that matter for throughput — the engine, the
+/// bitmap density threshold, and the subtree split factor — have
+/// workload-dependent sweet spots: dense graphs want aggressive bitmaps
+/// (their locals fill words), skewed graphs want finer splitting (a few
+/// hub subtrees carry most of the work), tiny graphs want none of the
+/// machinery. Instead of
 /// hand-setting them per dataset, `ProfileGraph` samples cheap statistics
 /// of the built graph once (O(edges) worst case, sampled well below that)
 /// and `Tune` maps them through a small measured decision table. The
@@ -83,7 +83,6 @@ const char* TunerEngineName(TunerEngine engine);
 /// RunOptions; defaults equal the untuned defaults.
 struct TunerDecision {
   double bitmap_density = 0.10;
-  uint32_t batch_width = 16;
   uint32_t max_split = 8;
   TunerRule rule = TunerRule::kNone;
   /// Which engine the profile's regime favors (docs/TUNING.md). Advisory:

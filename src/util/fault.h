@@ -52,7 +52,6 @@ namespace mbe::util {
 /// sweeps this list; docs/ROBUSTNESS.md documents each entry).
 inline constexpr const char* kFaultPoints[] = {
     "arena.grow",    // EnumContext scratch-pool growth (all engines)
-    "batch.build",   // batched-frontier window materialization (MBET)
     "bitmap.build",  // adaptive bitmap materialization (MBET / VertexSet)
     "trie.build",    // prefix-tree construction at an enumeration node
     "sink.buffer",   // BufferedSink batch-arena growth

@@ -72,16 +72,6 @@ struct KernelTable {
                     size_t n);
   /// Returns popcount(a & b) over n words.
   size_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
-  /// Batched membership probe over `width` interleaved masks (bit x of
-  /// mask slot w is bit x%64 of words[(x/64)*width + w]). Writes
-  /// counts[w] = |{x in xs : bit x set in mask w}| for every w < width.
-  void (*classify_batch)(const VertexId* xs, size_t n, const uint64_t* words,
-                         size_t width, uint32_t* counts);
-  /// Batched AND-popcount of a plain bitmap `a` against `width`
-  /// interleaved bitmaps (word j of slot w is b[j*width + w]). Writes
-  /// counts[w] = popcount(a & slot w) for every w < width.
-  void (*and_count_batch)(const uint64_t* a, const uint64_t* b, size_t nwords,
-                          size_t width, uint32_t* counts);
 };
 
 /// The active kernel table. Resolved once (cpuid + PMBE_FORCE_SCALAR) on
@@ -113,9 +103,8 @@ enum class KernelOp : uint8_t {
   kDifference = 1,  // difference / is_subset
   kMask = 2,        // mask_count / mask_filter
   kWord = 3,        // and_words / and_count
-  kBatch = 4,       // classify_batch / and_count_batch
 };
-inline constexpr size_t kNumKernelOps = 5;
+inline constexpr size_t kNumKernelOps = 4;
 
 /// Totals per kernel family at one point in time.
 struct KernelCallCounters {
@@ -123,7 +112,6 @@ struct KernelCallCounters {
   uint64_t difference = 0;
   uint64_t mask = 0;
   uint64_t word = 0;
-  uint64_t batch = 0;
 };
 
 namespace internal {

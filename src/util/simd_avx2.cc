@@ -330,69 +330,6 @@ size_t AvxAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   return count;
 }
 
-// Batched probe over interleaved masks: per list element, the `width`
-// slot-words sharing that element's word index are contiguous, so one
-// 256-bit load covers 4 slots. All slots share the element's bit index,
-// so a single (non-variable) 64-bit shift isolates the bit per lane.
-// Accumulators are 64-bit lanes kept in a small stack array; widths that
-// do not fill whole vectors take the scalar body (same arithmetic, so
-// results stay byte-identical either way).
-void AvxClassifyBatch(const VertexId* xs, size_t n, const uint64_t* words,
-                      size_t width, uint32_t* counts) {
-  if (width % 4 != 0 || width > 64) {
-    ScalarClassifyBatch(xs, n, words, width, counts);
-    return;
-  }
-  const size_t vecs = width / 4;
-  __m256i acc[16];
-  for (size_t v = 0; v < vecs; ++v) acc[v] = _mm256_setzero_si256();
-  const __m256i kOne = _mm256_set1_epi64x(1);
-  for (size_t i = 0; i < n; ++i) {
-    const VertexId x = xs[i];
-    const uint64_t* row = words + (static_cast<size_t>(x) >> 6) * width;
-    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(x & 63));
-    for (size_t v = 0; v < vecs; ++v) {
-      __m256i bits =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4 * v));
-      bits = _mm256_and_si256(_mm256_srl_epi64(bits, shift), kOne);
-      acc[v] = _mm256_add_epi64(acc[v], bits);
-    }
-  }
-  alignas(32) uint64_t lanes[4];
-  for (size_t v = 0; v < vecs; ++v) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc[v]);
-    for (int k = 0; k < 4; ++k) {
-      counts[4 * v + k] = static_cast<uint32_t>(lanes[k]);
-    }
-  }
-}
-
-// Same AND-then-scalar-popcount scheme as AvxAndCount, with the group
-// word broadcast across lanes and 4 interleaved slots per vector load.
-void AvxAndCountBatch(const uint64_t* a, const uint64_t* b, size_t nwords,
-                      size_t width, uint32_t* counts) {
-  if (width % 4 != 0 || width > 64) {
-    ScalarAndCountBatch(a, b, nwords, width, counts);
-    return;
-  }
-  for (size_t w = 0; w < width; ++w) counts[w] = 0;
-  for (size_t j = 0; j < nwords; ++j) {
-    const __m256i aw = _mm256_set1_epi64x(static_cast<long long>(a[j]));
-    const uint64_t* row = b + j * width;
-    for (size_t v = 0; v < width / 4; ++v) {
-      const __m256i vb =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4 * v));
-      alignas(32) uint64_t w64[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(w64),
-                         _mm256_and_si256(aw, vb));
-      counts[4 * v + 0] += static_cast<uint32_t>(std::popcount(w64[0]));
-      counts[4 * v + 1] += static_cast<uint32_t>(std::popcount(w64[1]));
-      counts[4 * v + 2] += static_cast<uint32_t>(std::popcount(w64[2]));
-      counts[4 * v + 3] += static_cast<uint32_t>(std::popcount(w64[3]));
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& Avx2KernelTable() {
@@ -400,7 +337,6 @@ const KernelTable& Avx2KernelTable() {
       AvxIntersect,  AvxIntersectSize, AvxIntersectSizeCapped,
       AvxIsSubset,   AvxDifference,    AvxMaskCount,
       AvxMaskFilter, AvxAndWords,      AvxAndCount,
-      AvxClassifyBatch, AvxAndCountBatch,
   };
   return table;
 }

@@ -130,46 +130,12 @@ inline void ScalarAndWords(const uint64_t* a, const uint64_t* b, uint64_t* out,
   for (size_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
 }
 
-/// Batched membership probe over `width` interleaved masks: bit x of mask
-/// slot w lives at bit x%64 of words[(x/64)*width + w]. Writes
-/// counts[w] = |{x in xs : bit x set in mask w}| for every w < width.
-inline void ScalarClassifyBatch(const VertexId* xs, size_t n,
-                                const uint64_t* words, size_t width,
-                                uint32_t* counts) {
-  for (size_t w = 0; w < width; ++w) counts[w] = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const VertexId x = xs[i];
-    const uint64_t* row = words + (static_cast<size_t>(x) >> 6) * width;
-    const unsigned shift = static_cast<unsigned>(x & 63);
-    for (size_t w = 0; w < width; ++w) {
-      counts[w] += static_cast<uint32_t>((row[w] >> shift) & 1);
-    }
-  }
-}
-
 inline size_t ScalarAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {
     count += static_cast<size_t>(std::popcount(a[i] & b[i]));
   }
   return count;
-}
-
-/// Batched AND-popcount of one plain bitmap against `width` interleaved
-/// bitmaps: word j of interleaved slot w is b[j*width + w]. Writes
-/// counts[w] = popcount(a & slot w) for every w < width. The `a` words
-/// stream once while one row of interleaved words stays in cache.
-inline void ScalarAndCountBatch(const uint64_t* a, const uint64_t* b,
-                                size_t nwords, size_t width,
-                                uint32_t* counts) {
-  for (size_t w = 0; w < width; ++w) counts[w] = 0;
-  for (size_t j = 0; j < nwords; ++j) {
-    const uint64_t aw = a[j];
-    const uint64_t* row = b + j * width;
-    for (size_t w = 0; w < width; ++w) {
-      counts[w] += static_cast<uint32_t>(std::popcount(aw & row[w]));
-    }
-  }
 }
 
 }  // namespace mbe::simd::internal

@@ -331,6 +331,7 @@ TEST(FaultRegistryTest, SpecParsing) {
   EXPECT_TRUE(reg.ArmSpec("arena.grow:3").ok());
   EXPECT_TRUE(reg.ArmSpec("*:p=0.5:seed=9").ok());
   EXPECT_FALSE(reg.ArmSpec("bogus.point:1").ok());
+  EXPECT_FALSE(reg.ArmSpec("batch.build:1").ok());
   EXPECT_FALSE(reg.ArmSpec("arena.grow").ok());
   reg.Disarm();
   EXPECT_FALSE(reg.armed());

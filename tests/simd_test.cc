@@ -216,75 +216,6 @@ TEST(SimdKernelTest, MaskAndWordKernelsMatchScalar) {
   }
 }
 
-// --- Batched multi-mask kernels ------------------------------------------
-
-// The batch kernels answer `width` single-mask queries in one pass over an
-// interleaved word-transposed layout (bit x of slot w lives at bit x%64 of
-// words[(x>>6)*width + w]). Every level and every width in [1, 64] must
-// byte-match the long-standing per-candidate kernels.
-TEST(SimdKernelTest, BatchKernelsMatchPerCandidateScalar) {
-  using namespace simd::internal;
-  util::Rng rng(314159);
-  const std::vector<DispatchLevel> levels = AvailableLevels();
-  ASSERT_FALSE(levels.empty());
-  for (uint64_t round = 0; round < 150; ++round) {
-    const size_t universe = 1 + rng.Below(500);
-    const size_t nwords = (universe + 63) / 64;
-    // Cycle widths so every value in [1, 64] (including the AVX2 fallback
-    // widths with width % 4 != 0) is exercised multiple times.
-    const size_t width = 1 + (round + rng.Below(7)) % 64;
-
-    std::vector<uint64_t> batch(nwords * width, 0);
-    std::vector<std::vector<uint64_t>> flat(
-        width, std::vector<uint64_t>(nwords, 0));
-    for (size_t w = 0; w < width; ++w) {
-      for (VertexId x : RandomSorted(universe, universe, rng)) {
-        batch[(static_cast<size_t>(x) >> 6) * width + w] |=
-            uint64_t{1} << (x & 63);
-        flat[w][x >> 6] |= uint64_t{1} << (x & 63);
-      }
-    }
-    const std::vector<VertexId> probes = RandomSorted(200, universe, rng);
-    std::vector<uint64_t> group(nwords);
-    for (uint64_t& g : group) g = rng.Next();
-
-    // Per-candidate reference: one single-mask scalar call per slot.
-    std::vector<uint32_t> expect_classify(width), expect_and(width);
-    for (size_t w = 0; w < width; ++w) {
-      expect_classify[w] = static_cast<uint32_t>(
-          ScalarMaskCount(probes.data(), probes.size(), flat[w].data()));
-      expect_and[w] = static_cast<uint32_t>(
-          ScalarAndCount(group.data(), flat[w].data(), nwords));
-    }
-
-    for (DispatchLevel lvl : levels) {
-      ScopedDispatch forced(lvl);
-      ASSERT_TRUE(forced.installed());
-      const simd::KernelTable& k = simd::Kernels();
-      const char* name = simd::DispatchLevelName(lvl);
-
-      // Poisoned so a kernel that forgets to overwrite a slot fails.
-      std::vector<uint32_t> counts(width, 0xdeadbeefu);
-      k.classify_batch(probes.data(), probes.size(), batch.data(), width,
-                       counts.data());
-      for (size_t w = 0; w < width; ++w) {
-        ASSERT_EQ(counts[w], expect_classify[w])
-            << name << " classify round " << round << " width " << width
-            << " slot " << w;
-      }
-
-      std::fill(counts.begin(), counts.end(), 0xdeadbeefu);
-      k.and_count_batch(group.data(), batch.data(), nwords, width,
-                        counts.data());
-      for (size_t w = 0; w < width; ++w) {
-        ASSERT_EQ(counts[w], expect_and[w])
-            << name << " and_count round " << round << " width " << width
-            << " slot " << w;
-      }
-    }
-  }
-}
-
 // --- set_ops routing equivalence ----------------------------------------
 
 TEST(SimdKernelTest, SetOpsIdenticalAcrossStrategiesAndLevels) {
@@ -383,9 +314,18 @@ TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossLevels) {
   }
 }
 
-// The batched frontier must be invisible in the output: any batch width,
-// any thread count, any dispatch level — same digest, same count.
-TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossBatchWidths) {
+// MBET's per-candidate classification takes one of three paths per node
+// (trie, bitmap words, sorted-list scan); none may show in the output. Any
+// bitmap density, any thread count, any dispatch level — same digest, same
+// count. Single-threaded runs also pin which path ran: density 0 forces
+// the bitmap kernels onto every node the trie declines, > 1 disables them.
+TEST(SimdDispatchTest, MbetDigestIdenticalAcrossBitmapDensities) {
+  // -DPMBE_FORCE_BITMAP=ON pins every density to 0 inside MBET.
+#ifdef PMBE_FORCE_BITMAP
+  constexpr bool kForceBitmap = true;
+#else
+  constexpr bool kForceBitmap = false;
+#endif
   util::Rng rng(424242);
   const std::vector<DispatchLevel> levels = AvailableLevels();
   for (int g = 0; g < 3; ++g) {
@@ -396,11 +336,11 @@ TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossBatchWidths) {
     bool have_ref = false;
     for (DispatchLevel lvl : levels) {
       ScopedDispatch forced(lvl);
-      for (uint32_t width : {1u, 8u, 32u}) {
+      for (double density : {0.0, 0.10, 2.0}) {
         for (unsigned threads : {1u, 8u}) {
           FingerprintSink sink;
           RunOptions options;
-          options.mbet.batch_width = width;
+          options.mbet.bitmap_density = density;
           options.threads = threads;
           RunResult run;
           ASSERT_TRUE(
@@ -411,20 +351,53 @@ TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossBatchWidths) {
             have_ref = true;
           } else {
             ASSERT_EQ(sink.Digest(), ref_digest)
-                << simd::DispatchLevelName(lvl) << " batch_width " << width
-                << " threads " << threads;
+                << simd::DispatchLevelName(lvl) << " bitmap_density "
+                << density << " threads " << threads;
             ASSERT_EQ(sink.count(), ref_count);
           }
-          if (width == 1) {
-            EXPECT_EQ(run.stats.batch_kernel_calls, 0u)
-                << "batch_width 1 must take the per-candidate path";
-            EXPECT_EQ(run.stats.batch_candidates_classified, 0u);
-          } else if (threads == 1) {
-            // Graphs this size have nodes with >= 2 eligible candidates.
-            EXPECT_GT(run.stats.batch_candidates_classified, 0u)
-                << "batch_width " << width;
+          if (threads != 1) continue;
+          if (density == 0.0) {
+            // Graphs this size have nodes too narrow for the trie.
+            EXPECT_GT(run.stats.bitmap_kernel_calls, 0u)
+                << simd::DispatchLevelName(lvl)
+                << " bitmap_density 0 must take the bitmap path";
+          } else if (density > 1.0 && !kForceBitmap) {
+            EXPECT_EQ(run.stats.bitmap_kernel_calls, 0u)
+                << simd::DispatchLevelName(lvl)
+                << " bitmap_density > 1 must take the list path";
           }
         }
+      }
+    }
+  }
+}
+
+// EnumStats keeps `batch_candidates_classified` and `simd_batch_calls` for
+// readers that still expect them; no engine path may count into them any
+// more. Every level, serial and parallel, pinned and auto-tuned: both read
+// 0 in the stats the facade fills from the kernel-table snapshots.
+TEST(SimdDispatchTest, RetiredBatchCountersReadZero) {
+  const BipartiteGraph graph = gen::PowerLaw(300, 200, 1700, 0.85, 0.8, 50);
+  for (DispatchLevel lvl : AvailableLevels()) {
+    ScopedDispatch forced(lvl);
+    for (bool tune : {false, true}) {
+      for (unsigned threads : {1u, 4u}) {
+        CountSink sink;
+        RunOptions options;
+        options.mbet.bitmap_density = 0.0;
+        options.auto_tune = tune;
+        options.threads = threads;
+        RunResult run;
+        ASSERT_TRUE(
+            Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
+        ASSERT_GT(sink.count(), 0u);
+        EXPECT_EQ(run.stats.batch_candidates_classified, 0u)
+            << simd::DispatchLevelName(lvl) << " tune " << tune
+            << " threads " << threads;
+        EXPECT_EQ(run.stats.simd_batch_calls, 0u)
+            << simd::DispatchLevelName(lvl) << " tune " << tune
+            << " threads " << threads;
+        EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch), lvl);
       }
     }
   }

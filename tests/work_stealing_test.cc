@@ -48,8 +48,8 @@ TEST(TaskEncodingTest, ExhaustiveAtMaxShardsAndVertexBoundaries) {
     }
   }
   // Distinctness at the packing seams: neighboring fields never alias.
-  EXPECT_NE(EncodeTask({.v = 1, .shard = 0, .num_shards = 1}),
-            EncodeTask({.v = 0, .shard = 1, .num_shards = 1}));
+  EXPECT_NE(EncodeTask({.v = 1, .shard = 0, .num_shards = 2}),
+            EncodeTask({.v = 0, .shard = 1, .num_shards = 2}));
   EXPECT_NE(EncodeTask({.v = 0, .shard = 1, .num_shards = 2}),
             EncodeTask({.v = 0, .shard = 0, .num_shards = 2}));
 }

@@ -161,11 +161,8 @@ int main(int argc, char** argv) {
   flags.AddDouble("bitmap_density", 0.10,
                   "density threshold for bitmap-set classification "
                   "(0 = always bitmap, > 1 = never)");
-  flags.AddInt("batch_width", 16,
-               "candidates classified per batched-frontier window in MBET "
-               "(1 disables batching; max 64)");
   flags.AddBool("tune", false,
-                "auto-tune bitmap_density / batch_width / max_split from "
+                "auto-tune the engine, bitmap_density and max_split from "
                 "the graph profile, overriding those flags "
                 "(docs/TUNING.md); the decision prints under --stats");
   flags.AddBool("max-biclique", false,
@@ -220,8 +217,6 @@ int main(int argc, char** argv) {
   options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
   options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
   options.mbet.bitmap_density = flags.GetDouble("bitmap_density");
-  options.mbet.batch_width =
-      static_cast<uint32_t>(flags.GetInt("batch_width"));
   options.auto_tune = flags.GetBool("tune");
 
   // --- Run control --------------------------------------------------------
@@ -418,38 +413,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.simd_difference_calls),
                 static_cast<unsigned long long>(s.simd_mask_calls),
                 static_cast<unsigned long long>(s.simd_word_calls));
-    if (s.batch_kernel_calls > 0 || s.batch_candidates_classified > 0) {
-      // batch_kernel_calls counts one trie walk per window but one kernel
-      // call per (group, window) on the bitmap/scan paths, so it can
-      // legitimately exceed the candidate count on group-heavy nodes.
-      std::printf("  batched frontier:    %llu candidates classified, %llu "
-                  "batch kernel calls (%llu via dispatch table)\n",
-                  static_cast<unsigned long long>(
-                      s.batch_candidates_classified),
-                  static_cast<unsigned long long>(s.batch_kernel_calls),
-                  static_cast<unsigned long long>(s.simd_batch_calls));
-      // Bucket b counts windows of width in (2^(b-1), 2^b].
-      std::string hist;
-      for (int b = 0; b < 7; ++b) {
-        if (s.batch_width_histogram[b] == 0) continue;
-        if (!hist.empty()) hist += "  ";
-        hist += "<=" + std::to_string(1u << b) + ": " +
-                std::to_string(s.batch_width_histogram[b]);
-      }
-      if (!hist.empty()) {
-        std::printf("  batch width histo:   %s\n", hist.c_str());
-      }
-    }
     if (s.auto_tuned != 0) {
       std::printf("  auto-tune:           rule '%s' -> engine %s, "
-                  "bitmap_density %.3f, batch_width %llu, max_split %llu\n",
+                  "bitmap_density %.3f, max_split %llu\n",
                   TunerRuleName(static_cast<TunerRule>(s.tuner_rule)),
                   s.tuned_algorithm != 0
                       ? TunerEngineName(
                             static_cast<TunerEngine>(s.tuned_algorithm))
                       : "(pinned)",
                   static_cast<double>(s.tuned_bitmap_density_x1000) / 1000.0,
-                  static_cast<unsigned long long>(s.tuned_batch_width),
                   static_cast<unsigned long long>(s.tuned_max_split));
     }
     if (options.max_memory_bytes > 0 || s.degradations > 0 ||
