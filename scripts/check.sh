@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # check.sh — the CI gate: sanitizer build, full test suite, differential
-# fuzz smoke, and a live run-control proof.
+# fuzz smoke, a repeated run of the timing-sensitive suites, and a live
+# run-control proof.
 #
 # Configures a Debug build with AddressSanitizer + UndefinedBehaviorSanitizer,
-# builds everything, runs ctest, runs a pmbe_selfcheck smoke (which includes
+# builds everything, runs ctest, repeats the timing-sensitive suites 20
+# times alone and under -j$(nproc), runs a pmbe_selfcheck smoke (which includes
 # a budget-truncation check every round), and drives the CLI against a
 # worst-case dataset with --timeout_s 1 to prove that cooperative
 # cancellation terminates promptly and cleanly under the sanitizers. Then
@@ -55,13 +57,28 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "=== ctest ==="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+echo "=== timing leg: speed-dependent suites, 20 repeats solo and loaded ==="
+# No test result may depend on wall-clock speed. The deadline, cancel,
+# watchdog and admission suites run 20 times back to back, first alone and
+# then competing with each other for every core; any run that turns red
+# stops the leg.
+TIMING_SUITES='RunControlTest|WatchdogTest|ControlTimesBudgetTest|ServeTest|ClientTest'
+timing_start_ms=$(date +%s%3N)
+ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$TIMING_SUITES" \
+  --repeat until-fail:20
+ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$TIMING_SUITES" \
+  --repeat until-fail:20 -j "$(nproc)"
+echo "timing leg OK in $(( $(date +%s%3N) - timing_start_ms ))ms"
+
 echo "=== selfcheck smoke (differential fuzz + budget truncation) ==="
 "$BUILD_DIR/tools/pmbe_selfcheck" --rounds 25 --seed 1
 
 echo "=== run-control proof: 1s deadline on a worst-case graph ==="
-# GH is a planted-block stand-in whose full enumeration takes far longer
-# than a second even unsanitized; the run must stop on the deadline,
-# report it, and exit 0 with the valid prefix counted.
+# GH is a planted-block stand-in whose full enumeration takes longer than
+# a second even unsanitized (Release on a 4-CPU Xeon: 5.4-5.6 s at 1
+# thread, 1.45-1.59 s at 4; many times that under the sanitizers); the run
+# must stop on the deadline, report it, and exit 0 with the valid prefix
+# counted.
 for threads in 1 4; do
   start_ms=$(date +%s%3N)
   out=$("$BUILD_DIR/tools/pmbe" --dataset GH --timeout_s 1 \

@@ -1,6 +1,7 @@
 #include "core/mbet.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/bitset.h"
 #include "util/fault.h"
@@ -151,7 +152,7 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
     g.forbidden = entry.forbidden;
     lvl.groups.push_back(g);
   }
-  SortAndAggregate(&lvl);
+  Aggregate(&lvl);
   if (options_.recompute_locals) lvl.locs.clear();
   lvl.trie_built = false;
 
@@ -183,55 +184,88 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
   }
 }
 
-void MbetEnumerator::SortAndAggregate(Level* lvl) {
-  if (!options_.use_aggregation || lvl->groups.size() < 2) return;
-  // Cheap surrogate key: equal locals imply equal (size, hash), so equal
-  // groups land adjacent without any lexicographic compares. Group records
-  // are 32 bytes, so the sort moves no heap data.
-  std::sort(lvl->groups.begin(), lvl->groups.end(),
-            [lvl](const Group& a, const Group& b) {
-              if (a.forbidden != b.forbidden) return a.forbidden < b.forbidden;
-              if (a.loc_len != b.loc_len) return a.loc_len < b.loc_len;
-              if (a.loc_hash != b.loc_hash) return a.loc_hash < b.loc_hash;
-              return lvl->members[a.mem_off] < lvl->members[b.mem_off];
-            });
-  auto loc_equal = [lvl](const Group& a, const Group& b) {
-    return a.loc_len == b.loc_len && a.loc_hash == b.loc_hash &&
-           a.forbidden == b.forbidden &&
-           std::equal(lvl->locs.begin() + a.loc_off,
-                      lvl->locs.begin() + a.loc_off + a.loc_len,
-                      lvl->locs.begin() + b.loc_off);
+void MbetEnumerator::Aggregate(Level* lvl) {
+  std::vector<Group>& groups = lvl->groups;
+  const size_t n = groups.size();
+  if (!options_.use_aggregation || n < 2) return;
+  const std::vector<VertexId>& locs = lvl->locs;
+  auto same_class = [&locs](const Group& a, const Group& b) {
+    return a.loc_hash == b.loc_hash && a.forbidden == b.forbidden &&
+           a.loc_len == b.loc_len &&
+           std::equal(locs.begin() + a.loc_off,
+                      locs.begin() + a.loc_off + a.loc_len,
+                      locs.begin() + b.loc_off);
   };
-  // Collapse each run of equivalent groups in one pass: gather all member
-  // runs into fresh arena space and sort once (the old runs become dead
-  // space, reclaimed when the level is rebuilt).
-  const size_t n = lvl->groups.size();
-  size_t out = 0;
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && loc_equal(lvl->groups[i], lvl->groups[j])) ++j;
-    Group rep = lvl->groups[i];
-    if (j > i + 1) {
-      const uint32_t merged_off = static_cast<uint32_t>(lvl->members.size());
-      uint32_t total = 0;
-      for (size_t k = i; k < j; ++k) {
-        const Group& g = lvl->groups[k];
-        total += g.mem_len;
-        // Append by index: iterator-based insert from the same vector
-        // would be invalidated by reallocation.
-        for (uint32_t m = 0; m < g.mem_len; ++m) {
-          lvl->members.push_back(lvl->members[g.mem_off + m]);
-        }
+
+  // Hash pass: an open-addressing table of group index + 1 (0 = empty)
+  // with at least 2n slots. A hit is confirmed on the full local list, so
+  // every equal pair merges and no unequal pair does. A group that matches
+  // an earlier one is chained onto it right after the head.
+  EnumContext::Frame frame(&ctx_);
+  std::vector<VertexId>* slots = frame.AcquireIds();
+  const int bits = std::bit_width(2 * n - 1);
+  slots->assign(size_t{1} << bits, 0);
+  const size_t mask = slots->size() - 1;
+  for (uint32_t i = 0; i < n; ++i) {
+    Group& g = groups[i];
+    const uint64_t key = g.loc_hash ^ (g.forbidden ? ~0ULL : 0ULL);
+    size_t s = (key * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+    for (;; s = (s + 1) & mask) {
+      uint32_t& slot = (*slots)[s];
+      if (slot == 0) {
+        slot = i + 1;
+        break;
       }
-      std::sort(lvl->members.begin() + merged_off, lvl->members.end());
-      stats_.vertices_aggregated += total - rep.mem_len;
-      rep.mem_off = merged_off;
-      rep.mem_len = total;
+      Group& head = groups[slot - 1];
+      if (same_class(head, g)) {
+        g.merged = true;
+        g.next = head.next;
+        head.next = i;
+        break;
+      }
     }
-    lvl->groups[out++] = rep;
-    i = j;
   }
-  lvl->groups.resize(out);
+
+  // Compaction: each merged class's members are written once into fresh
+  // arena space (the old runs become dead space, reclaimed when the level
+  // is rebuilt), smallest member first — traversal order keys on
+  // members[mem_off]. Groups keep their first-occurrence order.
+  std::vector<VertexId>& members = lvl->members;
+  size_t out = 0;
+  for (size_t i = 0; i < n; ++i) {
+    Group g = groups[i];
+    if (g.merged) continue;
+    if (g.next != kNoGroup) {
+      const uint32_t merged_off = static_cast<uint32_t>(members.size());
+      uint32_t total = 0;
+      VertexId min_member = members[g.mem_off];
+      size_t min_pos = merged_off;
+      uint32_t min_len = g.mem_len;
+      for (uint32_t k = static_cast<uint32_t>(i); k != kNoGroup;
+           k = groups[k].next) {
+        const Group& m = groups[k];
+        // Every member list is min-first, so its head is its minimum.
+        if (members[m.mem_off] < min_member) {
+          min_member = members[m.mem_off];
+          min_pos = members.size();
+          min_len = m.mem_len;
+        }
+        // Append by index: the source run lives in the same vector.
+        for (uint32_t x = 0; x < m.mem_len; ++x) {
+          members.push_back(members[m.mem_off + x]);
+        }
+        total += m.mem_len;
+      }
+      std::swap(members[merged_off], members[min_pos]);
+      // Counted as the vertices that joined the group holding the minimum.
+      stats_.vertices_aggregated += total - min_len;
+      g.mem_off = merged_off;
+      g.mem_len = total;
+      g.next = kNoGroup;
+    }
+    groups[out++] = g;
+  }
+  groups.resize(out);
 }
 
 void MbetEnumerator::Classify(Level& lvl) {
@@ -352,7 +386,7 @@ MbetEnumerator::Level& MbetEnumerator::BuildChild(
     }
     child.groups.push_back(c);
   }
-  SortAndAggregate(&child);
+  Aggregate(&child);
   if (options_.recompute_locals) child.locs.clear();
   child.trie_built = false;
 

@@ -34,7 +34,8 @@
 ///    pass over the trie, probing shared prefixes once.
 ///  * Per-level state is arena-backed (one flat buffer for all locals, one
 ///    for all member lists); groups are plain metadata, so the hot loops
-///    never allocate and group sorting moves 32-byte records.
+///    never allocate. Equal locals are found by one hash pass per level
+///    that chains duplicate groups in place (see Aggregate).
 ///  * Each subtree's vertices are renumbered into the local universe
 ///    [0, |L0|), and nodes the trie does not take classify through
 ///    fixed-width bitmaps when their locals are dense enough
@@ -144,6 +145,8 @@ class MbetEnumerator {
   }
 
  private:
+  static constexpr uint32_t kNoGroup = ~0u;
+
   /// One candidate/forbidden equivalence class at an enumeration node.
   /// Pure metadata: the vertex data lives in the level arenas.
   struct Group {
@@ -153,7 +156,10 @@ class MbetEnumerator {
     uint32_t mem_len = 0;   ///< number of member vertices (>= 1)
     uint64_t loc_hash = 0;  ///< order-dependent hash of loc
     bool forbidden = false; ///< Q-side group
+    bool merged = false;    ///< Aggregate: chained onto an earlier group
+    uint32_t next = kNoGroup;  ///< Aggregate: next group of the class
   };
+  static_assert(sizeof(Group) == 32, "Group must stay 32 bytes");
 
   /// Reusable per-depth state (one per recursion level, reused across
   /// siblings).
@@ -207,12 +213,14 @@ class MbetEnumerator {
   Level& BuildChild(size_t depth, uint32_t traversed,
                     std::vector<VertexId>* absorbed_members);
 
-  /// Sorts `lvl`'s groups by the cheap surrogate key (forbidden, |loc|,
-  /// hash) and merges groups with equal locals and equal status. Hash
-  /// collisions only cost a missed merge, never correctness. Requires the
-  /// locs arena to be populated (also in MBETM mode, where the caller
-  /// drops the arena afterwards).
-  void SortAndAggregate(Level* lvl);
+  /// Merges `lvl`'s groups with equal locals and equal status into one
+  /// group each, in one hash pass plus one compaction pass. Hits are
+  /// confirmed on the full local lists, so every equal pair merges and no
+  /// unequal pair does. Groups keep their first-occurrence order and every
+  /// member list keeps its smallest member first (candidate traversal
+  /// order keys on it). Requires the locs arena to be populated (also in
+  /// MBETM mode, where the caller drops the arena afterwards).
+  void Aggregate(Level* lvl);
 
   /// Emits (l, r), translating `l` from subtree-local ids back to global
   /// vertex ids when the subtree is renumbered.

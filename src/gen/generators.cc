@@ -65,6 +65,17 @@ BipartiteGraph ErdosRenyi(size_t num_left, size_t num_right, double p,
   return BipartiteGraph::FromEdges(num_left, num_right, std::move(edges));
 }
 
+BipartiteGraph Crown(size_t n) {
+  std::vector<Edge> edges;
+  edges.reserve(n * n);
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (u != v) edges.push_back({u, v});
+    }
+  }
+  return BipartiteGraph::FromEdges(n, n, std::move(edges));
+}
+
 BipartiteGraph UniformEdges(size_t num_left, size_t num_right,
                             size_t num_edges, uint64_t seed) {
   const uint64_t total = static_cast<uint64_t>(num_left) * num_right;

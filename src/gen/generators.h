@@ -24,6 +24,13 @@ namespace mbe::gen {
 BipartiteGraph ErdosRenyi(size_t num_left, size_t num_right, double p,
                           uint64_t seed);
 
+/// Crown graph: K_{n,n} minus a perfect matching (u_i ~ v_j iff i != j).
+/// Every proper nonempty S ⊆ U is the left side of exactly one maximal
+/// biclique (S, {v_j : u_j ∉ S}), giving 2^n − 2 of them. At n = 40 no
+/// host enumerates them all, so a run on it is still going whenever a
+/// deadline, cancel or admission check arrives.
+BipartiteGraph Crown(size_t n);
+
 /// Uniform bipartite graph with exactly `num_edges` distinct edges sampled
 /// without replacement.
 BipartiteGraph UniformEdges(size_t num_left, size_t num_right,

@@ -24,9 +24,10 @@ namespace {
 
 BipartiteGraph MediumGraph() { return gen::ErdosRenyi(24, 24, 0.4, 7); }
 
-// Dense enough that full enumeration is far beyond any test budget —
-// exactly the situation memory caps and deadlines exist for.
-BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(60, 60, 0.5, 11); }
+// 2^40 - 2 maximal bicliques: no host finishes a full enumeration, so a
+// run on it is still going when a deadline, cancel or memory cap arrives —
+// exactly the situation those limits exist for.
+BipartiteGraph WorstCaseGraph() { return gen::Crown(40); }
 
 // Used by the fault-build sweeps only; regular builds compile it out of use.
 [[maybe_unused]] std::vector<Biclique> ReferenceSet(const BipartiteGraph& graph) {

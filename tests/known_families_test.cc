@@ -8,6 +8,7 @@
 
 #include "api/mbe.h"
 #include "core/verify.h"
+#include "gen/generators.h"
 
 namespace mbe {
 namespace {
@@ -40,24 +41,11 @@ const EngineCase kAll[] = {
     {Algorithm::kImbea},
     {Algorithm::kImbea, VertexOrder::kUnilateralAsc, true}};
 
-/// Crown graph: K_{n,n} minus a perfect matching (u_i ~ v_j iff i != j).
-/// Every proper nonempty S ⊆ U is the left side of exactly one maximal
-/// biclique (S, {v_j : u_j ∉ S}), giving 2^n − 2 of them.
-BipartiteGraph Crown(size_t n) {
-  std::vector<Edge> edges;
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = 0; v < n; ++v) {
-      if (u != v) edges.push_back({u, v});
-    }
-  }
-  return BipartiteGraph::FromEdges(n, n, edges);
-}
-
 class CrownTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CrownTest, CountIsTwoToTheNMinusTwo) {
   const size_t n = GetParam();
-  BipartiteGraph graph = Crown(n);
+  BipartiteGraph graph = gen::Crown(n);
   const uint64_t expected = (1ull << n) - 2;
   for (const EngineCase& engine : kAll) {
     EXPECT_EQ(Count(graph, engine), expected)
@@ -69,7 +57,7 @@ TEST_P(CrownTest, CountIsTwoToTheNMinusTwo) {
 // run it only on the smallest sizes.
 TEST(CrownTest, MineLmbcOnSmallCrowns) {
   for (size_t n : {2u, 3u, 4u, 6u}) {
-    EXPECT_EQ(Count(Crown(n), {Algorithm::kMineLmbc}), (1ull << n) - 2);
+    EXPECT_EQ(Count(gen::Crown(n), {Algorithm::kMineLmbc}), (1ull << n) - 2);
   }
 }
 
@@ -169,7 +157,7 @@ TEST(AlmostCompleteTest, MinusOneEdgeGivesTwo) {
 /// Crown counts also hold under every ablation configuration (exponential
 /// stress of the prefix-tree machinery specifically).
 TEST(CrownTest, AblationsSurviveExponentialFamily) {
-  BipartiteGraph graph = Crown(12);
+  BipartiteGraph graph = gen::Crown(12);
   const uint64_t expected = (1ull << 12) - 2;
   for (bool trie : {false, true}) {
     for (bool agg : {false, true}) {
@@ -187,7 +175,7 @@ TEST(CrownTest, AblationsSurviveExponentialFamily) {
 /// count is sum of binomials.
 TEST(CrownTest, SizeFiltersHaveClosedForm) {
   const size_t n = 10;
-  BipartiteGraph graph = Crown(n);
+  BipartiteGraph graph = gen::Crown(n);
   auto binom = [](uint64_t n_, uint64_t k_) {
     uint64_t r = 1;
     for (uint64_t i = 1; i <= k_; ++i) r = r * (n_ - k_ + i) / i;

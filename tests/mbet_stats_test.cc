@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/mbet.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -163,6 +166,49 @@ TEST(MbetStatsTest, SubtreePrunesAppearOnTwinHeavyGraphs) {
   engine.EnumerateAll(&sink);
   EXPECT_EQ(sink.count(), 1u);  // one maximal biclique: ({0,1}, all V)
   EXPECT_EQ(engine.stats().subtrees_pruned, 9u);
+}
+
+TEST(MbetStatsTest, TwinBlowUpLeavesSearchTreeUnchanged) {
+  // Replacing each right vertex v by t twins v*t .. v*t+t-1 changes no
+  // maximal biclique beyond its R, and every twin class must merge into one
+  // group: a missed or a wrong merge changes the search tree's node counts.
+  const BipartiteGraph base = Workload();
+  std::vector<Biclique> reference;
+  EnumStats reference_stats;
+  uint64_t prev_aggregated = 0;
+  for (VertexId t : {1u, 2u, 3u}) {
+    std::vector<Edge> edges;
+    for (const Edge& e : base.ToEdges()) {
+      for (VertexId k = 0; k < t; ++k) edges.push_back({e.u, e.v * t + k});
+    }
+    const BipartiteGraph graph =
+        BipartiteGraph::FromEdges(base.num_left(), base.num_right() * t, edges);
+    CollectSink sink;
+    MbetEnumerator engine(graph, MbetOptions{});
+    engine.EnumerateAll(&sink);
+    std::vector<Biclique> collapsed = sink.TakeSorted();
+    for (Biclique& b : collapsed) {
+      ASSERT_EQ(b.right.size() % t, 0u) << "t=" << t;
+      for (VertexId& v : b.right) v /= t;
+      b.right.erase(std::unique(b.right.begin(), b.right.end()),
+                    b.right.end());
+    }
+    std::sort(collapsed.begin(), collapsed.end());
+    const EnumStats& stats = engine.stats();
+    if (t == 1) {
+      reference = std::move(collapsed);
+      reference_stats = stats;
+    } else {
+      EXPECT_EQ(collapsed, reference) << "t=" << t;
+      EXPECT_EQ(stats.nodes_expanded, reference_stats.nodes_expanded);
+      EXPECT_EQ(stats.non_maximal, reference_stats.non_maximal);
+      EXPECT_EQ(stats.candidates_absorbed, reference_stats.candidates_absorbed);
+      EXPECT_EQ(stats.candidates_dropped, reference_stats.candidates_dropped);
+      EXPECT_GT(stats.vertices_aggregated, prev_aggregated) << "t=" << t;
+    }
+    prev_aggregated = stats.vertices_aggregated;
+  }
+  EXPECT_GT(reference.size(), 0u);
 }
 
 TEST(MbetStatsTest, EnumStatsMergeAddsFields) {

@@ -157,29 +157,12 @@ std::shared_ptr<const Engine> SmallEngine() {
   return std::move(engine).value();
 }
 
-/// Dense enough that full enumeration is far beyond any test budget —
-/// what cancel/deadline/admission tests hold a slot with.
-std::shared_ptr<const Engine> HugeEngine() {
-  auto engine =
-      Engine::Build(gen::ErdosRenyi(60, 60, 0.5, 11), GraphOptions{});
-  EXPECT_TRUE(engine.ok());
-  return std::move(engine).value();
-}
-
 /// Crown graph: K_{40,40} minus a perfect matching. It has 2^40 - 2
 /// maximal bicliques, and a full enumeration must emit every one of them,
 /// so no host finishes it within any test's deadline or before a cancel
 /// arrives: a session on it is still running whenever the test looks.
 std::shared_ptr<const Engine> EndlessEngine() {
-  constexpr VertexId kSide = 40;
-  std::vector<Edge> edges;
-  for (VertexId u = 0; u < kSide; ++u) {
-    for (VertexId v = 0; v < kSide; ++v) {
-      if (u != v) edges.push_back({u, v});
-    }
-  }
-  auto engine = Engine::Build(BipartiteGraph::FromEdges(kSide, kSide, edges),
-                              GraphOptions{});
+  auto engine = Engine::Build(gen::Crown(40), GraphOptions{});
   EXPECT_TRUE(engine.ok());
   return std::move(engine).value();
 }
@@ -198,16 +181,16 @@ void SoloReference(const std::shared_ptr<const Engine>& engine,
   *count = sink.count();
 }
 
-/// A kStartSession that keeps the pool busy long enough for the brief
-/// windows cancel/deadline/admission tests need: dense graph, thresholds
-/// high enough that (almost) nothing is emitted. The thresholds also let
-/// pruning finish the run in a few hundred ms — a test that needs a
-/// session provably alive across a longer window must enumerate in full.
+/// A kStartSession that holds a pool slot for as long as a test needs
+/// without flooding its connection. Every maximal biclique of the crown has
+/// |L| + |R| = 40, so thresholds of 21 on both sides admit none of them, yet
+/// they prune too little to end the exponential search: the session emits
+/// nothing and runs until it is cancelled.
 StartSessionMsg SlowStart(const std::string& graph) {
   StartSessionMsg start;
   start.graph = graph;
-  start.min_left = 10;
-  start.min_right = 10;
+  start.min_left = 21;
+  start.min_right = 21;
   return start;
 }
 
@@ -399,7 +382,6 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
 
   Harness h("limits");
   h.server->registry().Put("small", small);
-  h.server->registry().Put("huge", HugeEngine());
   h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
@@ -408,7 +390,7 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
   StartSessionMsg deadline;
   deadline.graph = "endless";
   deadline.deadline_seconds = 0.05;
-  StartSessionMsg budget = SlowStart("huge");
+  StartSessionMsg budget = SlowStart("endless");
   budget.max_memory_bytes = 1 << 12;  // 4 KiB: certain to be exceeded
   StartSessionMsg healthy;
   healthy.graph = "small";
@@ -519,18 +501,18 @@ TEST(ServeTest, AdmissionLimitRejectsExcessSessions) {
   options.max_active_sessions = 1;
   options.max_queued_sessions = 0;
   Harness h("admission", options);
-  h.server->registry().Put("huge", HugeEngine());
+  h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
   // First session takes the only slot...
-  ASSERT_TRUE(h.client.Send(SlowStart("huge")));
+  ASSERT_TRUE(h.client.Send(SlowStart("endless")));
   std::optional<Message> started =
       h.client.ReadUntil(MsgType::kSessionStarted);
   ASSERT_TRUE(started.has_value());
   const uint64_t id = std::get<SessionStartedMsg>(*started).session_id;
 
   // ...so the second is rejected typed, not queued invisibly.
-  ASSERT_TRUE(h.client.Send(SlowStart("huge")));
+  ASSERT_TRUE(h.client.Send(SlowStart("endless")));
   std::optional<Message> rejected = h.client.ReadUntil(MsgType::kRejected);
   ASSERT_TRUE(rejected.has_value());
   EXPECT_EQ(std::get<RejectedMsg>(*rejected).reason,
@@ -545,7 +527,7 @@ TEST(ServeTest, AdmissionLimitRejectsExcessSessions) {
 
   uint64_t second = 0;
   for (int attempt = 0; attempt < 100 && second == 0; ++attempt) {
-    ASSERT_TRUE(h.client.Send(SlowStart("huge")));
+    ASSERT_TRUE(h.client.Send(SlowStart("endless")));
     for (;;) {
       std::optional<Message> reply = h.client.Read();
       ASSERT_TRUE(reply.has_value());
@@ -619,7 +601,7 @@ TEST(ServeTest, SlowReaderStallsOnlyItsOwnConnection) {
   options.max_outbound_bytes = 1 << 16;  // overflow quickly
   Harness h("slowreader", options);
   h.server->registry().Put("small", small);
-  h.server->registry().Put("huge", HugeEngine());
+  h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
   // The slow client starts a result-heavy session and never reads a byte.
@@ -627,7 +609,7 @@ TEST(ServeTest, SlowReaderStallsOnlyItsOwnConnection) {
   ASSERT_TRUE(slow.Connect(h.server_path()));
   ASSERT_TRUE(slow.Send(HelloMsg{}));
   StartSessionMsg flood;
-  flood.graph = "huge";
+  flood.graph = "endless";
   flood.batch_results = 1;  // one frame per biclique: maximal backpressure
   ASSERT_TRUE(slow.Send(flood));
 
@@ -722,7 +704,7 @@ TEST(ServeTest, ReloadSwapsEpochWithoutDisturbingEarlierSessions) {
   options.max_active_sessions = 1;
   options.max_queued_sessions = 64;
   Harness h("reload", options);
-  h.server->registry().Put("huge", HugeEngine());
+  h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
   auto send_load = [&](const BipartiteGraph& graph, bool swap) {
@@ -744,7 +726,7 @@ TEST(ServeTest, ReloadSwapsEpochWithoutDisturbingEarlierSessions) {
 
   // The blocker occupies the only slot; the next session on "g" resolves
   // engine A now but waits in the admission queue.
-  ASSERT_TRUE(h.client.Send(SlowStart("huge")));
+  ASSERT_TRUE(h.client.Send(SlowStart("endless")));
   std::optional<Message> started =
       h.client.ReadUntil(MsgType::kSessionStarted);
   ASSERT_TRUE(started.has_value());
@@ -792,17 +774,13 @@ TEST(ServeTest, IdleTimeoutDropsOnlySessionlessConnections) {
   ServerOptions options;
   options.idle_timeout_seconds = 0.1;
   Harness h("idle", options);
-  h.server->registry().Put("huge", HugeEngine());
+  h.server->registry().Put("endless", EndlessEngine());
   h.StartAndConnect();
 
   // A connection with an in-flight session outlives the idle timeout.
-  // Full enumeration of the dense graph (no thresholds, unlike SlowStart,
-  // whose pruned run can finish inside the window) takes far longer than
-  // the silent stretch, so the connection provably holds work throughout;
-  // its batches just back up in the outbound queue and socket buffer.
-  StartSessionMsg start;
-  start.graph = "huge";
-  ASSERT_TRUE(h.client.Send(start));
+  // The SlowStart session runs until cancelled, so the connection provably
+  // holds work throughout the silent stretch.
+  ASSERT_TRUE(h.client.Send(SlowStart("endless")));
   std::optional<Message> started =
       h.client.ReadUntil(MsgType::kSessionStarted);
   ASSERT_TRUE(started.has_value());
