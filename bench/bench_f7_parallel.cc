@@ -1,11 +1,9 @@
-// F7 — parallel speedup: MBET under 1..N threads with dynamic
-// (shared-counter) vs static (pre-partitioned) vs stealing (per-worker
-// deques + subtree splitting) scheduling, plus parallel iMBEA (the ParMBE
-// stand-in). Expected shape: near-linear dynamic/stealing speedup to the
-// core count; static partitioning stalls on skewed datasets because one
-// block holds the giant subtrees; stealing additionally splits those giant
-// subtrees, which dynamic cannot (visible in the counters table and in the
-// worker busy share even when wall-clock parallelism is unavailable).
+// F7 — parallel speedup under the one scheduler (whole-subtree work
+// stealing): MBET, parallel iMBEA (the ParMBE stand-in) and BBK at
+// 1..nproc threads. Expected shape: near-linear speedup to the core count
+// while the subtree pool outweighs the heaviest subtree; on skewed
+// datasets the heaviest subtree bounds the tail (visible in the worker
+// busy share even when wall-clock parallelism is unavailable).
 
 #include <cstdio>
 #include <string>
@@ -47,33 +45,31 @@ int main(int argc, char** argv) {
   const double scale = flags.GetDouble("scale");
   const double budget = flags.GetDouble("budget");
 
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  std::vector<unsigned> thread_counts = {1, 2, 4};
-  if (hw >= 8) thread_counts.push_back(8);
-  if (hw > 8) thread_counts.push_back(hw);
+  // 1, 2, 4, ... up to the core count, and the core count itself.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<unsigned> thread_counts;
+  for (unsigned t = 1; t < hw; t *= 2) thread_counts.push_back(t);
+  thread_counts.push_back(hw);
   const unsigned max_threads = thread_counts.back();
 
-  bench::PrintBanner("F7", "parallel speedup and scheduling discipline");
+  bench::PrintBanner("F7", "parallel speedup under work stealing");
   std::vector<std::string> headers = {"dataset", "config"};
   for (unsigned t : thread_counts) headers.push_back("T=" + std::to_string(t));
   bench::Table table(headers);
   // Scheduler counters at the highest thread count: load balance is the
   // signal that survives even on machines without enough cores for
   // wall-clock speedup (busy share ~1.0 means no worker starved).
-  bench::Table counters({"dataset", "config", "steals", "splits", "flushes",
+  bench::Table counters({"dataset", "config", "steals", "flushes",
                          "busy_share"});
 
   struct Config {
     const char* label;
     Algorithm algorithm;
-    Scheduling scheduling;
   };
   const Config configs[] = {
-      {"MBET dynamic", Algorithm::kMbet, Scheduling::kDynamic},
-      {"MBET static", Algorithm::kMbet, Scheduling::kStatic},
-      {"MBET stealing", Algorithm::kMbet, Scheduling::kStealing},
-      {"ParMBE (iMBEA)", Algorithm::kImbea, Scheduling::kDynamic},
-      {"ParMBE stealing", Algorithm::kImbea, Scheduling::kStealing},
+      {"MBET", Algorithm::kMbet},
+      {"ParMBE (iMBEA)", Algorithm::kImbea},
+      {"BBK", Algorithm::kBbk},
   };
 
   std::vector<JsonRow> timing_rows;
@@ -87,7 +83,6 @@ int main(int argc, char** argv) {
         RunOptions options;
         options.algorithm = config.algorithm;
         options.threads = threads;
-        options.scheduling = config.scheduling;
         bench::RunOutcome run =
             bench::TimedRun(graph, GraphOptions(), options, budget);
         const std::string cell = bench::TimeCell(run, budget);
@@ -101,13 +96,11 @@ int main(int argc, char** argv) {
                         total > 0 ? busy / total : 1.0);
           counters.AddRow({name, config.label,
                            std::to_string(run.stats.steals),
-                           std::to_string(run.stats.split_tasks),
                            std::to_string(run.stats.sink_flushes), share});
           counter_rows.push_back(
               {{{"dataset", name},
                 {"config", config.label},
                 {"steals", std::to_string(run.stats.steals)},
-                {"splits", std::to_string(run.stats.split_tasks)},
                 {"flushes", std::to_string(run.stats.sink_flushes)},
                 {"busy_share", share}}});
         }
@@ -132,15 +125,10 @@ int main(int argc, char** argv) {
     std::fprintf(out, "{\n");
     bench::WriteJsonContext(
         out, argv[0], flag_summary,
-        "busy_share ~1.0 means no worker starved; split_tasks > 0 means "
-        "monster subtrees were sharded (fires only on datasets whose "
-        "subtree work estimate clears ParallelOptions::split_min_work). "
-        "On hosts with fewer cores than the thread count (see num_cpus), "
-        "workers time-slice and wall-clock speedup is not observable: "
-        "multi-thread timings then measure scheduling overhead only, and "
-        "the scheduler counters are the scalability signal. Stealing wall "
-        "times within ~20% of dynamic bound the runtime overhead of the "
-        "deques + splitting + buffered sinks.");
+        "One scheduler: whole-subtree work stealing. busy_share ~1.0 "
+        "means no worker starved; below it, the heaviest subtree held "
+        "the tail of the run. Thread counts run to num_cpus, so "
+        "wall-clock speedup is observable at every T recorded.");
     std::fprintf(out, ",\n  \"thread_counts\": [");
     for (size_t i = 0; i < thread_counts.size(); ++i) {
       std::fprintf(out, "%s%u", i ? ", " : "", thread_counts[i]);

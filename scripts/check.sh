@@ -59,15 +59,17 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 echo "=== timing leg: speed-dependent suites, 20 repeats solo and loaded ==="
 # No test result may depend on wall-clock speed. The deadline, cancel,
-# watchdog and admission suites run 20 times back to back, first alone and
-# then competing with each other for every core; any run that turns red
-# stops the leg.
-TIMING_SUITES='RunControlTest|WatchdogTest|ControlTimesBudgetTest|ServeTest|ClientTest'
+# watchdog, admission and checkpoint suites run 20 times back to back,
+# first alone and then competing with each other for every core; any run
+# that turns red stops the leg. Every `ctest -R` leg in this script passes
+# --no-tests=error, so a regex that matches nothing fails instead of
+# passing silently.
+TIMING_SUITES='RunControlTest|WatchdogTest|ControlTimesBudgetTest|ServeTest|ClientTest|CheckpointResumeTest'
 timing_start_ms=$(date +%s%3N)
-ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$TIMING_SUITES" \
-  --repeat until-fail:20
-ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$TIMING_SUITES" \
-  --repeat until-fail:20 -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
+  -R "$TIMING_SUITES" --repeat until-fail:20
+ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
+  -R "$TIMING_SUITES" --repeat until-fail:20 -j "$(nproc)"
 echo "timing leg OK in $(( $(date +%s%3N) - timing_start_ms ))ms"
 
 echo "=== selfcheck smoke (differential fuzz + budget truncation) ==="
@@ -131,7 +133,8 @@ echo "=== kernel-dispatch matrix: scalar pin + AVX2 compiled out ==="
 # ASan/UBSan in the ctest pass above, on the widest table the host has).
 echo "--- leg PMBE_FORCE_SCALAR=1 ($BUILD_DIR) ---"
 PMBE_FORCE_SCALAR=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -j "$(nproc)" -R 'Simd|SetOps|MembershipMask|NeighborhoodTrie|VertexSet'
+  --no-tests=error -j "$(nproc)" \
+  -R 'Simd|SetOps|MembershipMask|NeighborhoodTrie|VertexSet'
 scalar_out=$(PMBE_FORCE_SCALAR=1 "$BUILD_DIR/tools/pmbe_selfcheck" \
              --rounds 25 --seed 7)
 echo "$scalar_out" | sed 's/^/  /'
@@ -166,7 +169,7 @@ echo "kernel-dispatch matrix OK: $scalar_count bicliques in every leg"
 echo "=== tuner matrix: default + --tune, every leg count-identical ==="
 # The workload-adaptive tuner (docs/TUNING.md) must be behaviorally
 # invisible: the same bicliques with the default knobs and with the tuner
-# choosing the engine, bitmap density and split factor (--tune) — under
+# choosing the engine and bitmap density (--tune) — under
 # the sanitizers, on the scalar-pinned table, and in the AVX2-compiled-out
 # build. Reuses the builds from the legs above.
 tune_ref=""
@@ -246,8 +249,8 @@ cmake -B "$FAULT_DIR" -S . \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
 cmake --build "$FAULT_DIR" -j "$(nproc)"
-ctest --test-dir "$FAULT_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'Fault|MemoryBudget|MemoryLimit|Containment|Watchdog|ControlTimesBudget|GraphIo'
+ctest --test-dir "$FAULT_DIR" --output-on-failure --no-tests=error \
+  -j "$(nproc)" -R 'Fault|MemoryBudget|MemoryLimit|Containment|Watchdog|ControlTimesBudget|GraphIo'
 "$FAULT_DIR/tools/pmbe_selfcheck" --fault_sweep
 "$FAULT_DIR/tools/pmbe_selfcheck" --rounds 10 --seed 3 --chaos
 fault_out=$("$FAULT_DIR/tools/pmbe" --dataset GH --fault 'arena.grow:1' \
@@ -286,7 +289,7 @@ for algo in mbet mbea imbea bbk; do
           --checkpoint_path "$CKPT_DIR/ref.snap" --stats=false | digest_of)
     [[ -n "$ref" ]] || { echo "FAIL: [$tag] no reference digest" >&2; exit 1; }
     echo "  [$tag] reference digest $ref"
-    # The digest is scheduling-independent, so both thread counts of an
+    # The digest is thread-count-independent, so both thread counts of an
     # algorithm must already agree before any interruption happens.
     if [[ -n "${durable_ref[$algo]:-}" && "${durable_ref[$algo]}" != "$ref" ]]; then
       echo "FAIL: [$tag] digest differs across thread counts" >&2
@@ -503,7 +506,7 @@ rm -f "$SERVE_SOCK" "$SERVE_LOG"
 echo "serve-chaos leg OK"
 
 echo "=== memory-budget proof: capped run on a worst-case graph ==="
-# DBT at 8 threads charges ~17 MB peak (per-worker sink buffers + split
+# DBT at 8 threads charges megabytes at peak (per-worker sink buffers +
 # subtree states), so a 1 MiB cap must terminate the run (memory-limit)
 # even after degradation sheds what it can; the fault_test suite pins the
 # complementary properties (peak <= cap, no-cap digest identity).
@@ -539,8 +542,9 @@ cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target \
   work_stealing_test parallel_test run_control_test sink_test
-ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
-  -R 'TaskDeque|TaskEncoding|WorkStealing|Scheduling|Stealing|ThreadPool|ParallelEnumerate|RunControl|RunController|ControlledSink|BufferedSink|CountSink|FingerprintSink'
+ctest --test-dir "$TSAN_DIR" --output-on-failure --no-tests=error \
+  -j "$(nproc)" \
+  -R 'TaskDeque|TaskEncoding|StealingDriver|StealingDigest|StealingRunControl|ParallelEnumerate|RunControl|ControlledSink|BufferedSink|CountSink|FingerprintSink'
 echo "tsan leg OK"
 
 echo "=== all checks passed ==="

@@ -10,7 +10,6 @@
 #include "core/sink.h"
 #include "graph/bipartite_graph.h"
 #include "graph/ordering.h"
-#include "parallel/thread_pool.h"
 #include "util/status.h"
 
 /// \file

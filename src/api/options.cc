@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "parallel/work_stealing.h"
-
 namespace mbe {
 
 namespace {
@@ -106,11 +104,6 @@ util::Status RunOptions::Validate() const {
         "mbet.bitmap_density must be >= 0 (0 forces bitmaps, > 1 disables "
         "them)");
   }
-  if (max_split == 0 || max_split > kMaxTaskShards) {
-    return util::Status::InvalidArgument(
-        "max_split must be in [1, " + std::to_string(kMaxTaskShards) +
-        "] (1 disables subtree splitting)");
-  }
   if (threads > 1 && mbet.best_edges != nullptr) {
     return util::Status::InvalidArgument(
         "mbet.best_edges (branch-and-bound watermark) is unsynchronized "
@@ -137,11 +130,6 @@ util::Status RunOptions::Validate() const {
           std::string("algorithm ") + AlgorithmName(algorithm) +
           " does not support the per-vertex subtree decomposition, which "
           "checkpointing is built on");
-    }
-    if (scheduling != Scheduling::kStealing) {
-      return util::Status::InvalidArgument(
-          "checkpointing requires scheduling == kStealing (the task "
-          "frontier records the stealing scheduler's task lifecycle)");
     }
     if (!(checkpoint.every_s >= 0)) {  // negatives and NaN
       return util::Status::InvalidArgument(

@@ -7,7 +7,6 @@
 #include "core/mbet.h"
 #include "core/run_control.h"
 #include "graph/ordering.h"
-#include "parallel/thread_pool.h"
 #include "snapshot/checkpoint.h"
 #include "util/status.h"
 
@@ -41,6 +40,14 @@ enum class Algorithm {
   kImbea = 4,     ///< iMBEA (Q-set check + candidate ordering)
   kBbk = 6,       ///< pivot-free left extension, degree-ordered candidates
                   ///< (Baudin et al. 2024) — the large-sparse-graph engine
+};
+
+/// The parallel scheduler: whole-subtree work stealing
+/// (docs/PARALLELISM.md) is the only one. The enum and
+/// `RunOptions::scheduling` stay until a benchmark change stops naming
+/// them.
+enum class Scheduling {
+  kStealing,  ///< per-worker deques of whole subtrees + stealing
 };
 
 /// Parses "mbet", "mbetm", "minelmbc", "mbea", "imbea", "bbk" into
@@ -109,12 +116,8 @@ struct RunOptions {
   /// SupportsParallel(algorithm). Ignored when the session executes on a
   /// shared pool (serve/session_pool.h) — the pool brings the threads.
   unsigned threads = 1;
+  /// Always kStealing (see Scheduling).
   Scheduling scheduling = Scheduling::kStealing;
-
-  /// Maximum shards a heavy subtree is split into under kStealing (1
-  /// disables subtree splitting; ignored by the other disciplines). See
-  /// docs/PARALLELISM.md.
-  uint32_t max_split = 8;
 
   /// Ablation switches forwarded to MBET (trie / aggregation / Q pruning),
   /// plus the size thresholds min_left/min_right — stated in the caller's
@@ -123,9 +126,9 @@ struct RunOptions {
 
   /// Workload-adaptive auto-tuning (core/tuner.h, docs/TUNING.md): the
   /// session maps the engine's sampled graph profile through the tuner's
-  /// decision table and overrides `mbet.bitmap_density` and `max_split`
-  /// with its picks (the fields above keep their values; only the
-  /// effective run configuration changes).
+  /// decision table and overrides `mbet.bitmap_density` with its pick
+  /// (the fields above keep their values; only the effective run
+  /// configuration changes).
   /// The decision is recorded in EnumStats::auto_tuned / tuned_*. Results
   /// are byte-identical under any decision — the tuned knobs trade speed
   /// and memory, never output.
@@ -155,9 +158,9 @@ struct RunOptions {
   /// persisted there periodically and at drain, `checkpoint.resume` picks
   /// a previous snapshot back up (completed subtrees are never re-run),
   /// and `checkpoint.shard_index / shard_count` restrict this process to
-  /// its hash shard of the seed space for multi-process runs. Requires
-  /// Scheduling::kStealing and a parallel-capable algorithm (threads may
-  /// still be 1 — durability and parallelism are orthogonal).
+  /// its hash shard of the seed space for multi-process runs. Requires a
+  /// parallel-capable algorithm (threads may still be 1 — durability and
+  /// parallelism are orthogonal).
   snapshot::CheckpointOptions checkpoint;
 
   /// Checks the options for internal consistency: thread count, parallel

@@ -93,14 +93,6 @@ class MbetWorker : public SubtreeWorker {
   void EnumerateSubtree(VertexId v, ResultSink* sink) override {
     engine_.EnumerateSubtree(v, sink);
   }
-  uint32_t SplitHint(VertexId v, uint32_t max_shards,
-                     uint64_t min_work) override {
-    return engine_.SplitHint(v, max_shards, min_work);
-  }
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink) override {
-    engine_.EnumerateShard(v, shard, num_shards, sink);
-  }
   EnumStats stats() const override { return engine_.stats(); }
 
  private:
@@ -108,7 +100,7 @@ class MbetWorker : public SubtreeWorker {
 };
 
 /// Subtree worker over the MBEA family: plain MBEA (improved = false) and
-/// iMBEA (improved = true) share the enumerator and its shard support.
+/// iMBEA (improved = true) share the enumerator.
 class MbeaFamilyWorker : public SubtreeWorker {
  public:
   MbeaFamilyWorker(const BipartiteGraph& graph, const MbeaOptions& options,
@@ -119,22 +111,14 @@ class MbeaFamilyWorker : public SubtreeWorker {
   void EnumerateSubtree(VertexId v, ResultSink* sink) override {
     engine_.EnumerateSubtree(v, sink);
   }
-  uint32_t SplitHint(VertexId v, uint32_t max_shards,
-                     uint64_t min_work) override {
-    return engine_.SplitHint(v, max_shards, min_work);
-  }
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink) override {
-    engine_.EnumerateShard(v, shard, num_shards, sink);
-  }
   EnumStats stats() const override { return engine_.stats(); }
 
  private:
   MbeaEnumerator engine_;
 };
 
-/// Subtree worker over BBK; the engine's subtree decomposition and
-/// split-at-pickup sharding mirror the MBEA family's contract.
+/// Subtree worker over BBK; the engine's subtree decomposition mirrors the
+/// MBEA family's.
 class BbkWorker : public SubtreeWorker {
  public:
   BbkWorker(const BipartiteGraph& graph, const BbkOptions& options,
@@ -144,14 +128,6 @@ class BbkWorker : public SubtreeWorker {
   }
   void EnumerateSubtree(VertexId v, ResultSink* sink) override {
     engine_.EnumerateSubtree(v, sink);
-  }
-  uint32_t SplitHint(VertexId v, uint32_t max_shards,
-                     uint64_t min_work) override {
-    return engine_.SplitHint(v, max_shards, min_work);
-  }
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink) override {
-    engine_.EnumerateShard(v, shard, num_shards, sink);
   }
   EnumStats stats() const override { return engine_.stats(); }
 
@@ -235,7 +211,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
     std::swap(effective_mbet_.min_left, effective_mbet_.min_right);
   }
   effective_mbet_.recompute_locals = options_.algorithm == Algorithm::kMbetM;
-  effective_max_split_ = options_.max_split;
   effective_algorithm_ = options_.algorithm;
 
   // Workload-adaptive tuning: map the engine's build-time graph profile
@@ -248,7 +223,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   if (options_.auto_tune) {
     const TunerDecision tuned = Tune(engine_->profile());
     effective_mbet_.bitmap_density = tuned.bitmap_density;
-    effective_max_split_ = tuned.max_split;
     // Engine selection is honored only where MBET and BBK are
     // interchangeable: a plain enumeration query (no size thresholds, no
     // baked core reduction, no branch-and-bound watermark) whose algorithm
@@ -271,7 +245,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
       stats_.tuned_algorithm = static_cast<uint64_t>(tuned.engine);
     }
     stats_.auto_tuned = 1;
-    stats_.tuned_max_split = tuned.max_split;
     stats_.tuned_bitmap_density_x1000 =
         static_cast<uint64_t>(tuned.bitmap_density * 1000.0);
     stats_.tuner_rule = static_cast<uint64_t>(tuned.rule);
@@ -475,8 +448,7 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
                 options_.checkpoint.shard_index) {
           continue;
         }
-        frontier->AddPending(EncodeTask(
-            {.v = static_cast<VertexId>(v), .shard = 0, .num_shards = 1}));
+        frontier->AddPending(EncodeTask(static_cast<VertexId>(v)));
       }
     }
     if (!seeded.ok()) {
@@ -492,10 +464,8 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
     if (options_.threads > 1 || frontier != nullptr) {
       ParallelOptions popts;
       popts.threads = options_.threads;
-      popts.scheduling = options_.scheduling;
       popts.controller = ctrl;
       popts.budget = &budget_;
-      popts.max_split = effective_max_split_;
       popts.watchdog_stall_seconds = options_.watchdog_stall_seconds;
       popts.frontier = frontier.get();
       popts.checkpoint = options_.checkpoint;

@@ -67,11 +67,11 @@ struct RunResult {
 
   /// Durable-run accounting (checkpointing runs only; all zero otherwise).
   /// `frontier_digest` folds the completed-task result digests
-  /// (snapshot/frontier.h TaskDigest::Value): independent of threads,
-  /// scheduling, and split structure, so a resumed run and an
-  /// uninterrupted run that completed the same enumeration report the
-  /// same digest. `frontier_pending` > 0 means the run stopped early and
-  /// the snapshot file resumes it.
+  /// (snapshot/frontier.h TaskDigest::Value): independent of threads and
+  /// steal order, so a resumed run and an uninterrupted run that
+  /// completed the same enumeration report the same digest.
+  /// `frontier_pending` > 0 means the run stopped early and the snapshot
+  /// file resumes it.
   uint64_t frontier_digest = 0;
   uint64_t frontier_completed = 0;
   uint64_t frontier_pending = 0;
@@ -132,7 +132,7 @@ class Session {
   size_t task_count() const;
 
   /// True when task v is the whole graph rather than one subtree (non
-  /// subtree-decomposable algorithm; the scheduler must not split it).
+  /// subtree-decomposable algorithm).
   bool monolithic() const { return monolithic_; }
 
   /// Fresh single-threaded worker over the shared engine graph, attached
@@ -182,7 +182,6 @@ class Session {
   std::optional<ControlledSink> controlled_;
   ResultSink* run_sink_ = nullptr;
   MbetOptions effective_mbet_;  ///< thresholds swapped into engine space
-  uint32_t effective_max_split_ = 8;  ///< max_split, possibly auto-tuned
   /// The engine that actually runs. Equals options_.algorithm except when
   /// auto_tune's engine recommendation was honored (MBET ↔ BBK on
   /// plain-enumeration queries; see PrepareImpl). Drives MakeWorker, the

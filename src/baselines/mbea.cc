@@ -30,39 +30,6 @@ void MbeaEnumerator::EnumerateAll(ResultSink* sink) {
 }
 
 void MbeaEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
-  EnumerateShard(v, 0, 1, sink);
-}
-
-uint32_t MbeaEnumerator::SplitHint(VertexId v, uint32_t max_shards,
-                                   uint64_t min_work) {
-  if (max_shards <= 1) return 1;
-  bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  const uint64_t work = EstimateSubtreeWork(root_);
-  if (work < min_work) return 1;
-  uint32_t candidates = 0;
-  for (const RootEntry& entry : root_.entries) {
-    candidates += entry.forbidden ? 0 : 1;
-  }
-  // Shallow-wide subtrees are dominated by the root scan every shard
-  // re-pays; only split when the min side is deep enough to amortize it
-  // (see MbetEnumerator::SplitHint).
-  constexpr uint64_t kMinSplitSide = 16;
-  if (std::min<uint64_t>(root_.l0.size(), candidates) < kMinSplitSide) {
-    return 1;
-  }
-  // Each shard re-pays the root build; size shards to min_work so splitting
-  // never multiplies the fixed per-shard cost of a small subtree.
-  const uint64_t by_work = work / std::max<uint64_t>(1, min_work);
-  const uint64_t k = std::min<uint64_t>(
-      std::min<uint64_t>(max_shards, std::max<uint32_t>(1, candidates)),
-      by_work);
-  return static_cast<uint32_t>(std::max<uint64_t>(1, k));
-}
-
-void MbeaEnumerator::EnumerateShard(VertexId v, uint32_t shard,
-                                    uint32_t num_shards, ResultSink* sink) {
-  PMBE_DCHECK(num_shards >= 1 && shard < num_shards);
   if (Stopped(sink)) return;
   bool pruned = false;
   if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) {
@@ -80,15 +47,9 @@ void MbeaEnumerator::EnumerateShard(VertexId v, uint32_t shard,
   for (const RootEntry& entry : root_.entries) {
     (entry.forbidden ? q : cands).push_back(entry.w);
   }
-  // The subtree root biclique belongs to shard 0; every shard rebuilds the
-  // root state it expands from.
-  if (shard == 0) {
-    sink->Emit(root_.l0, r);
-    ++stats_.maximal;
-  }
-  if (!cands.empty()) {
-    Expand(root_.l0, r, cands, q, sink, shard, num_shards);
-  }
+  sink->Emit(root_.l0, r);
+  ++stats_.maximal;
+  if (!cands.empty()) Expand(root_.l0, r, cands, q, sink);
   if (ctx_.peak_bytes() > stats_.arena_peak_bytes) {
     stats_.arena_peak_bytes = ctx_.peak_bytes();
   }
@@ -97,8 +58,7 @@ void MbeaEnumerator::EnumerateShard(VertexId v, uint32_t shard,
 void MbeaEnumerator::Expand(const std::vector<VertexId>& l,
                             const std::vector<VertexId>& r,
                             const std::vector<VertexId>& cands,
-                            std::vector<VertexId>& q, ResultSink* sink,
-                            uint32_t shard, uint32_t num_shards) {
+                            std::vector<VertexId>& q, ResultSink* sink) {
   ++stats_.nodes_expanded;
   EnumContext::Frame frame(&ctx_);
 
@@ -132,16 +92,6 @@ void MbeaEnumerator::Expand(const std::vector<VertexId>& l,
   for (size_t i = 0; i < cands.size(); ++i) {
     if (Stopped(sink)) return;
     const VertexId vc = order[i];
-    if (num_shards > 1 && i % num_shards != shard) {
-      // Another shard owns this position: skip the expansion but append
-      // the candidate to Q, as the sequential loop would have by the time
-      // later positions run. (Sequentially an empty-L' candidate is not
-      // appended, but a Q vertex with N(q) ∩ L = ∅ has k = 0 < |L'| at
-      // every descendant node and is dropped from Q' in iMBEA mode, so the
-      // extra entry can never flip a maximality verdict.)
-      q.push_back(vc);
-      continue;
-    }
 
     l_mask_.Set(l);
     IntersectWithMask(graph_.RightNeighbors(vc), l_mask_, &lp);

@@ -43,16 +43,6 @@ class MbeaEnumerator {
   /// decomposition; used for parallelism).
   void EnumerateSubtree(VertexId v, ResultSink* sink);
 
-  /// Subtree splitting support for the work-stealing scheduler; same
-  /// contract as MbetEnumerator::SplitHint / EnumerateShard. Shard `shard`
-  /// traverses only top-level candidate positions `pos % num_shards ==
-  /// shard` (positions in the deterministic iMBEA traversal order) and
-  /// appends the others to Q unexpanded, which reproduces the sequential
-  /// node state; the root biclique goes to shard 0.
-  uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t min_work);
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink);
-
   const EnumStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EnumStats(); }
 
@@ -67,12 +57,9 @@ class MbeaEnumerator {
   /// the caller's frame: `cands`/`q` are consumed read-only except that
   /// traversed candidates are appended to `q` (the caller rebuilds its
   /// buffer each iteration anyway).
-  /// `shard`/`num_shards` implement top-level splitting: non-default
-  /// values only ever come from EnumerateShard's root call; recursive
-  /// calls always pass the defaults (shards own whole sub-branches).
   void Expand(const std::vector<VertexId>& l, const std::vector<VertexId>& r,
               const std::vector<VertexId>& cands, std::vector<VertexId>& q,
-              ResultSink* sink, uint32_t shard = 0, uint32_t num_shards = 1);
+              ResultSink* sink);
 
   /// Combined cooperative stop poll: run controller, then the sink chain.
   bool Stopped(ResultSink* sink) {

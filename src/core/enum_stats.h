@@ -71,13 +71,13 @@ struct EnumStats {
   uint64_t arena_peak_bytes = 0;
   /// Tasks taken from another worker's deque (Scheduling::kStealing only).
   uint64_t steals = 0;
-  /// Shard tasks produced by splitting heavy subtrees (counts every shard
-  /// of a split subtree, including the one the splitter runs itself).
+  /// Always 0: subtree splitting is gone, every task is one whole
+  /// subtree. Stays until a benchmark change stops reading it.
   uint64_t split_tasks = 0;
   /// Batched flushes performed by the per-worker BufferedSinks; together
   /// with `maximal` this gives the emissions-per-lock amortization.
   uint64_t sink_flushes = 0;
-  /// Wall time workers spent executing subtree/shard tasks, summed over
+  /// Wall time workers spent executing subtree tasks, summed over
   /// workers, in nanoseconds (parallel driver only).
   uint64_t busy_ns = 0;
   /// Wall time workers spent waiting for work (steal attempts, backoff),
@@ -89,7 +89,7 @@ struct EnumStats {
   uint64_t faults_injected = 0;
   /// Times a consumer shed a memory-hungry acceleration because the
   /// memory budget was under pressure (declined bitmap, skipped trie,
-  /// shrunken sink buffer, declined subtree split).
+  /// shrunken sink buffer).
   uint64_t degradations = 0;
   /// High-water mark of bytes charged to the run's MemoryBudget. NOT
   /// additive: merged via max (all workers charge one shared budget).
@@ -108,9 +108,8 @@ struct EnumStats {
   /// (RunOptions::auto_tune; docs/TUNING.md). NOT additive: merged via
   /// max, like the other run-level (not per-worker) fields below.
   uint64_t auto_tuned = 0;
-  /// Knobs the tuner chose (valid only when auto_tuned; bitmap_density is
-  /// stored ×1000 to stay integral). NOT additive: merged via max.
-  uint64_t tuned_max_split = 0;
+  /// Bitmap density the tuner chose (valid only when auto_tuned; stored
+  /// ×1000 to stay integral). NOT additive: merged via max.
   uint64_t tuned_bitmap_density_x1000 = 0;
   /// Decision-table row the tuner matched (core/tuner.h TunerRule numeric
   /// value; 0 = none). NOT additive: merged via max.
@@ -144,7 +143,6 @@ struct EnumStats {
       arena_peak_bytes = other.arena_peak_bytes;
     }
     steals += other.steals;
-    split_tasks += other.split_tasks;
     sink_flushes += other.sink_flushes;
     busy_ns += other.busy_ns;
     idle_ns += other.idle_ns;
@@ -157,9 +155,6 @@ struct EnumStats {
     queue_wait_ns += other.queue_wait_ns;
     checkpoints_written += other.checkpoints_written;
     if (other.auto_tuned > auto_tuned) auto_tuned = other.auto_tuned;
-    if (other.tuned_max_split > tuned_max_split) {
-      tuned_max_split = other.tuned_max_split;
-    }
     if (other.tuned_bitmap_density_x1000 > tuned_bitmap_density_x1000) {
       tuned_bitmap_density_x1000 = other.tuned_bitmap_density_x1000;
     }

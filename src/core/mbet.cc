@@ -58,47 +58,6 @@ void MbetEnumerator::EmitBiclique(std::span<const VertexId> l,
 }
 
 void MbetEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
-  EnumerateShard(v, 0, 1, sink);
-}
-
-uint32_t MbetEnumerator::SplitHint(VertexId v, uint32_t max_shards,
-                                   uint64_t min_work) {
-  if (max_shards <= 1) return 1;
-  if (graph_.RightDegree(v) < options_.min_left) return 1;
-  bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  const uint64_t work = EstimateSubtreeWork(root_);
-  if (work < min_work) return 1;
-  uint32_t candidates = 0;
-  for (const RootEntry& entry : root_.entries) {
-    candidates += entry.forbidden ? 0 : 1;
-  }
-  // Shallow-wide subtrees (small min side, long candidate list) are
-  // dominated by the depth-0 classification pass, which every shard
-  // re-pays in full — splitting them multiplies their dominant cost
-  // instead of dividing it. Only subtrees whose min side is deep enough
-  // for the per-candidate expansions to amortize the duplicated root
-  // work are worth sharding.
-  constexpr uint64_t kMinSplitSide = 16;
-  if (std::min<uint64_t>(root_.l0.size(), candidates) < kMinSplitSide) {
-    return 1;
-  }
-  // Every shard re-pays the root build, so shards must each carry at least
-  // min_work of estimated subtree work: k = work / min_work, capped by the
-  // shard limit and by the candidate count (aggregation at depth 0 can merge
-  // candidates, so the count is an upper bound; surplus shards just no-op).
-  const uint64_t by_work = work / std::max<uint64_t>(1, min_work);
-  const uint64_t k = std::min<uint64_t>(
-      std::min<uint64_t>(max_shards, std::max<uint32_t>(1, candidates)),
-      by_work);
-  return static_cast<uint32_t>(std::max<uint64_t>(1, k));
-}
-
-void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
-                                    uint32_t num_shards, ResultSink* sink) {
-  PMBE_DCHECK(num_shards >= 1 && shard < num_shards);
-  shard_ = shard;
-  num_shards_ = num_shards;
   if (Stopped(sink)) return;
   // Size filter: every biclique of this subtree has L ⊆ N(v).
   if (graph_.RightDegree(v) < options_.min_left) return;
@@ -158,9 +117,8 @@ void MbetEnumerator::EnumerateShard(VertexId v, uint32_t shard,
 
   // The subtree root biclique (N(v), {v} ∪ absorbed) is maximal by
   // construction: domination by an earlier vertex was excluded by the
-  // builder, and all dominating later vertices were absorbed. Under a
-  // split it belongs to shard 0 (every shard rebuilds this root).
-  if (shard_ == 0 && lvl.r.size() >= options_.min_right) {
+  // builder, and all dominating later vertices were absorbed.
+  if (lvl.r.size() >= options_.min_right) {
     EmitBiclique(lvl.l, lvl.r, sink);
   }
 
@@ -503,22 +461,10 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
   });
 
   std::vector<VertexId>* absorbed_members = frame.AcquireIds();
-  const bool sharded = depth == 0 && num_shards_ > 1;
 
-  uint32_t pos = 0;
   for (uint32_t idx : lvl.order) {
-    const uint32_t my_pos = pos++;
     if (Stopped(sink)) break;
     Group& g = lvl.groups[idx];
-    if (sharded && my_pos % num_shards_ != shard_) {
-      // Another shard owns this position. In the sequential order every
-      // traversed candidate ends forbidden before later positions run
-      // (see the tail of this loop), so marking it forbidden here — and
-      // enumerating nothing — leaves the node state of the positions this
-      // shard does own exactly as the sequential run would have it.
-      g.forbidden = true;
-      continue;
-    }
     const uint32_t lp_size = g.loc_len;
     if (lp_size < options_.min_left) {
       // Every biclique under g has L ⊆ loc(g), all too small. Skip the

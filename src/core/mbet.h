@@ -112,28 +112,6 @@ class MbetEnumerator {
   /// are independent, which is what the parallel driver exploits.
   void EnumerateSubtree(VertexId v, ResultSink* sink);
 
-  /// Subtree splitting support for the work-stealing scheduler. Returns
-  /// how many shards subtree(v)'s top-level candidate loop is worth
-  /// splitting into: >1 only when the subtree's estimated work
-  /// (EstimateSubtreeWork) reaches `min_work` and the subtree is deep
-  /// enough (min side >= kMinSplitSide) to amortize the root build and
-  /// depth-0 scan every shard re-pays. Shards are sized to carry at least
-  /// `min_work` each; capped at `max_shards` and the candidate count.
-  /// Builds the root once as a side effect (into the enumerator's scratch);
-  /// EnumerateShard rebuilds it, so the hint stays stateless to callers.
-  uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t min_work);
-
-  /// Enumerates shard `shard` of `num_shards` of subtree(v): the root
-  /// biclique goes to shard 0, and the depth-0 candidate loop traverses
-  /// only positions `pos % num_shards == shard`, marking the others
-  /// forbidden. That reproduces the exact sequential node state at every
-  /// traversed position (in the sequential order every traversed candidate
-  /// ends forbidden before later positions run — see Recurse), so the
-  /// multiset union over all shards equals EnumerateSubtree(v).
-  /// (shard=0, num_shards=1) is exactly EnumerateSubtree.
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink);
-
   const EnumStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EnumStats(); }
 
@@ -247,10 +225,6 @@ class MbetEnumerator {
   /// local ids are dense, so L'/loc bitmaps are a handful of words.
   /// Disabled in MBETM mode, which counts against global graph adjacency.
   bool renumber_ = false;
-  /// Active shard of the current EnumerateShard call (0 of 1 = unsplit).
-  /// Consulted only by the depth-0 traversal loop in Recurse.
-  uint32_t shard_ = 0;
-  uint32_t num_shards_ = 1;
   size_t local_universe_ = 0;          ///< |L0| of the current subtree
   std::vector<VertexId> local_id_;     ///< global left id -> local id
   std::vector<VertexId> emit_l_;       ///< local -> global translation buffer

@@ -58,10 +58,4 @@ bool SubtreeBuilder::Build(VertexId v, SubtreeRoot* root,
   return true;
 }
 
-uint64_t EstimateSubtreeWork(const SubtreeRoot& root) {
-  const uint64_t c = root.entries.size();
-  const uint64_t h = std::min<uint64_t>(root.l0.size(), c);
-  return h * c;
-}
-
 }  // namespace mbe

@@ -74,11 +74,6 @@ class SubtreeBuilder {
   MembershipMask l_mask_;
 };
 
-/// Estimated work of subtree(v): the standard `min(|L0|, |C0|) * |C0|`
-/// node-count proxy used for load-aware scheduling decisions. Returns 0
-/// for empty subtrees. Cheap: degree lookups plus one two-hop scan.
-uint64_t EstimateSubtreeWork(const SubtreeRoot& root);
-
 }  // namespace mbe
 
 #endif  // PMBE_CORE_SUBTREE_H_

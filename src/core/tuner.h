@@ -8,11 +8,10 @@
 /// \file
 /// Workload-adaptive auto-tuner (docs/TUNING.md).
 ///
-/// The enumeration knobs that matter for throughput — the engine, the
-/// bitmap density threshold, and the subtree split factor — have
-/// workload-dependent sweet spots: dense graphs want aggressive bitmaps
-/// (their locals fill words), skewed graphs want finer splitting (a few
-/// hub subtrees carry most of the work), tiny graphs want none of the
+/// The enumeration knobs that matter for throughput — the engine and the
+/// bitmap density threshold — have workload-dependent sweet spots: dense
+/// graphs want aggressive bitmaps (their locals fill words), hub-dominated
+/// graphs want BBK's root-clipped locals, tiny graphs want none of the
 /// machinery. Instead of
 /// hand-setting them per dataset, `ProfileGraph` samples cheap statistics
 /// of the built graph once (O(edges) worst case, sampled well below that)
@@ -83,7 +82,6 @@ const char* TunerEngineName(TunerEngine engine);
 /// RunOptions; defaults equal the untuned defaults.
 struct TunerDecision {
   double bitmap_density = 0.10;
-  uint32_t max_split = 8;
   TunerRule rule = TunerRule::kNone;
   /// Which engine the profile's regime favors (docs/TUNING.md). Advisory:
   /// the session only honors it for plain-enumeration queries where the

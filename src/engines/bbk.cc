@@ -17,37 +17,8 @@ BbkEnumerator::BbkEnumerator(const BipartiteGraph& graph,
 void BbkEnumerator::EnumerateAll(ResultSink* sink) {
   for (size_t v = 0; v < graph_.num_right(); ++v) {
     if (Stopped(sink)) return;
-    EnumerateShard(static_cast<VertexId>(v), 0, 1, sink);
+    EnumerateSubtree(static_cast<VertexId>(v), sink);
   }
-}
-
-void BbkEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
-  EnumerateShard(v, 0, 1, sink);
-}
-
-uint32_t BbkEnumerator::SplitHint(VertexId v, uint32_t max_shards,
-                                  uint64_t min_work) {
-  if (max_shards <= 1) return 1;
-  bool pruned = false;
-  if (!builder_.Build(v, &root_, &root_absorbed_, &pruned)) return 1;
-  const uint64_t work = EstimateSubtreeWork(root_);
-  if (work < min_work) return 1;
-  uint32_t candidates = 0;
-  for (const RootEntry& entry : root_.entries) {
-    candidates += entry.forbidden ? 0 : 1;
-  }
-  // Shallow-wide subtrees are dominated by the root build every shard
-  // re-pays; only split when the min side is deep enough to amortize it
-  // (same reasoning as MbetEnumerator::SplitHint).
-  constexpr uint64_t kMinSplitSide = 16;
-  if (std::min<uint64_t>(root_.l0.size(), candidates) < kMinSplitSide) {
-    return 1;
-  }
-  const uint64_t by_work = work / std::max<uint64_t>(1, min_work);
-  const uint64_t k = std::min<uint64_t>(
-      std::min<uint64_t>(max_shards, std::max<uint32_t>(1, candidates)),
-      by_work);
-  return static_cast<uint32_t>(std::max<uint64_t>(1, k));
 }
 
 bool BbkEnumerator::BuildRootState(VertexId v, bool* pruned) {
@@ -100,9 +71,7 @@ bool BbkEnumerator::BuildRootState(VertexId v, bool* pruned) {
   return true;
 }
 
-void BbkEnumerator::EnumerateShard(VertexId v, uint32_t shard,
-                                   uint32_t num_shards, ResultSink* sink) {
-  PMBE_DCHECK(num_shards >= 1 && shard < num_shards);
+void BbkEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
   if (Stopped(sink)) return;
   bool pruned = false;
   if (!BuildRootState(v, &pruned)) {
@@ -123,12 +92,8 @@ void BbkEnumerator::EnumerateShard(VertexId v, uint32_t shard,
   std::vector<VertexId>& q = *frame.AcquireIds();
   q.assign(forbidden_.begin(), forbidden_.end());
 
-  // The subtree root biclique belongs to shard 0; every shard rebuilds the
-  // root state it expands from.
-  if (shard == 0) {
-    sink->Emit(root_.l0, r);
-    ++stats_.maximal;
-  }
+  sink->Emit(root_.l0, r);
+  ++stats_.maximal;
   if (!cands.empty()) {
     // Root L = the full local universe.
     std::vector<VertexId>& l = *frame.AcquireIds();
@@ -142,7 +107,7 @@ void BbkEnumerator::EnumerateShard(VertexId v, uint32_t shard,
       ++stats_.bitmap_conversions;
       l_words = words;
     }
-    Expand(l, l_words, r, cands, q, sink, shard, num_shards);
+    Expand(l, l_words, r, cands, q, sink);
   }
   if (ctx_.peak_bytes() > stats_.arena_peak_bytes) {
     stats_.arena_peak_bytes = ctx_.peak_bytes();
@@ -153,8 +118,7 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
                            std::span<const uint64_t> l_words,
                            const std::vector<VertexId>& r,
                            const std::vector<VertexId>& cands,
-                           std::vector<VertexId>& q, ResultSink* sink,
-                           uint32_t shard, uint32_t num_shards) {
+                           std::vector<VertexId>& q, ResultSink* sink) {
   ++stats_.nodes_expanded;
   EnumContext::Frame frame(&ctx_);
   std::vector<VertexId>& lp = *frame.AcquireIds();
@@ -174,16 +138,6 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
   for (size_t i = 0; i < cands.size(); ++i) {
     if (Stopped(sink)) return;
     const uint32_t vc = cands[i];
-    if (num_shards > 1 && i % num_shards != shard) {
-      // Another shard owns this position: skip the expansion but append
-      // the candidate to Q, as the sequential loop would have by the time
-      // later positions run. (Sequentially an empty-L' candidate is not
-      // appended, but a Q entry with loc0 ∩ L' = ∅ has k = 0 < |L'| at
-      // every descendant node and is dropped from Q' below, so the extra
-      // entry can never flip a maximality verdict.)
-      q.push_back(vc);
-      continue;
-    }
 
     // L' = loc0(vc) ∩ L over the renumbered local universe, answered by
     // whichever representation the parent carries.

@@ -45,11 +45,7 @@
 /// bitmaps and caps the run like every other engine.
 ///
 /// Parallel support mirrors MbeaEnumerator: the per-vertex subtree
-/// decomposition (EnumerateSubtree), split-at-pickup sharding
-/// (SplitHint / EnumerateShard) where a shard walks only top-level
-/// positions `pos % num_shards == shard` of the fixed root order and
-/// appends the skipped candidates to Q — reproducing the sequential node
-/// state, so shards are digest-equivalent to the unsplit subtree.
+/// decomposition (EnumerateSubtree), one whole subtree per task.
 
 namespace mbe {
 
@@ -72,12 +68,6 @@ class BbkEnumerator {
 
   /// Enumerates bicliques whose minimum right vertex is `v`.
   void EnumerateSubtree(VertexId v, ResultSink* sink);
-
-  /// Subtree splitting support for the work-stealing scheduler; same
-  /// contract as MbetEnumerator::SplitHint / EnumerateShard.
-  uint32_t SplitHint(VertexId v, uint32_t max_shards, uint64_t min_work);
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink);
 
   const EnumStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EnumStats(); }
@@ -103,13 +93,12 @@ class BbkEnumerator {
   /// One node expansion. `l`/`l_words` are the node's L in the local
   /// universe (the bitmap is empty when the density policy kept the list
   /// alone); `cands` and `q` hold entry indices. Traversed candidates are
-  /// appended to `q`. `shard`/`num_shards` implement top-level splitting:
-  /// non-default values only ever come from EnumerateShard's root call.
+  /// appended to `q`.
   void Expand(const std::vector<VertexId>& l,
               std::span<const uint64_t> l_words,
               const std::vector<VertexId>& r,
               const std::vector<VertexId>& cands, std::vector<VertexId>& q,
-              ResultSink* sink, uint32_t shard = 0, uint32_t num_shards = 1);
+              ResultSink* sink);
 
   /// Combined cooperative stop poll: run controller, then the sink chain.
   bool Stopped(ResultSink* sink) {

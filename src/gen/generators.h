@@ -78,7 +78,7 @@ BipartiteGraph BlockCommunity(size_t num_left, size_t num_right,
 /// ascending right order, every maximal biclique containing the hub lands
 /// in subtree(0), so one subtree carries nearly all enumeration work while
 /// the tail provides many tiny subtrees — the worst case for static
-/// partitioning and the showcase for work stealing with subtree splitting.
+/// partitioning and for any scheduler that cannot break up one subtree.
 ///
 /// Sides: num_left = block_left + tail_left,
 ///        num_right = 1 + block_right + tail_right (hub is right id 0).

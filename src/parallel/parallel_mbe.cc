@@ -27,12 +27,15 @@ uint64_t NowNs() {
           .count());
 }
 
-/// First-failure containment shared by the drivers. An exception escaping
+/// First-failure containment of the driver. An exception escaping
 /// a worker task or a sink flush lands here: with a controller it becomes
 /// Termination::kInternal (message preserved, fleet drains cooperatively);
 /// without one the first exception is rethrown to the caller after the
 /// join, so it is never swallowed and never crosses a thread boundary raw.
 struct FailureLatch {
+  explicit FailureLatch(RunController* run_controller)
+      : controller(run_controller) {}
+
   RunController* controller;
   std::atomic<bool> failed{false};
   std::mutex mu;
@@ -85,27 +88,31 @@ class TaskDigestSink : public ResultSink {
   snapshot::TaskDigest digest_;
 };
 
-/// Per-worker state of the stealing scheduler. The deque is shared (thieves
-/// touch it); everything else is owner-private until the final join.
+/// Per-worker state of the scheduler. The deque is shared (thieves touch
+/// it); everything else is owner-private until the final join.
 struct StealWorkerState {
   TaskDeque deque;
   uint64_t steals = 0;
-  uint64_t split_tasks = 0;
   uint64_t busy_ns = 0;
   uint64_t idle_ns = 0;
 };
 
-/// The kStealing scheduler: per-worker Chase–Lev deques seeded with the
-/// subtree tasks heaviest-last (so each owner starts on its heaviest seed
-/// while thieves drain light tails), randomized victim selection with
-/// yield/sleep backoff, and split-at-pickup for heavy subtrees.
-EnumStats RunWorkStealing(const BipartiteGraph& graph,
-                          const WorkerFactory& factory,
-                          const ParallelOptions& options, ResultSink* sink) {
+}  // namespace
+
+/// The scheduler: per-worker Chase–Lev deques seeded with whole-subtree
+/// tasks heaviest-last (so each owner starts on its heaviest seed while
+/// thieves drain light tails), and randomized victim selection with
+/// yield/sleep backoff.
+EnumStats ParallelEnumerate(const BipartiteGraph& graph,
+                            const WorkerFactory& factory,
+                            const ParallelOptions& options, ResultSink* sink) {
+  PMBE_CHECK(sink != nullptr);
+  // A frontier-driven run goes on even on an empty graph, so that a
+  // trivially complete run still writes its final snapshot.
+  if (options.frontier == nullptr && graph.num_right() == 0) {
+    return EnumStats{};
+  }
   const uint64_t n = graph.num_right();
-  const uint32_t max_split =
-      std::min<uint32_t>(std::max<uint32_t>(1, options.max_split),
-                         kMaxTaskShards);
   RunController* controller = options.controller;
   snapshot::TaskFrontier* frontier = options.frontier;
 
@@ -116,25 +123,23 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
   // right-degree ascending. Each worker's seeds are pushed lightest-first,
   // so the owner (LIFO at the bottom) starts on its heaviest subtree while
   // thieves (FIFO at the top) take the light tail. Degree is the cheap
-  // seeding proxy; the accurate EstimateSubtreeWork needs the built root
-  // and is what SplitHint uses at pickup.
+  // seeding proxy: the subtree's real size is unknown until its root is
+  // built.
   std::vector<uint64_t> seeds;
   if (frontier != nullptr) {
     seeds = frontier->PendingTasks();
   } else {
     seeds.reserve(n);
     for (uint64_t v = 0; v < n; ++v) {
-      seeds.push_back(EncodeTask(
-          {.v = static_cast<VertexId>(v), .shard = 0, .num_shards = 1}));
+      seeds.push_back(EncodeTask(static_cast<VertexId>(v)));
     }
   }
   std::stable_sort(seeds.begin(), seeds.end(), [&](uint64_t a, uint64_t b) {
-    return graph.RightDegree(DecodeTask(a).v) <
-           graph.RightDegree(DecodeTask(b).v);
+    return graph.RightDegree(TaskVertex(a)) <
+           graph.RightDegree(TaskVertex(b));
   });
 
-  // No point spinning more workers than there are seed tasks (splits can
-  // add tasks later, but a resumed tail is typically short-lived anyway).
+  // No point spinning more workers than there are seed tasks.
   const uint64_t num_tasks = seeds.size();
   const unsigned workers = static_cast<unsigned>(std::min<uint64_t>(
       std::max(1u, options.threads), std::max<uint64_t>(1, num_tasks)));
@@ -143,16 +148,11 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
     states[rank % workers].deque.Push(seeds[rank]);
   }
 
-  // Outstanding tasks across all deques and in-flight executions. A split
-  // turns one task into k, so the splitter adds k-1. Workers drain until
-  // this reaches zero (or the controller trips).
+  // Outstanding tasks across all deques and in-flight executions. Workers
+  // drain until this reaches zero (or the controller trips).
   std::atomic<uint64_t> remaining{num_tasks};
-  // Workers currently hunting for work. Any starving thief lowers the
-  // split bar for everyone, so busy workers break up mid-sized subtrees
-  // they would otherwise run whole.
-  std::atomic<unsigned> idle_workers{0};
 
-  FailureLatch failure{controller};
+  FailureLatch failure(controller);
 
   // Watchdog heartbeats: ns timestamp of each worker's last sign of life
   // (task pickup or steal-loop round). 0 = not started yet,
@@ -172,8 +172,7 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
     heartbeats[w].store(NowNs(), std::memory_order_relaxed);
     try {
       engines[w] = factory();
-      buffers[w] = std::make_unique<BufferedSink>(
-          sink, options.sink_buffer_results, options.sink_buffer_bytes);
+      buffers[w] = std::make_unique<BufferedSink>(sink);
     } catch (const std::exception& e) {
       failure.Record(e.what());
     } catch (...) {
@@ -200,7 +199,6 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
     };
 
     auto run_task = [&](uint64_t word) {
-      StealTask task = DecodeTask(word);
       heartbeats[w].store(NowNs(), std::memory_order_relaxed);
       if (!stopped()) {
         if (frontier != nullptr) digest_sink.Reset();
@@ -214,43 +212,11 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
           if (PMBE_FAULT("worker.stall")) {
             std::this_thread::sleep_for(std::chrono::milliseconds(200));
           }
-          if (task.num_shards == 1 && max_split > 1) {
-            if (util::CurrentMemoryBudget().UnderPressure()) {
-              // Degrade: decline the split — every shard re-pays the
-              // subtree's root build, multiplying live state.
-              util::CurrentMemoryBudget().NoteDegradation();
-            } else {
-              // Split at pickup: unconditionally above the configured work
-              // bar, and at a quarter of it while any thief is starving.
-              const uint64_t bar =
-                  idle_workers.load(std::memory_order_relaxed) > 0
-                      ? std::max<uint64_t>(1, options.split_min_work / 4)
-                      : options.split_min_work;
-              const uint32_t k = engine->SplitHint(task.v, max_split, bar);
-              if (k > 1) {
-                PMBE_DCHECK(k <= max_split);
-                // Record the split before any shard is visible to a
-                // thief: the shard words must be live in the frontier
-                // before a thief can steal and complete one.
-                if (frontier != nullptr) frontier->RecordSplit(word, k);
-                for (uint32_t s = k; s-- > 1;) {
-                  // Push high shards first so the owner resumes on shard 1
-                  // and thieves take the later shards.
-                  st.deque.Push(
-                      EncodeTask({.v = task.v, .shard = s, .num_shards = k}));
-                }
-                remaining.fetch_add(k - 1, std::memory_order_relaxed);
-                ++st.split_tasks;
-                task.num_shards = k;
-              }
-            }
-          }
           const uint64_t t0 = NowNs();
-          engine->EnumerateShard(task.v, task.shard, task.num_shards,
-                                 task_sink);
+          engine->EnumerateSubtree(TaskVertex(word), task_sink);
           st.busy_ns += NowNs() - t0;
           if (frontier != nullptr && !stopped() && !task_sink->ShouldStop()) {
-            // The shard ran to its end: commit its digest, exactly once.
+            // The subtree ran to its end: commit its digest, exactly once.
             // A stopped or truncated task stays live and re-runs in full
             // on resume — its digest was never committed, so nothing
             // counts twice.
@@ -264,7 +230,7 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
             // tasks. A throwing flush lands in the catch below, so the
             // task stays live and re-runs in full on resume.
             buffered->Flush();
-            frontier->MarkCompleted(EncodeTask(task), digest_sink.digest());
+            frontier->MarkCompleted(word, digest_sink.digest());
           }
         } catch (const std::exception& e) {
           failure.Record(e.what());
@@ -273,7 +239,7 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
         }
       }
       // Count down even when the stop flag skipped the enumeration: the
-      // drain invariant is "every seeded or split task is retired once".
+      // drain invariant is "every seeded task is retired once".
       remaining.fetch_sub(1, std::memory_order_acq_rel);
     };
 
@@ -288,7 +254,6 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
       // Own deque empty: hunt for work. Thieves sweep random victims,
       // backing off from yield to a short sleep as sweeps keep failing.
       const uint64_t idle_start = NowNs();
-      idle_workers.fetch_add(1, std::memory_order_relaxed);
       bool got = false;
       unsigned failed_sweeps = 0;
       while (!stopped() &&
@@ -312,7 +277,6 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
       }
-      idle_workers.fetch_sub(1, std::memory_order_relaxed);
       st.idle_ns += NowNs() - idle_start;
       if (!got) break;
       ++st.steals;
@@ -453,7 +417,6 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
     if (engines[w]) merged.MergeFrom(engines[w]->stats());
     if (buffers[w]) merged.sink_flushes += buffers[w]->flushes();
     merged.steals += states[w].steals;
-    merged.split_tasks += states[w].split_tasks;
     merged.busy_ns += states[w].busy_ns;
     merged.idle_ns += states[w].idle_ns;
   }
@@ -461,94 +424,6 @@ EnumStats RunWorkStealing(const BipartiteGraph& graph,
   merged.checkpoints_written =
       checkpoints_written.load(std::memory_order_relaxed);
   return merged;
-}
-
-/// The flat per-vertex loop (kDynamic / kStatic) via ThreadPool.
-EnumStats RunThreadPool(const BipartiteGraph& graph,
-                        const WorkerFactory& factory,
-                        const ParallelOptions& options, ResultSink* sink) {
-  ThreadPool pool(options.threads);
-  const unsigned workers = pool.threads();
-
-  // One engine and one sink buffer per worker slot. Ownership invariant:
-  // engines[w] / buffers[w] are written and used only by the single pool
-  // thread running with worker_id == w (ThreadPool passes each thread a
-  // distinct id), and read here only after ParallelFor's join — which
-  // orders those accesses, so no lock is needed.
-  std::vector<std::unique_ptr<SubtreeWorker>> engines(workers);
-  std::vector<std::unique_ptr<BufferedSink>> buffers(workers);
-  FailureLatch failure{options.controller};
-
-  pool.ParallelFor(
-      graph.num_right(), options.scheduling,
-      [&](uint64_t v, unsigned worker_id) {
-        // Attribute this task's allocations to the run's budget (pool
-        // threads carry no binding; the store/restore pair is two
-        // thread-local writes per subtree, noise next to the subtree).
-        util::ScopedBudgetBinding budget_binding(options.budget);
-        // Drain the remaining index space without enumerating once any
-        // worker trips the shared stop flag or fails.
-        if ((options.controller != nullptr &&
-             options.controller->stop_requested()) ||
-            failure.failed.load(std::memory_order_acquire)) {
-          return;
-        }
-        try {
-          if (PMBE_FAULT("worker.task")) {
-            throw util::FaultError("injected fault: worker.task");
-          }
-          SubtreeWorker* engine = engines[worker_id].get();
-          if (engine == nullptr) {
-            engines[worker_id] = factory();
-            buffers[worker_id] = std::make_unique<BufferedSink>(
-                sink, options.sink_buffer_results, options.sink_buffer_bytes);
-            engine = engines[worker_id].get();
-          }
-          engine->EnumerateSubtree(static_cast<VertexId>(v),
-                                   buffers[worker_id].get());
-        } catch (const std::exception& e) {
-          failure.Record(e.what());
-        } catch (...) {
-          failure.Record("unknown exception in worker task");
-        }
-      });
-
-  EnumStats merged;
-  for (unsigned w = 0; w < workers; ++w) {
-    if (buffers[w]) {
-      try {
-        buffers[w]->Flush();
-      } catch (const std::exception& e) {
-        failure.Record(e.what());
-      } catch (...) {
-        failure.Record("unknown exception flushing worker sink");
-      }
-      merged.sink_flushes += buffers[w]->flushes();
-    }
-    if (engines[w]) merged.MergeFrom(engines[w]->stats());
-  }
-  failure.MaybeRethrow();
-  return merged;
-}
-
-}  // namespace
-
-EnumStats ParallelEnumerate(const BipartiteGraph& graph,
-                            const WorkerFactory& factory,
-                            const ParallelOptions& options, ResultSink* sink) {
-  PMBE_CHECK(sink != nullptr);
-  // Frontier-driven runs always take the stealing path (the frontier
-  // records the task lifecycle the deques implement; options.Validate
-  // enforces kStealing at the API layer) and skip the empty-graph early
-  // return so even a trivially complete run writes its final snapshot.
-  if (options.frontier != nullptr) {
-    return RunWorkStealing(graph, factory, options, sink);
-  }
-  if (graph.num_right() == 0) return EnumStats{};
-  if (options.scheduling == Scheduling::kStealing) {
-    return RunWorkStealing(graph, factory, options, sink);
-  }
-  return RunThreadPool(graph, factory, options, sink);
 }
 
 }  // namespace mbe

@@ -9,20 +9,17 @@
 #include "util/common.h"
 
 /// \file
-/// The work-stealing substrate of the parallel driver
-/// (Scheduling::kStealing): per-worker Chase–Lev deques holding encoded
-/// subtree tasks, plus the task encoding shared with the scheduler in
-/// parallel_mbe.cc.
+/// The work-stealing substrate of the parallel driver: per-worker
+/// Chase–Lev deques holding encoded subtree tasks, plus the task encoding
+/// shared with the scheduler in parallel_mbe.cc and the durable frontier.
 ///
-/// Why not the shared-counter loop? The per-vertex subtree decomposition
-/// is heavily skewed on real bipartite graphs: one hub subtree can hold
-/// most of the enumeration work, and whichever worker claims it serializes
-/// the tail of the run while every other worker idles. Work stealing fixes
-/// the *distribution* half of that problem (idle workers take queued tasks
-/// from busy ones); intra-subtree task splitting (SubtreeWorker::
-/// EnumerateShard, see parallel_mbe.h) fixes the *granularity* half by
-/// sharding a heavy subtree's top-level candidate loop into independently
-/// executable tasks.
+/// Why stealing? The per-vertex subtree decomposition is heavily skewed on
+/// real bipartite graphs: a few hub subtrees hold much of the enumeration
+/// work. Seeding every worker's deque heaviest-first and letting idle
+/// workers take queued subtrees from busy ones keeps the fleet fed without
+/// a shared counter every claim contends on. Every task is one whole
+/// subtree; the driver never splits a subtree (docs/PARALLELISM.md
+/// records the measurements behind that).
 ///
 /// The deque is the Chase–Lev design in the formulation of Lê et al.,
 /// "Correct and Efficient Work-Stealing for Weak Memory Models" (PPoPP
@@ -34,44 +31,37 @@
 
 namespace mbe {
 
-/// One unit of enumeration work, encoded into a single 64-bit word so the
-/// deque slots can be lock-free std::atomic<uint64_t>:
+/// One unit of enumeration work — the whole subtree of seed vertex v —
+/// encoded into a single 64-bit word so the deque slots can be lock-free
+/// std::atomic<uint64_t>:
 ///   bits [32, 64): subtree seed vertex v
-///   bits [16, 32): shard index within the subtree's split
-///   bits [ 0, 16): total shards of the split (1 = unsplit subtree)
-struct StealTask {
-  VertexId v = 0;
-  uint32_t shard = 0;
-  uint32_t num_shards = 1;
-};
-
-inline constexpr uint32_t kMaxTaskShards = 0xffff;
-
-constexpr uint64_t EncodeTask(const StealTask& task) {
-  PMBE_DCHECK(task.num_shards >= 1 && task.num_shards <= kMaxTaskShards);
-  PMBE_DCHECK(task.shard < task.num_shards);
-  return (static_cast<uint64_t>(task.v) << 32) |
-         (static_cast<uint64_t>(task.shard & 0xffff) << 16) |
-         static_cast<uint64_t>(task.num_shards & 0xffff);
+///   bits [16, 32): shard index, always 0
+///   bits [ 0, 16): shard count, always 1
+/// The shard bits are left over from subtree splitting, which the driver
+/// no longer does. They stay because snapshot files (snapshot/frontier.h)
+/// store task words verbatim: keeping the packing lets every snapshot an
+/// earlier unsplit run wrote resume unchanged, while a word with other
+/// shard bits is recognizable — and refused — at restore.
+constexpr uint64_t EncodeTask(VertexId v) {
+  return (static_cast<uint64_t>(v) << 32) | 1;
 }
 
-constexpr StealTask DecodeTask(uint64_t word) {
-  StealTask task;
-  task.v = static_cast<VertexId>(word >> 32);
-  task.shard = static_cast<uint32_t>((word >> 16) & 0xffff);
-  task.num_shards = static_cast<uint32_t>(word & 0xffff);
-  return task;
+constexpr VertexId TaskVertex(uint64_t word) {
+  return static_cast<VertexId>(word >> 32);
 }
 
-// The frontier snapshot file format (snapshot/frontier.h) persists these
-// words verbatim, so the 32/16/16 packing is an on-disk contract now, not
-// just an in-memory convenience. Pin it.
-static_assert(EncodeTask({.v = 0xdeadbeefu, .shard = 0x1234u,
-                          .num_shards = 0xffffu}) == 0xdeadbeef1234ffffULL,
+/// True when `word` is a whole-subtree task (shard 0 of 1).
+constexpr bool IsSubtreeTask(uint64_t word) {
+  return (word & 0xffffffffULL) == 1;
+}
+
+// The frontier snapshot file format persists these words verbatim, so
+// the packing is an on-disk contract. Pin it.
+static_assert(EncodeTask(0xdeadbeefu) == 0xdeadbeef00000001ULL,
               "task packing must stay v:[32,64) shard:[16,32) k:[0,16)");
-static_assert(DecodeTask(0xdeadbeef1234ffffULL).v == 0xdeadbeefu &&
-                  DecodeTask(0xdeadbeef1234ffffULL).shard == 0x1234u &&
-                  DecodeTask(0xdeadbeef1234ffffULL).num_shards == 0xffffu,
+static_assert(TaskVertex(0xdeadbeef00000001ULL) == 0xdeadbeefu &&
+                  IsSubtreeTask(0xdeadbeef00000001ULL) &&
+                  !IsSubtreeTask(0xdeadbeef00010002ULL),
               "task unpacking must invert the packing bit-exactly");
 
 /// Chase–Lev work-stealing deque of encoded tasks.
@@ -105,8 +95,7 @@ class TaskDeque {
   /// retries elsewhere; spurious failure is part of the protocol).
   bool Steal(uint64_t* task);
 
-  /// Approximate size; safe from any thread (used for split heuristics
-  /// and stats only).
+  /// Approximate size; safe from any thread (diagnostics only).
   size_t SizeEstimate() const;
 
  private:

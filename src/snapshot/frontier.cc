@@ -29,11 +29,31 @@ uint64_t Fnv1a(std::span<const uint8_t> bytes) {
 }
 
 /// A task word is well-formed iff its shard coordinates are: at least one
-/// shard, shard index within bounds. (num_shards occupies 16 bits, so the
-/// kMaxTaskShards bound is structural.)
+/// shard, shard index within bounds. Version 1 of the format also carries
+/// the shard words of split subtrees (shard s of k > 1) that earlier
+/// writers produced; they decode, and Restore refuses them
+/// (parallel/work_stealing.h).
 bool ValidTaskWord(uint64_t word) {
-  const StealTask task = DecodeTask(word);
-  return task.num_shards >= 1 && task.shard < task.num_shards;
+  const uint32_t shard = static_cast<uint32_t>((word >> 16) & 0xffff);
+  const uint32_t num_shards = static_cast<uint32_t>(word & 0xffff);
+  return num_shards >= 1 && shard < num_shards;
+}
+
+/// The vertex range check and the whole-subtree check Restore applies to
+/// every task word of a snapshot.
+util::Status CheckRestorableTask(uint64_t word, uint64_t graph_right) {
+  if (!IsSubtreeTask(word)) {
+    return util::Status::InvalidArgument(
+        "snapshot holds a split-subtree task (shard " +
+        std::to_string((word >> 16) & 0xffff) + " of " +
+        std::to_string(word & 0xffff) +
+        "); this version runs whole subtrees only and cannot resume it");
+  }
+  if (TaskVertex(word) >= graph_right) {
+    return util::Status::InvalidArgument(
+        "snapshot task references a vertex beyond the graph");
+  }
+  return util::Status::Ok();
 }
 
 /// Little-endian writer/reader mirroring serve/wire.cc. Kept local: the
@@ -290,7 +310,7 @@ TaskFrontier::TaskFrontier(uint8_t algorithm, uint32_t shard_index,
 }
 
 void TaskFrontier::AddPending(uint64_t task) {
-  PMBE_CHECK(ValidTaskWord(task));
+  PMBE_CHECK(IsSubtreeTask(task));
   std::lock_guard<std::mutex> lock(mu_);
   PMBE_CHECK(completed_.find(task) == completed_.end());
   PMBE_CHECK(live_.insert(task).second);
@@ -317,20 +337,16 @@ util::Status TaskFrontier::Restore(const FrontierSnapshot& snap) {
   }
   // The codec only validates task words structurally; the seed-vertex
   // range check needs the graph, so it lives here. Completed tasks get
-  // the same check: they never re-run, but their words feed the merged
-  // digest and shard-merge bookkeeping, so an out-of-range word is just
-  // as corrupt.
+  // the same checks: they never re-run, but their words feed the merged
+  // digest and shard-merge bookkeeping. A split-subtree word in either
+  // section refuses the whole snapshot, before any state changes: its
+  // sibling shards cannot be run by a driver that only runs whole
+  // subtrees, and resuming the rest would be a partial resume.
   for (uint64_t word : snap.pending) {
-    if (DecodeTask(word).v >= graph_right_) {
-      return util::Status::InvalidArgument(
-          "snapshot task references a vertex beyond the graph");
-    }
+    PMBE_RETURN_IF_ERROR(CheckRestorableTask(word, graph_right_));
   }
   for (const CompletedTask& c : snap.completed) {
-    if (DecodeTask(c.task).v >= graph_right_) {
-      return util::Status::InvalidArgument(
-          "snapshot task references a vertex beyond the graph");
-    }
+    PMBE_RETURN_IF_ERROR(CheckRestorableTask(c.task, graph_right_));
   }
   std::lock_guard<std::mutex> lock(mu_);
   live_.clear();
@@ -340,19 +356,6 @@ util::Status TaskFrontier::Restore(const FrontierSnapshot& snap) {
     completed_.emplace(c.task, c.digest);
   }
   return util::Status::Ok();
-}
-
-void TaskFrontier::RecordSplit(uint64_t parent, uint32_t k) {
-  const StealTask task = DecodeTask(parent);
-  PMBE_CHECK(task.num_shards == 1 && k >= 2 && k <= kMaxTaskShards);
-  std::lock_guard<std::mutex> lock(mu_);
-  PMBE_CHECK(live_.erase(parent) == 1);
-  for (uint32_t s = 0; s < k; ++s) {
-    PMBE_CHECK(live_
-                   .insert(EncodeTask(
-                       {.v = task.v, .shard = s, .num_shards = k}))
-                   .second);
-  }
 }
 
 void TaskFrontier::MarkCompleted(uint64_t task, const TaskDigest& digest) {

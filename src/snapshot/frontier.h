@@ -17,31 +17,30 @@
 /// parallel driver's outstanding work (docs/CHECKPOINT.md).
 ///
 /// The unit of parallel work is already an independently re-runnable
-/// subtree task — the encoded `(v, shard, num_shards)` word of
-/// parallel/work_stealing.h. Before this module that frontier lived only
-/// in volatile deque slots: a crash lost the whole run. `TaskFrontier`
-/// tracks every task's lifecycle outside the deques:
+/// subtree task — the encoded task word of parallel/work_stealing.h.
+/// Before this module that frontier lived only in volatile deque slots: a
+/// crash lost the whole run. `TaskFrontier` tracks every task's lifecycle
+/// outside the deques:
 ///
-///  * **live** — seeded or produced by a split, not yet finished. Live
-///    tasks include in-flight ones: a snapshot taken while a task is
-///    executing records it live, and a resumed run re-executes it from
-///    scratch (its digest was never committed, so nothing is counted
-///    twice).
+///  * **live** — seeded, not yet finished. Live tasks include in-flight
+///    ones: a snapshot taken while a task is executing records it live,
+///    and a resumed run re-executes it from scratch (its digest was never
+///    committed, so nothing is counted twice).
 ///  * **completed** — finished exactly once, with an order-independent
 ///    result digest `(sum, xor, count)` over the task's emitted bicliques
 ///    (the same commutative accumulators as core/sink.h FingerprintSink).
 ///
 /// Because every emitted biclique belongs to exactly one completed task
 /// and the accumulators are commutative, the fold over all completed-task
-/// digests is independent of thread count, scheduling, steal order, and —
-/// crucially — of how subtrees were split into shards. Two runs (or a run
-/// resumed across N crashes, or N process shards merged) that completed
-/// the same enumeration produce bit-identical merged digests. That is the
-/// restart-correctness proof scripts/check.sh exercises.
+/// digests is independent of thread count, steal order, and process
+/// sharding. Two runs (or a run resumed across N crashes, or N process
+/// shards merged) that completed the same enumeration produce
+/// bit-identical merged digests. That is the restart-correctness proof
+/// scripts/check.sh exercises.
 ///
-/// Every transition (seed, split, complete) is atomic under one mutex, so
-/// a snapshot taken at ANY moment is consistent: each task is either live
-/// or completed, never both, never lost. No global quiescence is needed —
+/// Every transition (seed, complete) is atomic under one mutex, so a
+/// snapshot taken at ANY moment is consistent: each task is either live or
+/// completed, never both, never lost. No global quiescence is needed —
 /// "quiescent-point" checkpoints only mean each individual transition is
 /// quiescent.
 ///
@@ -104,8 +103,8 @@ struct CompletedTask {
 /// snapshot file.
 struct FrontierSnapshot {
   /// mbe::Algorithm numeric value of the enumerating engine. A snapshot
-  /// only resumes onto the same algorithm — shard semantics are an
-  /// engine contract.
+  /// only resumes onto the same algorithm — per-task digests are an
+  /// engine's output.
   uint8_t algorithm = 0;
 
   /// True when the run drained every task (pending is empty). A complete
@@ -132,8 +131,8 @@ struct FrontierSnapshot {
   /// Completed-task log, strictly ascending by task word.
   std::vector<CompletedTask> completed;
 
-  /// Fold of all completed-task digests (split-structure independent; see
-  /// file comment).
+  /// Fold of all completed-task digests (schedule independent; see file
+  /// comment).
   TaskDigest MergedDigest() const {
     TaskDigest d;
     for (const CompletedTask& c : completed) d.Merge(c.digest);
@@ -181,22 +180,18 @@ class TaskFrontier {
   TaskFrontier(const TaskFrontier&) = delete;
   TaskFrontier& operator=(const TaskFrontier&) = delete;
 
-  /// Seeds one live task. Aborts on an invalid word or a duplicate
-  /// (seeding is driver setup, not untrusted input).
+  /// Seeds one live whole-subtree task. Aborts on any other word or a
+  /// duplicate (seeding is driver setup, not untrusted input).
   void AddPending(uint64_t task);
 
   /// Replaces the frontier's state with a decoded snapshot: pending tasks
   /// become live, the completed log is preloaded so finished subtrees are
   /// never re-run and their digests count exactly once. Fails with
-  /// InvalidArgument when the snapshot's header does not match this
-  /// frontier (different algorithm, shard coordinates, or graph).
+  /// InvalidArgument, leaving the frontier untouched, when the snapshot's
+  /// header does not match this frontier (different algorithm, shard
+  /// coordinates, or graph) or when any task word is not a whole subtree
+  /// in range (a split-subtree word from an earlier writer).
   util::Status Restore(const FrontierSnapshot& snap);
-
-  /// Atomically replaces live task `parent` (an unsplit word) with its
-  /// `k` shard words. The split and the shard tasks' existence are one
-  /// transition: no snapshot can see the parent gone but the shards
-  /// missing.
-  void RecordSplit(uint64_t parent, uint32_t k);
 
   /// Retires live task `task` with its result digest. Aborts if the task
   /// is not live (every task completes exactly once).

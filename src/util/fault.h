@@ -56,7 +56,7 @@ inline constexpr const char* kFaultPoints[] = {
     "trie.build",    // prefix-tree construction at an enumeration node
     "sink.buffer",   // BufferedSink batch-arena growth
     "sink.flush",    // BufferedSink handing a batch downstream (throws)
-    "worker.task",   // parallel worker starting a subtree/shard (throws)
+    "worker.task",   // parallel worker starting a subtree (throws)
     "worker.stall",  // parallel worker pausing mid-pipeline (sleeps)
     "loader.line",   // graph_io reading one input line
     // Network path (src/serve/net.h faulting socket shim; client + server).

@@ -58,10 +58,8 @@ MemoryTracker& GlobalMemoryTracker();
 ///  * past the **soft fraction** of the cap, `UnderPressure()` turns true
 ///    and the degradable consumers shed memory-hungry accelerations:
 ///    the adaptive set layer stays on sorted lists instead of bitmaps,
-///    nodes skip building tries, sink buffers flush at a fraction of
-///    their thresholds, and the stealing scheduler stops splitting
-///    subtrees (splits multiply live root states). Degradations change
-///    performance, never results.
+///    nodes skip building tries, and sink buffers flush at a fraction of
+///    their thresholds. Degradations change performance, never results.
 ///  * past the **hard cap**, `TryCharge` declines — the charge is rolled
 ///    back, `exhausted()` latches, and the run's controller converts the
 ///    next poll into `Termination::kMemoryLimit` with the valid prefix of

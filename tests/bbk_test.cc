@@ -85,42 +85,6 @@ TEST(BbkEngineTest, SetLayerConfigsAreOutputInvariant) {
   EXPECT_EQ(lists.stats().bitmap_conversions, 0u);
 }
 
-TEST(BbkEngineTest, ShardUnionEqualsWholeSubtree) {
-  // Split-at-pickup: for every subtree and shard count, the union of the
-  // shards' emissions must be digest-identical to the unsplit subtree.
-  // (Skipped candidates are appended to Q; a Q entry with an empty clipped
-  // local can never flip a maximality verdict, so over-approximating Q on
-  // the non-owned positions is safe — this is the property under test.)
-  const BipartiteGraph graph = gen::HubBlock(50, 35, 50, 100, 0.4, 0.03, 21);
-  BbkEnumerator engine(graph);
-  for (VertexId v = 0; v < graph.num_right(); ++v) {
-    FingerprintSink whole;
-    engine.EnumerateSubtree(v, &whole);
-    for (uint32_t num_shards : {2u, 3u, 8u}) {
-      FingerprintSink split;
-      for (uint32_t shard = 0; shard < num_shards; ++shard) {
-        engine.EnumerateShard(v, shard, num_shards, &split);
-      }
-      EXPECT_EQ(split.Digest(), whole.Digest())
-          << "v=" << v << " shards=" << num_shards;
-      EXPECT_EQ(split.count(), whole.count());
-    }
-  }
-}
-
-TEST(BbkEngineTest, SplitHintRespectsBounds) {
-  const BipartiteGraph graph = gen::HubBlock(50, 35, 50, 100, 0.4, 0.03, 21);
-  BbkEnumerator engine(graph);
-  for (VertexId v = 0; v < graph.num_right(); ++v) {
-    const uint32_t k = engine.SplitHint(v, /*max_shards=*/8, /*min_work=*/1);
-    EXPECT_GE(k, 1u);
-    EXPECT_LE(k, 8u);
-    EXPECT_EQ(engine.SplitHint(v, /*max_shards=*/1, /*min_work=*/1), 1u);
-    // An enormous work floor suppresses splitting entirely.
-    EXPECT_EQ(engine.SplitHint(v, 8, /*min_work=*/~0ull), 1u);
-  }
-}
-
 TEST(BbkEngineTest, EmptyAndDegenerateGraphs) {
   const BipartiteGraph none;
   BbkEnumerator empty(none);

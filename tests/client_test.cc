@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -243,10 +244,16 @@ TEST(ClientTest, ConnectRefusedRetriesThenFails) {
 // deadline instead.
 TEST(ClientTest, SilentServerTimesOutInsteadOfHanging) {
   const std::string path = SocketPath("silent");
-  ScriptedServer server(path, {[](RawConn& conn) {
+  // The peer stays silent until the client has given up: a latch, not a
+  // nap, so the server outlasts the client's deadline on any host. The
+  // bounded wait only keeps a hung client from wedging the script thread
+  // too (ctest's timeout reports that failure).
+  std::promise<void> client_done;
+  std::shared_future<void> client_gave_up = client_done.get_future().share();
+  ScriptedServer server(path, {[client_gave_up](RawConn& conn) {
     // Accept, read the hello, answer nothing — a wedged peer.
     conn.Read();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    client_gave_up.wait_for(std::chrono::seconds(60));
   }});
   ClientOptions options = FastOptions(path);
   options.io_timeout_seconds = 0.2;
@@ -257,8 +264,9 @@ TEST(ClientTest, SilentServerTimesOutInsteadOfHanging) {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  client_done.set_value();
   EXPECT_EQ(client.last_error(), ErrorKind::kTimeout);
-  EXPECT_LT(elapsed, 1.0);  // deadline'd, not the script's 1.5s nap
+  EXPECT_LT(elapsed, 1.0);  // deadline'd, not waiting on the silent peer
 }
 
 TEST(ClientTest, EndToEndEnumerateVerifiesDigest) {
@@ -456,9 +464,12 @@ TEST(ClientTest, WrongDigestIsTerminalAndUndelivered) {
 // the net shim).
 TEST(ClientTest, PeerCloseDuringLargeWriteIsConnectionLostNotSigpipe) {
   const std::string path = SocketPath("sigpipe");
-  ScriptedServer server(path, {[](RawConn& conn) {
+  std::promise<void> peer_closed;
+  ScriptedServer server(path, {[&peer_closed](RawConn& conn) {
     ASSERT_TRUE(conn.Greet());
     // Close immediately; the client's big upload lands on a dead socket.
+    shutdown(conn.fd, SHUT_RDWR);
+    peer_closed.set_value();
   }});
   ClientOptions options = FastOptions(path);
   options.max_retries = 0;
@@ -475,7 +486,9 @@ TEST(ClientTest, PeerCloseDuringLargeWriteIsConnectionLostNotSigpipe) {
     load.edge_left.push_back(i);
     load.edge_right.push_back(i % 2);
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Upload only once the peer is gone (a latch, not a timed nap).
+  ASSERT_EQ(peer_closed.get_future().wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
   auto reply = client.LoadGraph(load);
   EXPECT_FALSE(reply.ok());
   EXPECT_TRUE(client.last_error() == ErrorKind::kConnectionLost ||

@@ -239,24 +239,19 @@ TEST(CrossCheckTest, PlantedBicliquesAreFound) {
   }
 }
 
-// --- Parallel drivers produce identical results ---------------------------
+// --- The parallel driver produces identical results -----------------------
 
-TEST(ParallelTest, ThreadsAndSchedulingDoNotChangeResults) {
+TEST(ParallelTest, ThreadsDoNotChangeResults) {
   BipartiteGraph graph = gen::PowerLaw(250, 180, 1500, 0.85, 0.8, 99);
   const std::vector<Biclique> reference = RunEnum(graph, RunOptions());
 
   for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kImbea}) {
     for (unsigned threads : {2u, 4u, 8u}) {
-      for (Scheduling scheduling : {Scheduling::kDynamic, Scheduling::kStatic,
-                                    Scheduling::kStealing}) {
-        RunOptions options;
-        options.algorithm = algorithm;
-        options.threads = threads;
-        options.scheduling = scheduling;
-        EXPECT_EQ(DiffResultSets(reference, RunEnum(graph, options)), "")
-            << AlgorithmName(algorithm) << " threads=" << threads << " "
-            << SchedulingName(scheduling);
-      }
+      RunOptions options;
+      options.algorithm = algorithm;
+      options.threads = threads;
+      EXPECT_EQ(DiffResultSets(reference, RunEnum(graph, options)), "")
+          << AlgorithmName(algorithm) << " threads=" << threads;
     }
   }
 }

@@ -1,82 +1,22 @@
-// Unit tests for the thread pool and the parallel enumeration driver.
+// Unit tests for the parallel enumeration driver: scheduling (every seeded
+// subtree runs exactly once), stats merging and run control.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
-#include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/mbe.h"
 #include "core/mbet.h"
 #include "gen/generators.h"
 #include "parallel/parallel_mbe.h"
-#include "parallel/thread_pool.h"
+#include "snapshot/frontier.h"
 
 namespace mbe {
 namespace {
-
-class ThreadPoolTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, Scheduling>> {};
-
-TEST_P(ThreadPoolTest, EveryIndexRunsExactlyOnce) {
-  const auto [threads, scheduling] = GetParam();
-  ThreadPool pool(threads);
-  constexpr uint64_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.ParallelFor(kN, scheduling, [&](uint64_t i, unsigned worker) {
-    ASSERT_LT(worker, pool.threads());
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (uint64_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, ThreadPoolTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 4u, 7u),
-                       ::testing::Values(Scheduling::kDynamic,
-                                         Scheduling::kStatic,
-                                         // Degrades to kDynamic for index
-                                         // loops (see thread_pool.h).
-                                         Scheduling::kStealing)));
-
-TEST(ThreadPoolBasicTest, ZeroIterationsIsNoop) {
-  ThreadPool pool(4);
-  bool ran = false;
-  pool.ParallelFor(0, Scheduling::kDynamic,
-                   [&](uint64_t, unsigned) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolBasicTest, ClampsToAtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.threads(), 1u);
-}
-
-TEST(ThreadPoolBasicTest, MoreThreadsThanWork) {
-  ThreadPool pool(16);
-  std::atomic<int> count{0};
-  pool.ParallelFor(3, Scheduling::kDynamic,
-                   [&](uint64_t, unsigned) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolBasicTest, StaticBlocksAreContiguousPerWorker) {
-  ThreadPool pool(3);
-  std::mutex mu;
-  std::vector<std::vector<uint64_t>> by_worker(3);
-  pool.ParallelFor(30, Scheduling::kStatic, [&](uint64_t i, unsigned w) {
-    std::lock_guard<std::mutex> lock(mu);
-    by_worker[w].push_back(i);
-  });
-  for (const auto& indices : by_worker) {
-    for (size_t k = 1; k < indices.size(); ++k) {
-      EXPECT_EQ(indices[k], indices[k - 1] + 1) << "non-contiguous block";
-    }
-  }
-}
 
 // --- ParallelEnumerate --------------------------------------------------------
 
@@ -138,94 +78,34 @@ TEST(ParallelEnumerateTest, EmptyGraph) {
   EXPECT_EQ(stats.maximal, 0u);
 }
 
-// Split-capable worker: forwards the full SubtreeWorker surface to an
-// MbetEnumerator (mirrors the api-layer adapter).
-class SplittingWorker : public SubtreeWorker {
- public:
-  explicit SplittingWorker(const BipartiteGraph& graph)
-      : engine_(graph, MbetOptions{}) {}
-  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
+TEST(WorkStealingDriverTest, HeavySubtreeRunsWholeAndMatchesSerial) {
+  // Hub graphs: subtree(0) holds nearly all work, plus a light tail. The
+  // hub subtree runs whole on one worker while the others steal the tail,
+  // so every counter matches the serial run exactly.
+  for (const BipartiteGraph& graph :
+       {gen::HubBlock(/*block_left=*/60, /*block_right=*/40,
+                      /*tail_left=*/60, /*tail_right=*/120, /*p_in=*/0.4,
+                      /*p_tail=*/0.02, 7),
+        gen::HubBlock(40, 30, 40, 60, 0.4, 0.03, 8)}) {
+    CountSink serial_sink;
+    MbetEnumerator serial(graph, MbetOptions{});
+    serial.EnumerateAll(&serial_sink);
+    ASSERT_GT(serial_sink.count(), 100u);
+
+    ParallelOptions options;
+    options.threads = 8;
+    CountSink sink;
+    EnumStats merged = ParallelEnumerate(
+        graph, [&graph]() { return std::make_unique<CountingWorker>(graph); },
+        options, &sink);
+
+    EXPECT_EQ(sink.count(), serial_sink.count());
+    EXPECT_EQ(merged.maximal, serial.stats().maximal);
+    EXPECT_EQ(merged.nodes_expanded, serial.stats().nodes_expanded);
+    EXPECT_EQ(merged.split_tasks, 0u);
+    EXPECT_GT(merged.sink_flushes, 0u);
+    EXPECT_GT(merged.busy_ns, 0u);
   }
-  uint32_t SplitHint(VertexId v, uint32_t max_shards,
-                     uint64_t min_work) override {
-    return engine_.SplitHint(v, max_shards, min_work);
-  }
-  void EnumerateShard(VertexId v, uint32_t shard, uint32_t num_shards,
-                      ResultSink* sink) override {
-    engine_.EnumerateShard(v, shard, num_shards, sink);
-  }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  MbetEnumerator engine_;
-};
-
-TEST(WorkStealingDriverTest, SplitsHeavySubtreeAndMatchesSerial) {
-  // Hub graph: subtree(0) holds nearly all work, plus a light tail.
-  BipartiteGraph graph = gen::HubBlock(/*block_left=*/60, /*block_right=*/40,
-                                       /*tail_left=*/60, /*tail_right=*/120,
-                                       /*p_in=*/0.4, /*p_tail=*/0.02, 7);
-  CountSink serial_sink;
-  MbetEnumerator serial(graph, MbetOptions{});
-  serial.EnumerateAll(&serial_sink);
-  ASSERT_GT(serial_sink.count(), 100u);
-
-  ParallelOptions options;
-  options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
-  options.split_min_work = 64;  // low bar so the hub subtree surely splits
-  CountSink sink;
-  EnumStats merged = ParallelEnumerate(
-      graph,
-      [&graph]() { return std::make_unique<SplittingWorker>(graph); },
-      options, &sink);
-
-  EXPECT_EQ(sink.count(), serial_sink.count());
-  EXPECT_EQ(merged.maximal, serial.stats().maximal);
-  EXPECT_GT(merged.split_tasks, 0u) << "hub subtree was never split";
-  EXPECT_GT(merged.sink_flushes, 0u);
-  EXPECT_GT(merged.busy_ns, 0u);
-}
-
-TEST(WorkStealingDriverTest, SplitDisabledStillMatchesSerial) {
-  BipartiteGraph graph = gen::HubBlock(40, 30, 40, 60, 0.4, 0.03, 8);
-  CountSink serial_sink;
-  MbetEnumerator serial(graph, MbetOptions{});
-  serial.EnumerateAll(&serial_sink);
-
-  ParallelOptions options;
-  options.threads = 4;
-  options.scheduling = Scheduling::kStealing;
-  options.max_split = 1;  // stealing without splitting
-  CountSink sink;
-  EnumStats merged = ParallelEnumerate(
-      graph,
-      [&graph]() { return std::make_unique<SplittingWorker>(graph); },
-      options, &sink);
-  EXPECT_EQ(sink.count(), serial_sink.count());
-  EXPECT_EQ(merged.split_tasks, 0u);
-}
-
-TEST(WorkStealingDriverTest, DefaultWorkerWithoutSplitSupport) {
-  // CountingWorker inherits the SplitHint=1 default: the scheduler must
-  // run every subtree whole and still match the serial result.
-  BipartiteGraph graph = gen::PowerLaw(150, 100, 900, 0.85, 0.8, 46);
-  CountSink serial_sink;
-  MbetEnumerator serial(graph, MbetOptions{});
-  serial.EnumerateAll(&serial_sink);
-
-  ParallelOptions options;
-  options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
-  options.split_min_work = 1;  // an eager bar, but the worker can't split
-  CountSink sink;
-  EnumStats merged = ParallelEnumerate(
-      graph, [&graph]() { return std::make_unique<CountingWorker>(graph); },
-      options, &sink);
-  EXPECT_EQ(sink.count(), serial_sink.count());
-  EXPECT_EQ(merged.split_tasks, 0u);
-  EXPECT_EQ(merged.nodes_expanded, serial.stats().nodes_expanded);
 }
 
 TEST(WorkStealingDriverTest, SingleThreadStealingMatchesSerial) {
@@ -236,12 +116,9 @@ TEST(WorkStealingDriverTest, SingleThreadStealingMatchesSerial) {
 
   ParallelOptions options;
   options.threads = 1;
-  options.scheduling = Scheduling::kStealing;
-  options.split_min_work = 32;
   CountSink sink;
   EnumStats merged = ParallelEnumerate(
-      graph,
-      [&graph]() { return std::make_unique<SplittingWorker>(graph); },
+      graph, [&graph]() { return std::make_unique<CountingWorker>(graph); },
       options, &sink);
   EXPECT_EQ(sink.count(), serial_sink.count());
   EXPECT_EQ(merged.steals, 0u) << "one worker has nobody to steal from";
@@ -269,6 +146,184 @@ TEST(ParallelEnumerateTest, StopRequestHaltsWorkers) {
   EXPECT_EQ(controller.termination(), Termination::kBudget);
   EXPECT_EQ(inner.count(), 100u);
   EXPECT_LT(inner.count(), full);
+}
+
+// --- Scheduling: every seeded subtree runs exactly once ----------------------
+
+/// Records which subtrees the driver hands out, without enumerating them:
+/// the scheduling properties below are independent of the engine.
+class RecordingWorker : public SubtreeWorker {
+ public:
+  RecordingWorker(std::vector<std::atomic<int>>* hits,
+                  std::vector<VertexId>* order = nullptr,
+                  VertexId throw_at = kInvalidVertex)
+      : hits_(hits), order_(order), throw_at_(throw_at) {}
+  void EnumerateSubtree(VertexId v, ResultSink*) override {
+    if (v == throw_at_) throw std::runtime_error("worker failure");
+    (*hits_)[v].fetch_add(1, std::memory_order_relaxed);
+    if (order_ != nullptr) order_->push_back(v);  // single-worker runs only
+  }
+  EnumStats stats() const override { return EnumStats{}; }
+
+ private:
+  std::vector<std::atomic<int>>* hits_;
+  std::vector<VertexId>* order_;
+  VertexId throw_at_;
+};
+
+/// Runs the driver over `graph` with recording workers; returns the
+/// number of workers the factory built.
+int RecordRun(const BipartiteGraph& graph, unsigned threads,
+              std::vector<std::atomic<int>>* hits,
+              snapshot::TaskFrontier* frontier = nullptr) {
+  std::atomic<int> created{0};
+  ParallelOptions options;
+  options.threads = threads;
+  options.frontier = frontier;
+  CountSink sink;
+  ParallelEnumerate(
+      graph,
+      [&]() {
+        created.fetch_add(1);
+        return std::make_unique<RecordingWorker>(hits);
+      },
+      options, &sink);
+  return created.load();
+}
+
+enum class SeedShape { kUniform, kSkewed, kEdgeless };
+
+BipartiteGraph GraphOfShape(SeedShape shape) {
+  constexpr size_t kRoots = 3000;
+  switch (shape) {
+    case SeedShape::kUniform:
+      return gen::ErdosRenyi(40, kRoots, 0.01, 51);
+    case SeedShape::kSkewed:
+      return gen::PowerLaw(200, kRoots, 6000, 0.8, 1.2, 52);
+    case SeedShape::kEdgeless:
+      return BipartiteGraph::FromEdges(5, kRoots, {});
+  }
+  return BipartiteGraph();
+}
+
+std::string StealingDriverCaseName(
+    const ::testing::TestParamInfo<std::tuple<unsigned, SeedShape>>& info) {
+  static const char* const kShapes[] = {"Uniform", "Skewed", "Edgeless"};
+  return "T" + std::to_string(std::get<0>(info.param)) + "_" +
+         kShapes[static_cast<int>(std::get<1>(info.param))];
+}
+
+class StealingDriverTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, SeedShape>> {};
+
+TEST_P(StealingDriverTest, EveryRootRunsExactlyOnce) {
+  const auto [threads, shape] = GetParam();
+  const BipartiteGraph graph = GraphOfShape(shape);
+  std::vector<std::atomic<int>> hits(graph.num_right());
+  const int created = RecordRun(graph, threads, &hits);
+  EXPECT_GE(created, 1);
+  EXPECT_LE(created, static_cast<int>(threads));
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    EXPECT_EQ(hits[v].load(), 1) << "subtree " << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, StealingDriverTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 7u),
+                       ::testing::Values(SeedShape::kUniform,
+                                         SeedShape::kSkewed,
+                                         SeedShape::kEdgeless)),
+    StealingDriverCaseName);
+
+TEST(StealingDriverBasicTest, ZeroRootsBuildsNoWorker) {
+  const BipartiteGraph graph = BipartiteGraph::FromEdges(7, 0, {});
+  std::vector<std::atomic<int>> hits(1);
+  EXPECT_EQ(RecordRun(graph, 4, &hits), 0);
+  EXPECT_EQ(hits[0].load(), 0);
+}
+
+TEST(StealingDriverBasicTest, ClampsToAtLeastOneThread) {
+  const BipartiteGraph graph = gen::ErdosRenyi(20, 50, 0.2, 53);
+  std::vector<std::atomic<int>> hits(graph.num_right());
+  EXPECT_EQ(RecordRun(graph, /*threads=*/0, &hits), 1);
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    EXPECT_EQ(hits[v].load(), 1) << "subtree " << v;
+  }
+}
+
+TEST(StealingDriverBasicTest, MoreThreadsThanWork) {
+  // Three seed tasks: the driver builds at most one worker per task.
+  const BipartiteGraph graph =
+      BipartiteGraph::FromEdges(2, 3, {{0, 0}, {0, 1}, {1, 1}, {1, 2}});
+  std::vector<std::atomic<int>> hits(graph.num_right());
+  const int created = RecordRun(graph, /*threads=*/16, &hits);
+  EXPECT_GE(created, 1);
+  EXPECT_LE(created, 3);
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    EXPECT_EQ(hits[v].load(), 1) << "subtree " << v;
+  }
+}
+
+TEST(StealingDriverBasicTest, SingleWorkerRunsHeaviestSeedFirst) {
+  // One worker owns every seed and pops its deque LIFO; seeds are pushed
+  // right-degree ascending, so it runs them degree-descending.
+  const BipartiteGraph graph = gen::PowerLaw(100, 400, 1500, 0.8, 1.0, 54);
+  std::vector<std::atomic<int>> hits(graph.num_right());
+  std::vector<VertexId> order;
+  ParallelOptions options;
+  options.threads = 1;
+  CountSink sink;
+  ParallelEnumerate(
+      graph,
+      [&]() { return std::make_unique<RecordingWorker>(&hits, &order); },
+      options, &sink);
+  ASSERT_EQ(order.size(), graph.num_right());
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_GE(graph.RightDegree(order[i - 1]), graph.RightDegree(order[i]))
+        << "position " << i;
+  }
+  EXPECT_EQ(graph.RightDegree(order.front()), graph.MaxRightDegree());
+}
+
+TEST(StealingDriverBasicTest, FrontierSeedsOnlyItsPendingTasks) {
+  // A durable run takes its seeds from the frontier, not the right side:
+  // subtrees absent from it (completed earlier, or another process
+  // shard's) never run, and every seeded one completes exactly once.
+  const BipartiteGraph graph = gen::ErdosRenyi(30, 200, 0.1, 55);
+  snapshot::TaskFrontier frontier(/*algorithm=*/0, 0, 1, graph);
+  for (VertexId v = 0; v < graph.num_right(); v += 2) {
+    frontier.AddPending(EncodeTask(v));
+  }
+  const size_t seeded = frontier.pending_count();
+  std::vector<std::atomic<int>> hits(graph.num_right());
+  RecordRun(graph, /*threads=*/4, &hits, &frontier);
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    EXPECT_EQ(hits[v].load(), v % 2 == 0 ? 1 : 0) << "subtree " << v;
+  }
+  EXPECT_EQ(frontier.pending_count(), 0u);
+  EXPECT_EQ(frontier.completed_count(), seeded);
+}
+
+TEST(StealingDriverBasicTest, WorkerExceptionWithoutControllerRethrows) {
+  // No controller to report to: the first worker failure is rethrown to
+  // the caller once the fleet has drained and joined.
+  const BipartiteGraph graph = gen::ErdosRenyi(20, 100, 0.2, 56);
+  std::vector<std::atomic<int>> hits(graph.num_right());
+  ParallelOptions options;
+  options.threads = 4;
+  CountSink sink;
+  EXPECT_THROW(ParallelEnumerate(
+                   graph,
+                   [&]() {
+                     return std::make_unique<RecordingWorker>(
+                         &hits, nullptr, /*throw_at=*/VertexId{17});
+                   },
+                   options, &sink),
+               std::runtime_error);
+  for (VertexId v = 0; v < graph.num_right(); ++v) {
+    EXPECT_LE(hits[v].load(), 1) << "subtree " << v;
+  }
 }
 
 }  // namespace

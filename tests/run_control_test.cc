@@ -21,11 +21,10 @@ namespace {
 // bicliques, small enough that full enumeration (the reference) is fast.
 BipartiteGraph MediumGraph() { return gen::ErdosRenyi(24, 24, 0.4, 7); }
 
-// A generator-produced worst-case graph: dense uniform bipartite graphs
-// have an exponential number of maximal bicliques, so full enumeration is
-// far beyond any test budget — exactly the situation run control exists
-// for.
-BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(90, 90, 0.5, 11); }
+// 2^40 - 2 maximal bicliques: no host finishes a full enumeration, so a
+// run on it is still going when a deadline, budget or cancel arrives —
+// exactly the situation run control exists for.
+BipartiteGraph WorstCaseGraph() { return gen::Crown(40); }
 
 std::vector<Biclique> ReferenceSet(const BipartiteGraph& graph) {
   CollectSink sink;

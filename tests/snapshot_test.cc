@@ -34,18 +34,24 @@ using snapshot::WriteSnapshotFile;
 
 BipartiteGraph MediumGraph() { return gen::ErdosRenyi(24, 24, 0.4, 7); }
 
-// Dense uniform bipartite graphs have an exponential number of maximal
-// bicliques: full enumeration is far beyond any test budget, which is
-// exactly what a mid-run checkpoint stop needs.
-BipartiteGraph WorstCaseGraph() { return gen::ErdosRenyi(90, 90, 0.5, 11); }
+// 2^40 - 2 maximal bicliques: no host finishes a full enumeration, which
+// is exactly what a mid-run checkpoint stop needs.
+BipartiteGraph WorstCaseGraph() { return gen::Crown(40); }
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
+// A task word packed by hand as the version-1 format lays it out
+// (v:[32,64) shard:[16,32) k:[0,16)), independent of EncodeTask. Earlier
+// writers that split subtrees stored (v, s, k > 1) words; the codec still
+// accepts them, and Restore refuses them.
 uint64_t Word(VertexId v, uint32_t shard, uint32_t num_shards) {
-  return EncodeTask({.v = v, .shard = shard, .num_shards = num_shards});
+  return uint64_t{v} << 32 | uint64_t{shard} << 16 | num_shards;
 }
+
+// The word every whole-subtree task has always been written as.
+uint64_t Word(VertexId v) { return Word(v, 0, 1); }
 
 FrontierSnapshot SampleSnapshot() {
   FrontierSnapshot snap;
@@ -57,9 +63,9 @@ FrontierSnapshot SampleSnapshot() {
   snap.graph_right = 24;
   snap.graph_edges = 230;
   snap.graph_hash = 0x1234abcd5678ef00ULL;
-  snap.pending = {Word(2, 0, 1), Word(5, 1, 3), Word(5, 2, 3)};
+  snap.pending = {Word(2), Word(5, 1, 3), Word(5, 2, 3)};
   snap.completed = {
-      {Word(1, 0, 1), {0x1111, 0x2222, 3}},
+      {Word(1), {0x1111, 0x2222, 3}},
       {Word(5, 0, 3), {0x3333, 0x4444, 7}},
   };
   return snap;
@@ -184,54 +190,109 @@ TEST(SnapshotCodecTest, EncodeRejectsInvariantViolations) {
 
 // --- Frontier lifecycle ----------------------------------------------------
 
-TEST(TaskFrontierTest, SeedSplitCompleteLifecycle) {
+TEST(TaskFrontierTest, SeedCompleteLifecycle) {
   const BipartiteGraph graph = MediumGraph();
   TaskFrontier frontier(/*algorithm=*/0, 0, 1, graph);
-  frontier.AddPending(Word(3, 0, 1));
-  frontier.AddPending(Word(7, 0, 1));
+  frontier.AddPending(EncodeTask(3));
+  frontier.AddPending(EncodeTask(7));
+  frontier.AddPending(EncodeTask(11));
+  EXPECT_EQ(frontier.pending_count(), 3u);
+  EXPECT_EQ(frontier.PendingTasks(),
+            (std::vector<uint64_t>{Word(3), Word(7), Word(11)}));
+
+  frontier.MarkCompleted(EncodeTask(7), {30, 40, 2});
   EXPECT_EQ(frontier.pending_count(), 2u);
-
-  frontier.RecordSplit(Word(3, 0, 1), 3);
-  EXPECT_EQ(frontier.pending_count(), 4u);  // 3 shards + the other seed
-
-  frontier.MarkCompleted(Word(3, 0, 3), {10, 20, 1});
-  frontier.MarkCompleted(Word(3, 1, 3), {30, 40, 2});
-  frontier.MarkCompleted(Word(3, 2, 3), {50, 60, 3});
-  frontier.MarkCompleted(Word(7, 0, 1), {70, 80, 4});
+  EXPECT_EQ(frontier.completed_count(), 1u);
+  frontier.MarkCompleted(EncodeTask(3), {10, 20, 1});
+  frontier.MarkCompleted(EncodeTask(11), {70, 80, 4});
   EXPECT_EQ(frontier.pending_count(), 0u);
-  EXPECT_EQ(frontier.completed_count(), 4u);
+  EXPECT_EQ(frontier.completed_count(), 3u);
 
   const TaskDigest merged = frontier.MergedDigest();
-  EXPECT_EQ(merged.sum, 10u + 30 + 50 + 70);
-  EXPECT_EQ(merged.xr, 20ull ^ 40 ^ 60 ^ 80);
-  EXPECT_EQ(merged.count, 10u);
+  EXPECT_EQ(merged.sum, 10u + 30 + 70);
+  EXPECT_EQ(merged.xr, 20ull ^ 40 ^ 80);
+  EXPECT_EQ(merged.count, 7u);
 
   const FrontierSnapshot snap = frontier.BuildSnapshot();
   EXPECT_TRUE(snap.complete);
-  EXPECT_EQ(snap.completed.size(), 4u);
+  EXPECT_EQ(snap.completed.size(), 3u);
   EXPECT_EQ(snap.graph_hash, GraphFingerprint(graph));
 }
 
-TEST(TaskFrontierTest, MergedDigestIsSplitStructureIndependent) {
+TEST(TaskFrontierTest, MergedDigestIsCompletionOrderIndependent) {
   const BipartiteGraph graph = MediumGraph();
-  // Whole-subtree completion...
-  TaskFrontier whole(0, 0, 1, graph);
-  whole.AddPending(Word(3, 0, 1));
-  whole.MarkCompleted(Word(3, 0, 1), {90, 12, 6});
-  // ...and the same emissions spread over 2 shards.
-  TaskFrontier split(0, 0, 1, graph);
-  split.AddPending(Word(3, 0, 1));
-  split.RecordSplit(Word(3, 0, 1), 2);
-  split.MarkCompleted(Word(3, 0, 2), {40, 8, 2});
-  split.MarkCompleted(Word(3, 1, 2), {50, 4, 4});
-  EXPECT_EQ(whole.MergedDigest(), split.MergedDigest());
-  EXPECT_EQ(whole.MergedDigest().Value(), split.MergedDigest().Value());
+  TaskFrontier forward(0, 0, 1, graph);
+  TaskFrontier backward(0, 0, 1, graph);
+  for (VertexId v : {2u, 5u, 9u}) {
+    forward.AddPending(EncodeTask(v));
+    backward.AddPending(EncodeTask(v));
+  }
+  forward.MarkCompleted(EncodeTask(2), {40, 8, 2});
+  forward.MarkCompleted(EncodeTask(5), {50, 4, 4});
+  forward.MarkCompleted(EncodeTask(9), {7, 1, 1});
+  backward.MarkCompleted(EncodeTask(9), {7, 1, 1});
+  backward.MarkCompleted(EncodeTask(5), {50, 4, 4});
+  backward.MarkCompleted(EncodeTask(2), {40, 8, 2});
+  EXPECT_EQ(forward.MergedDigest(), backward.MergedDigest());
+  EXPECT_EQ(forward.BuildSnapshot(), backward.BuildSnapshot());
+}
+
+TEST(TaskFrontierTest, RestoreRefusesSplitSubtreeWords) {
+  // A (v, s, k > 1) word names one shard of a split subtree. The driver
+  // only runs whole subtrees, so a snapshot holding one — pending or
+  // completed — is refused outright, and the frontier keeps its state:
+  // never a partial resume.
+  const BipartiteGraph graph = MediumGraph();
+  TaskFrontier frontier(0, 0, 1, graph);
+  frontier.AddPending(EncodeTask(3));
+  const FrontierSnapshot base = frontier.BuildSnapshot();
+  {
+    FrontierSnapshot snap = base;
+    snap.pending.push_back(Word(5, 1, 2));
+    EXPECT_EQ(frontier.Restore(snap).code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  {
+    FrontierSnapshot snap = base;
+    snap.completed.push_back({Word(5, 0, 2), {1, 1, 1}});
+    EXPECT_EQ(frontier.Restore(snap).code(),
+              util::StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(frontier.PendingTasks(), std::vector<uint64_t>{Word(3)});
+  EXPECT_EQ(frontier.completed_count(), 0u);
+
+  // The same refusal through a snapshot file and a resuming run: the
+  // codec accepts the version-1 word, the resume is refused before any
+  // worker starts, and nothing is emitted.
+  const std::string path = TempPath("split-word.pmbf");
+  RunOptions options;
+  options.checkpoint.path = path;
+  options.checkpoint.every_s = 3600;
+  std::remove(path.c_str());
+  CountSink first;
+  options.control.max_results = 1;
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &first, nullptr).ok());
+  util::StatusOr<FrontierSnapshot> written = ReadSnapshotFile(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  FrontierSnapshot forged = written.value();
+  ASSERT_FALSE(forged.pending.empty());
+  const VertexId v = static_cast<VertexId>(forged.pending.back() >> 32);
+  forged.pending.back() = Word(v, 0, 2);
+  forged.pending.push_back(Word(v, 1, 2));
+  ASSERT_TRUE(WriteSnapshotFile(path, forged).ok());
+  options.control.max_results = 0;
+  options.checkpoint.resume = true;
+  CountSink resumed;
+  EXPECT_EQ(Enumerate(graph, GraphOptions(), options, &resumed, nullptr).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(resumed.count(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(TaskFrontierTest, RestoreRejectsMismatchedHeader) {
   const BipartiteGraph graph = MediumGraph();
   TaskFrontier frontier(0, 0, 1, graph);
-  frontier.AddPending(Word(3, 0, 1));
+  frontier.AddPending(Word(3));
   FrontierSnapshot snap = frontier.BuildSnapshot();
 
   {
@@ -259,19 +320,19 @@ TEST(TaskFrontierTest, RestoreRejectsTasksBeyondTheGraph) {
   // not slip into the digest bookkeeping).
   const BipartiteGraph graph = MediumGraph();  // 24 right vertices
   TaskFrontier frontier(0, 0, 1, graph);
-  frontier.AddPending(Word(3, 0, 1));
+  frontier.AddPending(Word(3));
   const FrontierSnapshot base = frontier.BuildSnapshot();
 
   {
     FrontierSnapshot snap = base;
-    snap.pending.push_back(Word(24, 0, 1));  // out of range
+    snap.pending.push_back(Word(24));  // out of range
     TaskFrontier other(0, 0, 1, graph);
     EXPECT_EQ(other.Restore(snap).code(),
               util::StatusCode::kInvalidArgument);
   }
   {
     FrontierSnapshot snap = base;
-    snap.completed.push_back({Word(24, 0, 1), {1, 1, 1}});  // out of range
+    snap.completed.push_back({Word(24), {1, 1, 1}});  // out of range
     TaskFrontier other(0, 0, 1, graph);
     EXPECT_EQ(other.Restore(snap).code(),
               util::StatusCode::kInvalidArgument);
@@ -307,7 +368,7 @@ TEST(SnapshotFileTest, WriteReadRoundTripAndOverwrite) {
 
   // Overwrite via the same tmp+rename path.
   FrontierSnapshot second = snap;
-  second.pending.push_back(Word(9, 0, 1));
+  second.pending.push_back(Word(9));
   ASSERT_TRUE(WriteSnapshotFile(path, second).ok());
   read = ReadSnapshotFile(path);
   ASSERT_TRUE(read.ok());
@@ -339,9 +400,9 @@ FrontierSnapshot CompleteShard(uint32_t index, uint32_t count,
 
 TEST(SnapshotMergeTest, MergesDisjointCompleteShards) {
   const FrontierSnapshot a =
-      CompleteShard(0, 2, {{Word(1, 0, 1), {1, 2, 1}}});
+      CompleteShard(0, 2, {{Word(1), {1, 2, 1}}});
   const FrontierSnapshot b =
-      CompleteShard(1, 2, {{Word(2, 0, 1), {3, 4, 1}}});
+      CompleteShard(1, 2, {{Word(2), {3, 4, 1}}});
   const std::vector<FrontierSnapshot> shards = {b, a};  // any order
   util::StatusOr<FrontierSnapshot> merged = MergeSnapshots(shards);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -358,7 +419,7 @@ TEST(SnapshotMergeTest, RejectsIncompleteDuplicateAndMismatchedShards) {
   {
     FrontierSnapshot incomplete = CompleteShard(0, 2, {});
     incomplete.complete = false;
-    incomplete.pending = {Word(1, 0, 1)};
+    incomplete.pending = {Word(1)};
     const std::vector<FrontierSnapshot> shards = {incomplete,
                                                   CompleteShard(1, 2, {})};
     EXPECT_EQ(MergeSnapshots(shards).status().code(),
@@ -383,8 +444,8 @@ TEST(SnapshotMergeTest, RejectsIncompleteDuplicateAndMismatchedShards) {
   {
     // The same task completed in two shards: corruption, not config error.
     const std::vector<FrontierSnapshot> shards = {
-        CompleteShard(0, 2, {{Word(1, 0, 1), {1, 2, 1}}}),
-        CompleteShard(1, 2, {{Word(1, 0, 1), {1, 2, 1}}})};
+        CompleteShard(0, 2, {{Word(1), {1, 2, 1}}}),
+        CompleteShard(1, 2, {{Word(1), {1, 2, 1}}})};
     EXPECT_EQ(MergeSnapshots(shards).status().code(),
               util::StatusCode::kCorruptData);
   }
@@ -438,8 +499,8 @@ TEST(CheckpointResumeTest, DigestIdenticalAcrossAlgorithmsAndThreads) {
         reference_digest = run.digest;
         reference_count = run.emitted;
       }
-      // The frontier digest is independent of thread count, scheduling,
-      // and split structure.
+      // The frontier digest is independent of thread count and steal
+      // order.
       EXPECT_EQ(run.digest, reference_digest)
           << AlgorithmName(algorithm) << " x" << threads;
       EXPECT_EQ(run.emitted, reference_count);
@@ -493,6 +554,55 @@ TEST(CheckpointResumeTest, InterruptedRunResumesToReferenceDigest) {
           << AlgorithmName(algorithm) << " x" << threads;
       std::remove(path.c_str());
     }
+  }
+}
+
+TEST(CheckpointResumeTest, HandPackedUnsplitWordsResumeToReferenceDigest) {
+  // Snapshot files written before subtree splitting was removed hold
+  // whole-subtree words packed as (v, 0, 1). Rebuild an interrupted run's
+  // snapshot from hand-packed words alone and resume it: the merged
+  // digest must equal the uninterrupted run's.
+  const BipartiteGraph graph = MediumGraph();
+  for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kBbk}) {
+    const std::string ref_path = TempPath("packed-ref.pmbf");
+    const DurableRun reference = RunDurable(graph, algorithm, 2, ref_path);
+    std::remove(ref_path.c_str());
+
+    const std::string path = TempPath("packed.pmbf");
+    std::remove(path.c_str());
+    RunOptions options;
+    options.algorithm = algorithm;
+    options.threads = 2;
+    options.checkpoint.path = path;
+    options.checkpoint.every_s = 3600;
+    options.control.max_results = reference.emitted / 2 + 1;
+    CountSink sink;
+    RunResult run;
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
+    ASSERT_EQ(run.termination, Termination::kBudget);
+
+    util::StatusOr<FrontierSnapshot> written = ReadSnapshotFile(path);
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    FrontierSnapshot packed = written.value();
+    ASSERT_FALSE(packed.pending.empty());
+    for (uint64_t& word : packed.pending) {
+      const VertexId v = static_cast<VertexId>(word >> 32);
+      EXPECT_EQ(word, Word(v)) << "writer left the version-1 layout";
+      word = Word(v);
+    }
+    for (CompletedTask& c : packed.completed) {
+      const VertexId v = static_cast<VertexId>(c.task >> 32);
+      EXPECT_EQ(c.task, Word(v)) << "writer left the version-1 layout";
+      c.task = Word(v);
+    }
+    ASSERT_TRUE(WriteSnapshotFile(path, packed).ok());
+
+    const DurableRun resumed =
+        RunDurable(graph, algorithm, 2, path, /*resume=*/true);
+    EXPECT_EQ(resumed.termination, Termination::kComplete);
+    EXPECT_EQ(resumed.pending, 0u);
+    EXPECT_EQ(resumed.digest, reference.digest) << AlgorithmName(algorithm);
+    std::remove(path.c_str());
   }
 }
 
@@ -701,12 +811,6 @@ TEST(CheckpointOptionsTest, ValidateRejectsIncoherentCheckpointing) {
     RunOptions o;  // whole-graph algorithm cannot checkpoint
     o.algorithm = Algorithm::kMineLmbc;
     o.checkpoint.path = "x.pmbf";
-    EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
-  }
-  {
-    RunOptions o;  // frontier needs the stealing scheduler
-    o.checkpoint.path = "x.pmbf";
-    o.scheduling = Scheduling::kDynamic;
     EXPECT_EQ(o.Validate().code(), util::StatusCode::kInvalidArgument);
   }
   {

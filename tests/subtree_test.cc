@@ -111,18 +111,5 @@ TEST(SubtreeBuilderTest, EntriesCoverExactlyUsefulTwoHops) {
   }
 }
 
-TEST(SubtreeWorkTest, EstimateScalesWithRootSize) {
-  SubtreeRoot small;
-  small.l0 = {0, 1};
-  small.entries.resize(3);
-  SubtreeRoot large;
-  large.l0 = {0, 1, 2, 3, 4, 5};
-  large.entries.resize(50);
-  EXPECT_LT(EstimateSubtreeWork(small), EstimateSubtreeWork(large));
-
-  SubtreeRoot empty;
-  EXPECT_EQ(EstimateSubtreeWork(empty), 0u);
-}
-
 }  // namespace
 }  // namespace mbe

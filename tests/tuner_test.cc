@@ -50,13 +50,12 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   p.num_left = 1000;
   p.num_right = 1000;
 
-  // Row 1: too little total work -> MBET, no splitting.
+  // Row 1: too little total work -> MBET.
   p.num_edges = 100;
   p.density = 0.5;  // even a dense tiny graph stays "tiny"
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kTiny);
-    EXPECT_EQ(d.max_split, 1u);
     EXPECT_EQ(d.engine, TunerEngine::kMbet);
   }
 
@@ -84,7 +83,6 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kSkewed);
-    EXPECT_EQ(d.max_split, 32u);
     EXPECT_EQ(d.engine, TunerEngine::kBbk);
     EXPECT_DOUBLE_EQ(d.bitmap_density, 0.0);
   }
@@ -94,7 +92,6 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kSparse);
-    EXPECT_EQ(d.max_split, 8u);
     EXPECT_EQ(d.engine, TunerEngine::kBbk);
     EXPECT_DOUBLE_EQ(d.bitmap_density, 0.0);
   }
@@ -139,7 +136,6 @@ TEST(TunerEndToEndTest, AutoTunedRunIsOutputIdenticalAndRecorded) {
   ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &tuned, &run).ok());
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_NE(run.stats.tuner_rule, static_cast<uint64_t>(TunerRule::kNone));
-  EXPECT_GE(run.stats.tuned_max_split, 1u);
   EXPECT_GT(run.stats.tuned_bitmap_density_x1000, 0u);
   // This fixture is dense (density 0.15 >= 0.08), so the engine pick is
   // MBET, and the honored pick is recorded in the stats.
@@ -202,8 +198,9 @@ TEST(TunerEndToEndTest, EngineRecommendationYieldsToPinnedAlgorithm) {
 }
 
 TEST(TunerEndToEndTest, AutoTuneAppliesToParallelRuns) {
-  // The tuned max_split feeds the parallel driver; digest identity must
-  // hold there too (the dense row picks different knobs than the default).
+  // The tuned knobs reach the parallel driver's workers; digest identity
+  // must hold there too (the dense row picks different knobs than the
+  // default).
   const BipartiteGraph graph = gen::ErdosRenyi(48, 36, 0.25, 13);
   FingerprintSink ref;
   RunOptions base;

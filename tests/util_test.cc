@@ -263,10 +263,17 @@ TEST(MemoryTrackerTest, PeakIsRaceFreeUnderContention) {
 
 TEST(TimerTest, MeasuresElapsedTime) {
   WallTimer timer;
+  // sleep_for blocks for at least its duration, so the lower bound below
+  // holds on any host at any load: this wait is the quantity under test.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GE(timer.Millis(), 15.0);
+  // Reset restarts the clock: afterwards the timer can have seen no more
+  // time than a timer started just before the reset — whatever the host's
+  // speed, whereas a timer that kept running would be >= 20ms ahead.
+  WallTimer before_reset;
   timer.Reset();
-  EXPECT_LT(timer.Millis(), 15.0);
+  const double since_reset = timer.Millis();
+  EXPECT_LE(since_reset, before_reset.Millis());
   EXPECT_GE(timer.Nanos(), 0);
 }
 

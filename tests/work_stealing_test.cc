@@ -1,12 +1,14 @@
 // Tests for the work-stealing substrate: the Chase–Lev task deque, the
-// task encoding, and the end-to-end kStealing scheduling discipline
-// (digest-identical results across thread counts and schedulings, subtree
-// splitting, and run-control cooperation). The deque protocol tests are
-// also the payload of the TSan leg in scripts/check.sh.
+// task encoding, and the end-to-end scheduler (digest-identical results
+// across thread counts, volatile and durable, and run-control
+// cooperation). The deque protocol tests are also the payload of the TSan
+// leg in scripts/check.sh.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -20,38 +22,37 @@ namespace {
 // --- Task encoding ---------------------------------------------------------
 
 TEST(TaskEncodingTest, RoundTrips) {
-  for (const StealTask task :
-       {StealTask{0, 0, 1}, StealTask{42, 0, 1}, StealTask{7, 3, 8},
-        StealTask{0xffffffffu, 0xfffeu, 0xffffu}}) {
-    const StealTask back = DecodeTask(EncodeTask(task));
-    EXPECT_EQ(back.v, task.v);
-    EXPECT_EQ(back.shard, task.shard);
-    EXPECT_EQ(back.num_shards, task.num_shards);
+  for (const VertexId v : {VertexId{0}, VertexId{42}, VertexId{7},
+                           VertexId{0xffffffffu}}) {
+    const uint64_t word = EncodeTask(v);
+    EXPECT_EQ(TaskVertex(word), v);
+    EXPECT_TRUE(IsSubtreeTask(word));
   }
 }
 
 // The frontier snapshot format (snapshot/frontier.h) persists encoded
-// task words verbatim, making the packing an on-disk contract. Pin its
-// boundaries exhaustively: every shard index at the kMaxTaskShards split
-// and every 32-bit seed-vertex edge value must survive the round trip.
-TEST(TaskEncodingTest, ExhaustiveAtMaxShardsAndVertexBoundaries) {
+// task words verbatim, making the packing an on-disk contract. Pin it at
+// every 32-bit seed-vertex edge value: a task encodes as the unsplit
+// (v, shard 0, 1 shard) word of the version-1 layout, and no word with
+// any other shard coordinates passes for a whole subtree.
+TEST(TaskEncodingTest, ExhaustiveAtShardBitsAndVertexBoundaries) {
   for (const VertexId v :
        {VertexId{0}, VertexId{1}, VertexId{0x7fffffffu},
         VertexId{0x80000000u}, VertexId{0xfffffffeu}, VertexId{0xffffffffu}}) {
-    for (uint32_t shard = 0; shard < kMaxTaskShards; ++shard) {
-      const uint64_t word =
-          EncodeTask({.v = v, .shard = shard, .num_shards = kMaxTaskShards});
-      const StealTask back = DecodeTask(word);
-      ASSERT_EQ(back.v, v);
-      ASSERT_EQ(back.shard, shard);
-      ASSERT_EQ(back.num_shards, kMaxTaskShards);
+    const uint64_t word = EncodeTask(v);
+    ASSERT_EQ(word, uint64_t{v} << 32 | uint64_t{0} << 16 | 1);
+    ASSERT_EQ(TaskVertex(word), v);
+    const uint64_t base = uint64_t{v} << 32;
+    for (uint32_t shard = 0; shard < 0xffff; ++shard) {
+      ASSERT_FALSE(IsSubtreeTask(base | uint64_t{shard} << 16 | 0xffff));
+      ASSERT_EQ(TaskVertex(base | uint64_t{shard} << 16 | 0xffff), v);
     }
+    ASSERT_FALSE(IsSubtreeTask(base | uint64_t{1} << 16 | 1));
+    ASSERT_FALSE(IsSubtreeTask(base));
   }
-  // Distinctness at the packing seams: neighboring fields never alias.
-  EXPECT_NE(EncodeTask({.v = 1, .shard = 0, .num_shards = 2}),
-            EncodeTask({.v = 0, .shard = 1, .num_shards = 2}));
-  EXPECT_NE(EncodeTask({.v = 0, .shard = 1, .num_shards = 2}),
-            EncodeTask({.v = 0, .shard = 0, .num_shards = 2}));
+  // Distinctness at the packing seam: the vertex never aliases the shard
+  // bits.
+  EXPECT_NE(EncodeTask(1), EncodeTask(0) | uint64_t{1} << 16);
 }
 
 // --- Deque, single-threaded semantics -------------------------------------
@@ -176,15 +177,16 @@ TEST(TaskDequeStressTest, OwnerAndThievesRetireEveryTaskOnce) {
   }
 }
 
-// --- End-to-end: digests identical across schedulings ----------------------
+// --- End-to-end: digests identical across thread counts --------------------
 
 uint64_t DigestOf(const BipartiteGraph& graph, Algorithm algorithm,
-                  unsigned threads, Scheduling scheduling) {
+                  unsigned threads, const std::string& checkpoint_path) {
   RunOptions options;
   options.algorithm = algorithm;
   options.threads = threads;
-  options.scheduling = scheduling;
-  options.max_split = 8;
+  options.checkpoint.path = checkpoint_path;
+  options.checkpoint.every_s = 3600;  // only the final snapshot
+  if (!checkpoint_path.empty()) std::remove(checkpoint_path.c_str());
   FingerprintSink sink;
   RunResult run;
   const util::Status status =
@@ -192,12 +194,13 @@ uint64_t DigestOf(const BipartiteGraph& graph, Algorithm algorithm,
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(run.termination, Termination::kComplete);
   EXPECT_GT(sink.count(), 0u);
+  if (!checkpoint_path.empty()) std::remove(checkpoint_path.c_str());
   return sink.Digest();
 }
 
-class SchedulingDigestTest : public ::testing::TestWithParam<Algorithm> {};
+class StealingDigestTest : public ::testing::TestWithParam<Algorithm> {};
 
-TEST_P(SchedulingDigestTest, IdenticalAcrossThreadsAndSchedulings) {
+TEST_P(StealingDigestTest, IdenticalAcrossThreadsAndDurability) {
   const Algorithm algorithm = GetParam();
   // A skewed hub graph (one dominant subtree) and a power-law graph: the
   // two load shapes the scheduler must not let affect the result set.
@@ -205,22 +208,29 @@ TEST_P(SchedulingDigestTest, IdenticalAcrossThreadsAndSchedulings) {
       gen::HubBlock(50, 35, 50, 100, 0.4, 0.03, 21),
       gen::PowerLaw(200, 150, 1200, 0.85, 0.8, 22),
   };
+  // One snapshot path per instantiation: ctest runs them concurrently.
+  const std::string path = testing::TempDir() + "/stealing-digest-" +
+                           AlgorithmName(algorithm) + ".pmbf";
   for (const BipartiteGraph& graph : graphs) {
-    const uint64_t reference =
-        DigestOf(graph, algorithm, 1, Scheduling::kDynamic);
-    for (unsigned threads : {1u, 2u, 8u}) {
-      for (Scheduling scheduling : {Scheduling::kDynamic, Scheduling::kStatic,
-                                    Scheduling::kStealing}) {
-        EXPECT_EQ(DigestOf(graph, algorithm, threads, scheduling), reference)
-            << AlgorithmName(algorithm) << " threads=" << threads << " "
-            << SchedulingName(scheduling);
-      }
+    RunOptions serial;
+    serial.algorithm = algorithm;
+    FingerprintSink reference;
+    ASSERT_TRUE(
+        Enumerate(graph, GraphOptions(), serial, &reference, nullptr).ok());
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      EXPECT_EQ(DigestOf(graph, algorithm, threads, ""), reference.Digest())
+          << AlgorithmName(algorithm) << " threads=" << threads;
+      EXPECT_EQ(DigestOf(graph, algorithm, threads, path), reference.Digest())
+          << AlgorithmName(algorithm) << " threads=" << threads
+          << " checkpointing";
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, SchedulingDigestTest,
+INSTANTIATE_TEST_SUITE_P(Algorithms, StealingDigestTest,
                          ::testing::Values(Algorithm::kMbet,
+                                           Algorithm::kMbetM,
+                                           Algorithm::kMbea,
                                            Algorithm::kImbea,
                                            Algorithm::kBbk));
 
@@ -230,7 +240,6 @@ TEST(StealingRunControlTest, ResultBudgetIsExactUnderBatching) {
   BipartiteGraph graph = gen::HubBlock(60, 40, 60, 120, 0.4, 0.02, 23);
   RunOptions options;
   options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
   options.control.max_results = 50;
   CountSink sink;
   RunResult run;
@@ -247,7 +256,6 @@ TEST(StealingRunControlTest, CancellationDrainsTheFleet) {
   std::atomic<bool> cancel{true};  // pre-set: stop at the first poll
   RunOptions options;
   options.threads = 8;
-  options.scheduling = Scheduling::kStealing;
   options.control.cancel = &cancel;
   CountSink sink;
   RunResult run;

@@ -67,6 +67,13 @@ std::vector<std::vector<uint8_t>> BuildSeeds() {
   using namespace mbe::snapshot;
   std::vector<FrontierSnapshot> snapshots;
 
+  // Version-1 task words packed by hand (v:[32,64) shard:[16,32)
+  // k:[0,16)). Whole subtrees are (v, 0, 1); earlier writers also stored
+  // split-subtree shards (v, s, k > 1), which the codec still decodes.
+  auto word = [](uint64_t v, uint64_t shard, uint64_t k) {
+    return v << 32 | shard << 16 | k;
+  };
+
   // Mid-run shard: pending tasks (split and unsplit) plus completed work.
   FrontierSnapshot mid;
   mid.algorithm = 1;
@@ -77,13 +84,10 @@ std::vector<std::vector<uint8_t>> BuildSeeds() {
   mid.graph_right = 24;
   mid.graph_edges = 230;
   mid.graph_hash = 0x1234'5678'9abc'def0ULL;
-  mid.pending = {mbe::EncodeTask({.v = 2, .shard = 0, .num_shards = 1}),
-                 mbe::EncodeTask({.v = 5, .shard = 1, .num_shards = 4}),
-                 mbe::EncodeTask({.v = 5, .shard = 3, .num_shards = 4})};
+  mid.pending = {word(2, 0, 1), word(5, 1, 4), word(5, 3, 4)};
   mid.completed = {
-      {mbe::EncodeTask({.v = 0, .shard = 0, .num_shards = 1}),
-       {0x1111, 0x2222, 3}},
-      {mbe::EncodeTask({.v = 5, .shard = 2, .num_shards = 4}), {0, 0, 0}},
+      {word(0, 0, 1), {0x1111, 0x2222, 3}},
+      {word(5, 2, 4), {0, 0, 0}},
   };
   snapshots.push_back(mid);
 

@@ -117,10 +117,6 @@ int main(int argc, char** argv) {
   flags.AddString("order", "deg-asc",
                   "none | deg-asc | deg-desc | twohop | unilateral | random");
   flags.AddInt("threads", 1, "worker threads (mbet/mbetm/mbea/imbea/bbk)");
-  flags.AddString("scheduling", "stealing",
-                  "parallel scheduling: dynamic | static | stealing");
-  flags.AddInt("max_split", 8,
-               "max shards per heavy subtree under stealing (1 = off)");
   flags.AddDouble("timeout_s", 0,
                   "wall-clock deadline in seconds (0 = none)");
   flags.AddInt("max_results", 0, "stop after this many bicliques (0 = none)");
@@ -137,8 +133,8 @@ int main(int argc, char** argv) {
                   "silent this long stops the run instead of hanging it");
   flags.AddString("checkpoint_path", "",
                   "persist the task frontier to this file periodically and at "
-                  "drain (durable runs; requires --scheduling stealing). "
-                  "SIGTERM then stops with a final snapshot");
+                  "drain (durable runs). SIGTERM then stops with a final "
+                  "snapshot");
   flags.AddDouble("checkpoint_every_s", 30,
                   "seconds between periodic snapshots of a checkpointing run "
                   "(0 = only the final snapshot at drain)");
@@ -162,8 +158,8 @@ int main(int argc, char** argv) {
                   "density threshold for bitmap-set classification "
                   "(0 = always bitmap, > 1 = never)");
   flags.AddBool("tune", false,
-                "auto-tune the engine, bitmap_density and max_split from "
-                "the graph profile, overriding those flags "
+                "auto-tune the engine and bitmap_density from the graph "
+                "profile, overriding those flags "
                 "(docs/TUNING.md); the decision prints under --stats");
   flags.AddBool("max-biclique", false,
                 "find one maximum-edge biclique instead of enumerating");
@@ -207,13 +203,6 @@ int main(int argc, char** argv) {
   }
   graph_options.order = ParseVertexOrder(flags.GetString("order"));
   options.threads = static_cast<unsigned>(flags.GetInt("threads"));
-  if (util::Status parsed =
-          ParseScheduling(flags.GetString("scheduling"), &options.scheduling);
-      !parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
-    return 2;
-  }
-  options.max_split = static_cast<uint32_t>(flags.GetInt("max_split"));
   options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
   options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
   options.mbet.bitmap_density = flags.GetDouble("bitmap_density");
@@ -415,14 +404,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.simd_word_calls));
     if (s.auto_tuned != 0) {
       std::printf("  auto-tune:           rule '%s' -> engine %s, "
-                  "bitmap_density %.3f, max_split %llu\n",
+                  "bitmap_density %.3f\n",
                   TunerRuleName(static_cast<TunerRule>(s.tuner_rule)),
                   s.tuned_algorithm != 0
                       ? TunerEngineName(
                             static_cast<TunerEngine>(s.tuned_algorithm))
                       : "(pinned)",
-                  static_cast<double>(s.tuned_bitmap_density_x1000) / 1000.0,
-                  static_cast<unsigned long long>(s.tuned_max_split));
+                  static_cast<double>(s.tuned_bitmap_density_x1000) / 1000.0);
     }
     if (options.max_memory_bytes > 0 || s.degradations > 0 ||
         s.faults_injected > 0) {
@@ -448,10 +436,8 @@ int main(int argc, char** argv) {
                       .c_str());
     }
     if (options.threads > 1) {
-      std::printf("  scheduler:           %s, %llu steals, %llu split tasks\n",
-                  SchedulingName(options.scheduling),
-                  static_cast<unsigned long long>(s.steals),
-                  static_cast<unsigned long long>(s.split_tasks));
+      std::printf("  scheduler:           %llu steals\n",
+                  static_cast<unsigned long long>(s.steals));
       std::printf("  sink flushes:        %llu (batched emission)\n",
                   static_cast<unsigned long long>(s.sink_flushes));
       const double busy = static_cast<double>(s.busy_ns);
