@@ -16,7 +16,6 @@
 
 #include "core/neighborhood_trie.h"
 #include "core/set_ops.h"
-#include "core/vertex_set.h"
 #include "util/bitset.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -97,8 +96,8 @@ BENCHMARK(BM_IntersectLopsided)->Range(1 << 10, 1 << 16);
 // --- IntersectInto strategy sweep ---------------------------------------
 // Two random sets over a fixed universe whose size is `density`% of the
 // universe; compares the merge loop, galloping search, and the 64-bit word
-// kernel on identical inputs. The crossover these curves show is what the
-// VertexSet density threshold encodes (docs/SET_REPRESENTATION.md).
+// count kernel on identical inputs. The crossover these curves show is what
+// MBET's bitmap_density threshold encodes (docs/SET_REPRESENTATION.md).
 
 constexpr size_t kSweepUniverse = 1 << 13;
 
@@ -128,22 +127,6 @@ BENCHMARK(BM_SetOpsMerge)
     ->ArgsProduct({kDensities, kDispatchLevels})
     ->ArgNames({"density", "isa"});
 
-void BM_SetOpsDifference(benchmark::State& state) {
-  DispatchGuard guard;
-  if (!PinDispatch(state, 1)) return;
-  auto [a, b] = MakeDensityPair(state);
-  std::vector<VertexId> out;
-  for (auto _ : state) {
-    mbe::Difference(a, b, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size() + b.size()));
-}
-BENCHMARK(BM_SetOpsDifference)
-    ->ArgsProduct({kDensities, kDispatchLevels})
-    ->ArgNames({"density", "isa"});
-
 void BM_SetOpsGallop(benchmark::State& state) {
   auto [a, b] = MakeDensityPair(state);
   std::vector<VertexId> out;
@@ -156,26 +139,7 @@ void BM_SetOpsGallop(benchmark::State& state) {
 }
 BENCHMARK(BM_SetOpsGallop)->Arg(1)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(90);
 
-void BM_SetOpsBitmap(benchmark::State& state) {
-  DispatchGuard guard;
-  if (!PinDispatch(state, 1)) return;
-  auto [a, b] = MakeDensityPair(state);
-  const size_t words = mbe::util::WordsFor(kSweepUniverse);
-  std::vector<uint64_t> wa(words, 0), wb(words, 0), out(words, 0);
-  mbe::util::SetBits(a, wa);
-  mbe::util::SetBits(b, wb);
-  for (auto _ : state) {
-    mbe::IntersectInto(wa, wb, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size() + b.size()));
-}
-BENCHMARK(BM_SetOpsBitmap)
-    ->ArgsProduct({kDensities, kDispatchLevels})
-    ->ArgNames({"density", "isa"});
-
-// Counting variant of the word kernel — the exact operation the bitmap
+// The word kernel: AND + popcount, the exact operation the bitmap
 // classification path in MbetEnumerator::Classify issues per group.
 void BM_SetOpsBitmapCount(benchmark::State& state) {
   DispatchGuard guard;

@@ -134,7 +134,7 @@ echo "=== kernel-dispatch matrix: scalar pin + AVX2 compiled out ==="
 echo "--- leg PMBE_FORCE_SCALAR=1 ($BUILD_DIR) ---"
 PMBE_FORCE_SCALAR=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --no-tests=error -j "$(nproc)" \
-  -R 'Simd|SetOps|MembershipMask|NeighborhoodTrie|VertexSet'
+  -R 'Simd|SetOps|SetKernels|MembershipMask|NeighborhoodTrie'
 scalar_out=$(PMBE_FORCE_SCALAR=1 "$BUILD_DIR/tools/pmbe_selfcheck" \
              --rounds 25 --seed 7)
 echo "$scalar_out" | sed 's/^/  /'

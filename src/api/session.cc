@@ -80,14 +80,16 @@ class TranslatingSink : public ResultSink {
   bool swapped_;
 };
 
-/// SubtreeWorker adapters. Each worker engine polls the run's shared
-/// controller (may be null), so any worker tripping a limit stops all
-/// workers *of that session* — and nothing else.
-class MbetWorker : public SubtreeWorker {
+/// SubtreeWorker adapter over an engine with a per-vertex subtree
+/// decomposition (MBET/MBETM, the MBEA family, BBK). Each worker engine
+/// polls the run's shared controller (may be null), so any worker tripping
+/// a limit stops all workers *of that session* — and nothing else.
+template <typename Enumerator>
+class SubtreeEngineWorker : public SubtreeWorker {
  public:
-  MbetWorker(const BipartiteGraph& graph, const MbetOptions& options,
-             RunController* controller)
-      : engine_(graph, options) {
+  template <typename... Args>
+  explicit SubtreeEngineWorker(RunController* controller, Args&&... args)
+      : engine_(std::forward<Args>(args)...) {
     engine_.SetRunController(controller);
   }
   void EnumerateSubtree(VertexId v, ResultSink* sink) override {
@@ -96,43 +98,7 @@ class MbetWorker : public SubtreeWorker {
   EnumStats stats() const override { return engine_.stats(); }
 
  private:
-  MbetEnumerator engine_;
-};
-
-/// Subtree worker over the MBEA family: plain MBEA (improved = false) and
-/// iMBEA (improved = true) share the enumerator.
-class MbeaFamilyWorker : public SubtreeWorker {
- public:
-  MbeaFamilyWorker(const BipartiteGraph& graph, const MbeaOptions& options,
-                   RunController* controller)
-      : engine_(graph, options) {
-    engine_.SetRunController(controller);
-  }
-  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
-  }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  MbeaEnumerator engine_;
-};
-
-/// Subtree worker over BBK; the engine's subtree decomposition mirrors the
-/// MBEA family's.
-class BbkWorker : public SubtreeWorker {
- public:
-  BbkWorker(const BipartiteGraph& graph, const BbkOptions& options,
-            RunController* controller)
-      : engine_(graph, options) {
-    engine_.SetRunController(controller);
-  }
-  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
-  }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  BbkEnumerator engine_;
+  Enumerator engine_;
 };
 
 /// Adapter for the algorithms without a subtree decomposition: the whole
@@ -264,7 +230,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   // diagnostics, not invariants.
   const simd::KernelCallCounters kernel_before = simd::SnapshotKernelCalls();
   kernel_intersect_before_ = kernel_before.intersect;
-  kernel_difference_before_ = kernel_before.difference;
   kernel_mask_before_ = kernel_before.mask;
   kernel_word_before_ = kernel_before.word;
 
@@ -330,17 +295,16 @@ std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
   switch (effective_algorithm_) {
     case Algorithm::kMbet:
     case Algorithm::kMbetM:
-      return std::make_unique<MbetWorker>(work, effective_mbet_, ctrl);
+      return std::make_unique<SubtreeEngineWorker<MbetEnumerator>>(
+          ctrl, work, effective_mbet_);
     case Algorithm::kImbea:
-      return std::make_unique<MbeaFamilyWorker>(
-          work, MbeaOptions{.improved = true}, ctrl);
+      return std::make_unique<SubtreeEngineWorker<MbeaEnumerator>>(
+          ctrl, work, MbeaOptions{.improved = true});
     case Algorithm::kMbea:
-      return std::make_unique<MbeaFamilyWorker>(
-          work, MbeaOptions{.improved = false}, ctrl);
+      return std::make_unique<SubtreeEngineWorker<MbeaEnumerator>>(
+          ctrl, work, MbeaOptions{.improved = false});
     case Algorithm::kBbk:
-      return std::make_unique<BbkWorker>(
-          work, BbkOptions{.bitmap_density = effective_mbet_.bitmap_density},
-          ctrl);
+      return std::make_unique<SubtreeEngineWorker<BbkEnumerator>>(ctrl, work);
     case Algorithm::kMineLmbc:
       return std::make_unique<WholeGraphWorker<MineLmbcEnumerator>>(ctrl,
                                                                     work);
@@ -373,8 +337,6 @@ void Session::Finish(RunResult* result) {
   const simd::KernelCallCounters after = simd::SnapshotKernelCalls();
   out.stats.kernel_dispatch = static_cast<uint64_t>(simd::ActiveLevel());
   out.stats.simd_intersect_calls = after.intersect - kernel_intersect_before_;
-  out.stats.simd_difference_calls =
-      after.difference - kernel_difference_before_;
   out.stats.simd_mask_calls = after.mask - kernel_mask_before_;
   out.stats.simd_word_calls = after.word - kernel_word_before_;
 
@@ -506,9 +468,7 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
         break;
       }
       case Algorithm::kBbk: {
-        BbkEnumerator engine(
-            work,
-            BbkOptions{.bitmap_density = effective_mbet_.bitmap_density});
+        BbkEnumerator engine(work);
         engine.SetRunController(ctrl);
         engine.EnumerateAll(run_sink_);
         AddWorkerStats(engine.stats());

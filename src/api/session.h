@@ -194,7 +194,6 @@ class Session {
   uint64_t degradations_before_ = 0;
   uint64_t faults_before_ = 0;
   uint64_t kernel_intersect_before_ = 0;
-  uint64_t kernel_difference_before_ = 0;
   uint64_t kernel_mask_before_ = 0;
   uint64_t kernel_word_before_ = 0;
 

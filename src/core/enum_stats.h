@@ -37,8 +37,8 @@ struct EnumStats {
   /// Subtrees skipped entirely at the root because an earlier vertex
   /// dominates the root's L.
   uint64_t subtrees_pruned = 0;
-  /// Sorted-list <-> bitmap representation switches made by the adaptive
-  /// density policy (core/vertex_set.h).
+  /// Sorted-list -> bitmap materializations: MBET's per-node density
+  /// policy and BBK's per-node L' bitmaps (docs/SET_REPRESENTATION.md).
   uint64_t bitmap_conversions = 0;
   /// Intersections answered by the word-AND bitmap kernels instead of a
   /// merge/gallop over sorted lists.
@@ -56,11 +56,9 @@ struct EnumStats {
   /// the run by the API facade; tiny operands served by inline scalar
   /// loops are not counted.
   uint64_t simd_intersect_calls = 0;
-  /// difference / is_subset family.
-  uint64_t simd_difference_calls = 0;
   /// mask_count / mask_filter (membership-mask probe) family.
   uint64_t simd_mask_calls = 0;
-  /// and_words / and_count (bitmap word) family.
+  /// and_count (bitmap word) family.
   uint64_t simd_word_calls = 0;
   /// Always 0: the batched multi-mask kernel family is gone. Stays until a
   /// benchmark change stops reading it.
@@ -136,7 +134,6 @@ struct EnumStats {
       kernel_dispatch = other.kernel_dispatch;
     }
     simd_intersect_calls += other.simd_intersect_calls;
-    simd_difference_calls += other.simd_difference_calls;
     simd_mask_calls += other.simd_mask_calls;
     simd_word_calls += other.simd_word_calls;
     if (other.arena_peak_bytes > arena_peak_bytes) {

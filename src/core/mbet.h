@@ -11,7 +11,6 @@
 #include "core/set_ops.h"
 #include "core/sink.h"
 #include "core/subtree.h"
-#include "core/vertex_set.h"
 #include "graph/bipartite_graph.h"
 #include "util/memory.h"
 
@@ -39,7 +38,7 @@
 ///  * Each subtree's vertices are renumbered into the local universe
 ///    [0, |L0|), and nodes the trie does not take classify through
 ///    fixed-width bitmaps when their locals are dense enough
-///    (core/vertex_set.h; `bitmap_density`). Per-node scratch comes from
+///    (core/set_ops.h; `bitmap_density`). Per-node scratch comes from
 ///    an EnumContext arena instead of ad-hoc vectors.
 ///  * `MbetOptions` exposes each technique as a switch for the ablation
 ///    experiments, plus the MBETM space-optimized mode which stores no

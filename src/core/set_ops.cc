@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/biclique.h"
+#include "util/bitset.h"
 #include "util/simd.h"
 #include "util/simd_scalar.h"
 
@@ -60,6 +61,11 @@ size_t GallopIntersectSizeCapped(std::span<const VertexId> small,
 
 bool Lopsided(size_t small, size_t big) {
   return small == 0 || big / small >= kGallopRatio;
+}
+
+// The packed words of a membership mask as a bitmap span.
+std::span<const uint64_t> MaskWords(const MembershipMask& mask) {
+  return {mask.words(), util::WordsFor(mask.universe())};
 }
 
 // Sizes `*out` so a kernel may scribble `kStorePad` lanes past `bound`
@@ -137,41 +143,7 @@ bool IsSubset(std::span<const VertexId> a, std::span<const VertexId> b) {
     return simd::internal::ScalarIsSubset(a.data(), a.size(), b.data(),
                                           b.size());
   }
-  simd::CountKernelCall(simd::KernelOp::kDifference);
   return simd::Kernels().is_subset(a.data(), a.size(), b.data(), b.size());
-}
-
-void Union(std::span<const VertexId> a, std::span<const VertexId> b,
-           std::vector<VertexId>* out) {
-  out->clear();
-  out->reserve(a.size() + b.size());
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      out->push_back(a[i++]);
-    } else if (a[i] > b[j]) {
-      out->push_back(b[j++]);
-    } else {
-      out->push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  out->insert(out->end(), a.begin() + i, a.end());
-  out->insert(out->end(), b.begin() + j, b.end());
-}
-
-void Difference(std::span<const VertexId> a, std::span<const VertexId> b,
-                std::vector<VertexId>* out) {
-  if (a.size() < kSmallOperand || b.size() < kSmallOperand) {
-    out->resize(simd::internal::ScalarDifference(
-        a.data(), a.size(), b.data(), b.size(), KernelOutput(out, a.size())));
-    return;
-  }
-  simd::CountKernelCall(simd::KernelOp::kDifference);
-  out->resize(simd::Kernels().difference(a.data(), a.size(), b.data(),
-                                         b.size(),
-                                         KernelOutput(out, a.size())));
 }
 
 bool Contains(std::span<const VertexId> a, VertexId x) {
@@ -181,28 +153,38 @@ bool Contains(std::span<const VertexId> a, VertexId x) {
 
 size_t IntersectSizeWithMask(std::span<const VertexId> s,
                              const MembershipMask& mask) {
-  if (s.empty()) return 0;
-  if (s.size() < kSmallOperand) {
-    return simd::internal::ScalarMaskCount(s.data(), s.size(), mask.words());
-  }
-  simd::CountKernelCall(simd::KernelOp::kMask);
-  return simd::Kernels().mask_count(s.data(), s.size(), mask.words());
+  return IntersectSize(s, MaskWords(mask));
 }
 
 void IntersectWithMask(std::span<const VertexId> s, const MembershipMask& mask,
                        std::vector<VertexId>* out) {
-  if (s.empty()) {
-    out->clear();
-    return;
-  }
-  if (s.size() < kSmallOperand) {
-    out->resize(simd::internal::ScalarMaskFilter(
-        s.data(), s.size(), mask.words(), KernelOutput(out, s.size())));
+  IntersectInto(s, MaskWords(mask), out);
+}
+
+size_t IntersectSize(std::span<const uint64_t> a,
+                     std::span<const uint64_t> b) {
+  return util::AndCountBits(a, b);
+}
+
+void IntersectInto(std::span<const VertexId> a, std::span<const uint64_t> b,
+                   std::vector<VertexId>* out) {
+  if (a.size() < kSmallOperand) {
+    out->resize(simd::internal::ScalarMaskFilter(a.data(), a.size(), b.data(),
+                                                 KernelOutput(out, a.size())));
     return;
   }
   simd::CountKernelCall(simd::KernelOp::kMask);
-  out->resize(simd::Kernels().mask_filter(s.data(), s.size(), mask.words(),
-                                          KernelOutput(out, s.size())));
+  out->resize(simd::Kernels().mask_filter(a.data(), a.size(), b.data(),
+                                          KernelOutput(out, a.size())));
+}
+
+size_t IntersectSize(std::span<const VertexId> a,
+                     std::span<const uint64_t> b) {
+  if (a.size() < kSmallOperand) {
+    return simd::internal::ScalarMaskCount(a.data(), a.size(), b.data());
+  }
+  simd::CountKernelCall(simd::KernelOp::kMask);
+  return simd::Kernels().mask_count(a.data(), a.size(), b.data());
 }
 
 }  // namespace mbe

@@ -29,8 +29,7 @@ void Intersect(std::span<const VertexId> a, std::span<const VertexId> b,
 enum class IntersectStrategy : uint8_t { kAuto, kMerge, kGallop };
 
 /// Intersects sorted `a` and `b` into `*out` (cleared first) using the
-/// requested kernel. The list×list member of the overload set that
-/// core/vertex_set.h extends to bitmap and mixed representations.
+/// requested kernel.
 void IntersectInto(std::span<const VertexId> a, std::span<const VertexId> b,
                    std::vector<VertexId>* out,
                    IntersectStrategy strategy = IntersectStrategy::kAuto);
@@ -45,14 +44,6 @@ size_t IntersectSizeCapped(std::span<const VertexId> a,
 
 /// True iff every element of `a` is in `b` (both sorted).
 bool IsSubset(std::span<const VertexId> a, std::span<const VertexId> b);
-
-/// Unions sorted `a` and `b` into `*out` (cleared first).
-void Union(std::span<const VertexId> a, std::span<const VertexId> b,
-           std::vector<VertexId>* out);
-
-/// Set-difference a \ b into `*out` (cleared first).
-void Difference(std::span<const VertexId> a, std::span<const VertexId> b,
-                std::vector<VertexId>* out);
 
 /// True iff sorted `a` contains `x` (binary search).
 bool Contains(std::span<const VertexId> a, VertexId x);
@@ -126,6 +117,21 @@ size_t IntersectSizeWithMask(std::span<const VertexId> s,
 /// order of `s`.
 void IntersectWithMask(std::span<const VertexId> s, const MembershipMask& mask,
                        std::vector<VertexId>* out);
+
+// --- Fixed-width bitmaps over a local universe -----------------------------
+// A bitmap over the renumbered universe [0, m) is `util::WordsFor(m)` words
+// (util/bitset.h). MBET's dense classification counts bitmap × bitmap;
+// BBK keeps L' as a bitmap and probes it with sorted local lists.
+
+/// |a ∩ b| of two bitmaps over the same universe (AND + popcount).
+size_t IntersectSize(std::span<const uint64_t> a, std::span<const uint64_t> b);
+
+/// Sorted list × bitmap -> sorted list into `*out` (cleared first).
+void IntersectInto(std::span<const VertexId> a, std::span<const uint64_t> b,
+                   std::vector<VertexId>* out);
+
+/// |a ∩ b| for a sorted list against a bitmap.
+size_t IntersectSize(std::span<const VertexId> a, std::span<const uint64_t> b);
 
 }  // namespace mbe
 

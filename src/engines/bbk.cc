@@ -4,15 +4,24 @@
 #include <numeric>
 
 #include "util/bitset.h"
+#include "util/memory.h"
 
 namespace mbe {
 
-BbkEnumerator::BbkEnumerator(const BipartiteGraph& graph,
-                             const BbkOptions& options)
-    : graph_(graph),
-      options_(options),
-      policy_{.bitmap_density = options.bitmap_density},
-      builder_(graph) {}
+BbkEnumerator::BbkEnumerator(const BipartiteGraph& graph)
+    : graph_(graph), builder_(graph) {}
+
+bool BbkEnumerator::WantBitmap() const {
+  if (universe_ == 0) return false;
+  // Under memory pressure the bitmap is declined: the list holds |L'| ids,
+  // the bitmap the whole universe (docs/ROBUSTNESS.md). Slower kernels,
+  // identical results.
+  if (util::CurrentMemoryBudget().UnderPressure()) {
+    util::CurrentMemoryBudget().NoteDegradation();
+    return false;
+  }
+  return true;
+}
 
 void BbkEnumerator::EnumerateAll(ResultSink* sink) {
   for (size_t v = 0; v < graph_.num_right(); ++v) {
@@ -100,7 +109,7 @@ void BbkEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
     l.resize(universe_);
     std::iota(l.begin(), l.end(), 0);
     std::span<const uint64_t> l_words;
-    if (policy_.PickBitmap(universe_, universe_)) {
+    if (WantBitmap()) {
       std::vector<uint64_t>& words = *frame.AcquireWords();
       words.assign(util::WordsFor(universe_), 0);
       util::SetBits(l, words);
@@ -139,8 +148,8 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
     if (Stopped(sink)) return;
     const uint32_t vc = cands[i];
 
-    // L' = loc0(vc) ∩ L over the renumbered local universe, answered by
-    // whichever representation the parent carries.
+    // L' = loc0(vc) ∩ L over the renumbered local universe: against the
+    // parent's bitmap, or its list when pressure left it without one.
     if (!l_words.empty()) {
       IntersectInto(LocalOf(vc), l_words, &lp);
     } else {
@@ -148,11 +157,11 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
     }
     if (lp.empty()) continue;
 
-    // Adaptive representation for L': the list is always kept (emission
-    // and recursion need it); a bitmap is added when the density policy
-    // says the word kernels win for the Q and classification probes below.
+    // L' keeps its list (emission and recursion need it) and, unless
+    // memory is under pressure, a bitmap for the Q and classification
+    // probes below.
     std::span<const uint64_t> lpw;
-    if (policy_.PickBitmap(lp.size(), universe_)) {
+    if (WantBitmap()) {
       lp_bits.assign(util::WordsFor(universe_), 0);
       util::SetBits(lp, lp_bits);
       ++stats_.bitmap_conversions;

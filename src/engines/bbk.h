@@ -10,7 +10,6 @@
 #include "core/run_control.h"
 #include "core/set_ops.h"
 #include "core/subtree.h"
-#include "core/vertex_set.h"
 #include "graph/bipartite_graph.h"
 
 /// \file
@@ -37,29 +36,22 @@
 ///    non-maximal verdict usually settles in one intersection instead of
 ///    a full Q scan.
 ///
-/// The subtree-local universe is what plugs BBK into the adaptive set
-/// layer: L' keeps a sorted list plus, when `VertexSetPolicy` says the
-/// density pays for it, a word bitmap answered by the vectorized kernels
-/// (core/vertex_set.h, util/simd.h). Scratch lives in `EnumContext`
-/// frames (pooled, budget-charged), so MemoryBudget pressure degrades
-/// bitmaps and caps the run like every other engine.
+/// The subtree-local universe is also what makes bitmaps cheap: L' keeps
+/// a sorted list (for emission and recursion) plus a word bitmap over
+/// [0, |L0|), so every candidate and Q probe is a list × bitmap kernel
+/// (core/set_ops.h, util/simd.h). Scratch lives in `EnumContext` frames
+/// (pooled, budget-charged); under MemoryBudget pressure L' stays a list
+/// alone, and the cap stops the run like every other engine.
 ///
 /// Parallel support mirrors MbeaEnumerator: the per-vertex subtree
 /// decomposition (EnumerateSubtree), one whole subtree per task.
 
 namespace mbe {
 
-/// Switches for BBK.
-struct BbkOptions {
-  /// Density threshold for the adaptive L' representation (same meaning as
-  /// MbetOptions::bitmap_density: 0 forces bitmaps, > 1 disables them).
-  double bitmap_density = 0.10;
-};
-
 /// The BBK enumerator.
 class BbkEnumerator {
  public:
-  BbkEnumerator(const BipartiteGraph& graph, const BbkOptions& options = {});
+  explicit BbkEnumerator(const BipartiteGraph& graph);
 
   /// Full enumeration: the union of all per-vertex subtrees (BBK anchors
   /// every maximal biclique at its minimum right vertex, so the subtree
@@ -90,8 +82,13 @@ class BbkEnumerator {
     return {locs_.data() + entry_loc_off_[entry], entry_loc_len_[entry]};
   }
 
+  /// True when L' should carry a bitmap: always, unless the universe is
+  /// empty or the memory budget is under pressure (then the list alone
+  /// is kept and a degradation is noted).
+  bool WantBitmap() const;
+
   /// One node expansion. `l`/`l_words` are the node's L in the local
-  /// universe (the bitmap is empty when the density policy kept the list
+  /// universe (the bitmap is empty when memory pressure kept the list
   /// alone); `cands` and `q` hold entry indices. Traversed candidates are
   /// appended to `q`.
   void Expand(const std::vector<VertexId>& l,
@@ -106,8 +103,6 @@ class BbkEnumerator {
   }
 
   const BipartiteGraph& graph_;
-  BbkOptions options_;
-  VertexSetPolicy policy_;
   EnumStats stats_;
   RunPoller poller_;
   SubtreeBuilder builder_;

@@ -5,20 +5,19 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <vector>
 
 #include "util/common.h"
 #include "util/simd.h"
 
 /// \file
 /// Word-level bitmap primitives over `uint64_t` spans. These are the
-/// fixed-width kernels underneath core/vertex_set.h (the hybrid
-/// sorted-list/bitmap set layer): a set over a universe of `m` vertices is
-/// `WordsFor(m)` consecutive words, bit `x` of the set being bit `x % 64`
-/// of word `x / 64`. Kept header-only so both the graph preprocessing
-/// layer and the enumeration core can use them; the AND/popcount pair
-/// routes through the runtime-dispatched kernel table (util/simd.h) once
-/// the bitmaps are wide enough to amortize the indirect call.
+/// fixed-width kernels underneath the bitmap overloads in core/set_ops.h:
+/// a set over a universe of `m` vertices is `WordsFor(m)` consecutive
+/// words, bit `x` of the set being bit `x % 64` of word `x / 64`. Kept
+/// header-only so both the graph preprocessing layer and the enumeration
+/// core can use them; AND + popcount routes through the runtime-dispatched
+/// kernel table (util/simd.h) once the bitmaps are wide enough to amortize
+/// the indirect call.
 
 namespace mbe::util {
 
@@ -56,17 +55,9 @@ inline void ClearBits(std::span<const VertexId> xs, std::span<uint64_t> words) {
   for (VertexId x : xs) ClearBit(words, x);
 }
 
-/// Population count of the whole bitmap.
-inline size_t CountBits(std::span<const uint64_t> words) {
-  size_t count = 0;
-  for (uint64_t w : words) count += static_cast<size_t>(std::popcount(w));
-  return count;
-}
-
-/// Word counts below which the AND kernels stay on inline loops (the
+/// Word count below which AND + popcount stays on an inline loop (the
 /// indirect dispatch call costs more than the loop on narrow bitmaps).
 inline constexpr size_t kAndCountDispatchWords = 2;
-inline constexpr size_t kAndWordsDispatchWords = 8;
 
 /// |a ∩ b| for two bitmaps over the same universe: AND + popcount, no
 /// materialization. The O(m/64) kernel the dense classification path uses.
@@ -84,42 +75,6 @@ inline size_t AndCountBits(std::span<const uint64_t> a,
     count += static_cast<size_t>(std::popcount(a[i] & b[i]));
   }
   return count;
-}
-
-/// out = a ∩ b (word-wise AND). `out` may alias `a` or `b`.
-inline void AndWords(std::span<const uint64_t> a, std::span<const uint64_t> b,
-                     std::span<uint64_t> out) {
-  PMBE_DCHECK(a.size() == b.size() && out.size() == a.size());
-  if (a.size() >= kAndWordsDispatchWords) {
-    simd::CountKernelCall(simd::KernelOp::kWord);
-    simd::Kernels().and_words(a.data(), b.data(), out.data(), a.size());
-    return;
-  }
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] & b[i];
-}
-
-/// True iff every bit of `a` is set in `b`.
-inline bool IsSubsetWords(std::span<const uint64_t> a,
-                          std::span<const uint64_t> b) {
-  PMBE_DCHECK(a.size() == b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    if ((a[i] & ~b[i]) != 0) return false;
-  }
-  return true;
-}
-
-/// Appends the elements of the bitmap to `*out` in ascending order
-/// (`out` is NOT cleared; callers compose decoded runs into arenas).
-inline void AppendBitsToList(std::span<const uint64_t> words,
-                             std::vector<VertexId>* out) {
-  for (size_t i = 0; i < words.size(); ++i) {
-    uint64_t w = words[i];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      out->push_back(static_cast<VertexId>(i * 64 + static_cast<size_t>(bit)));
-      w &= w - 1;
-    }
-  }
 }
 
 }  // namespace mbe::util

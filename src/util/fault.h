@@ -52,7 +52,7 @@ namespace mbe::util {
 /// sweeps this list; docs/ROBUSTNESS.md documents each entry).
 inline constexpr const char* kFaultPoints[] = {
     "arena.grow",    // EnumContext scratch-pool growth (all engines)
-    "bitmap.build",  // adaptive bitmap materialization (MBET / VertexSet)
+    "bitmap.build",  // adaptive bitmap materialization (MBET)
     "trie.build",    // prefix-tree construction at an enumeration node
     "sink.buffer",   // BufferedSink batch-arena growth
     "sink.flush",    // BufferedSink handing a batch downstream (throws)

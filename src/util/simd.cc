@@ -20,8 +20,7 @@ namespace {
 const KernelTable kScalarTable = {
     internal::ScalarIntersect,     internal::ScalarIntersectSize,
     internal::ScalarIntersectSizeCapped, internal::ScalarIsSubset,
-    internal::ScalarDifference,    internal::ScalarMaskCount,
-    internal::ScalarMaskFilter,    internal::ScalarAndWords,
+    internal::ScalarMaskCount,     internal::ScalarMaskFilter,
     internal::ScalarAndCount,
 };
 
@@ -168,7 +167,6 @@ KernelCallCounters SnapshotKernelCalls() {
   }
   KernelCallCounters out;
   out.intersect = totals[static_cast<size_t>(KernelOp::kIntersect)];
-  out.difference = totals[static_cast<size_t>(KernelOp::kDifference)];
   out.mask = totals[static_cast<size_t>(KernelOp::kMask)];
   out.word = totals[static_cast<size_t>(KernelOp::kWord)];
   return out;

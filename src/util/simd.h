@@ -58,18 +58,12 @@ struct KernelTable {
   /// True iff a ⊆ b.
   bool (*is_subset)(const VertexId* a, size_t na, const VertexId* b,
                     size_t nb);
-  /// out = a \ b; returns |out|.
-  size_t (*difference)(const VertexId* a, size_t na, const VertexId* b,
-                       size_t nb, VertexId* out);
   /// Returns |{x in xs : bit x set in words}| (word-packed membership
   /// mask probe; bit x of the mask is bit x%64 of words[x/64]).
   size_t (*mask_count)(const VertexId* xs, size_t n, const uint64_t* words);
   /// out = {x in xs : bit x set in words}, order preserved; returns |out|.
   size_t (*mask_filter)(const VertexId* xs, size_t n, const uint64_t* words,
                         VertexId* out);
-  /// out[i] = a[i] & b[i] for i < n. `out` may alias `a` or `b`.
-  void (*and_words)(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                    size_t n);
   /// Returns popcount(a & b) over n words.
   size_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
 };
@@ -97,19 +91,18 @@ DispatchLevel ForceLevel(DispatchLevel want);
 // folded totals of exited threads. The API facade diffs two snapshots
 // around a run to fill EnumStats::simd_*_calls.
 
-/// Kernel families the counters distinguish.
+/// Kernel families the counters distinguish. `is_subset` is uncounted:
+/// only the result checker (core/verify.h) calls it.
 enum class KernelOp : uint8_t {
-  kIntersect = 0,   // intersect / intersect_size / intersect_size_capped
-  kDifference = 1,  // difference / is_subset
-  kMask = 2,        // mask_count / mask_filter
-  kWord = 3,        // and_words / and_count
+  kIntersect = 0,  // intersect / intersect_size / intersect_size_capped
+  kMask = 1,       // mask_count / mask_filter
+  kWord = 2,       // and_count
 };
-inline constexpr size_t kNumKernelOps = 4;
+inline constexpr size_t kNumKernelOps = 3;
 
 /// Totals per kernel family at one point in time.
 struct KernelCallCounters {
   uint64_t intersect = 0;
-  uint64_t difference = 0;
   uint64_t mask = 0;
   uint64_t word = 0;
 };

@@ -159,53 +159,6 @@ size_t AvxIntersectSizeCapped(const VertexId* a, size_t na, const VertexId* b,
   return count < cap ? count : cap;
 }
 
-size_t AvxDifference(const VertexId* a, size_t na, const VertexId* b,
-                     size_t nb, VertexId* out) {
-  size_t i = 0, j = 0, count = 0;
-  unsigned found = 0;
-  if (na >= 8 && nb >= 8) {
-    __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-    for (;;) {
-      found |= PairwiseEqMask(va, vb);
-      const VertexId amax = a[i + 7], bmax = b[j + 7];
-      const bool adv_a = amax <= bmax, adv_b = bmax <= amax;
-      if (adv_a) {
-        const unsigned keep = ~found & 0xFFu;
-        StoreCompact(out + count, va, keep);
-        count += static_cast<size_t>(std::popcount(keep));
-        found = 0;
-        i += 8;
-        if (i + 8 > na) {
-          if (adv_b) j += 8;
-          break;
-        }
-        va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-      }
-      if (adv_b) {
-        j += 8;
-        if (j + 8 > nb) break;
-        vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-      }
-    }
-  }
-  if (found != 0) {
-    // b ran out of full blocks mid-way through this a block: emit its
-    // unmatched lanes, still checking them against the b remainder.
-    for (size_t k = 0; k < 8; ++k) {
-      if ((found >> k) & 1) continue;
-      const VertexId x = a[i + k];
-      const VertexId* lo = BranchlessLowerBound(b + j, nb - j, x);
-      if (lo == b + nb || *lo != x) out[count++] = x;
-    }
-    i += 8;
-  }
-  if (i < na) {
-    count += ScalarDifference(a + i, na - i, b + j, nb - j, out + count);
-  }
-  return count;
-}
-
 bool AvxIsSubset(const VertexId* a, size_t na, const VertexId* b, size_t nb) {
   if (na > nb) return false;
   size_t i = 0, j = 0;
@@ -293,20 +246,6 @@ size_t AvxMaskFilter(const VertexId* xs, size_t n, const uint64_t* words,
   return count;
 }
 
-void AvxAndWords(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                 size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(va, vb));
-  }
-  for (; i < n; ++i) out[i] = a[i] & b[i];
-}
-
 size_t AvxAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
   // AND vectorized, popcount scalar: without AVX-512 VPOPCNTDQ the
   // in-register popcount schemes only pay off past sizes these masks
@@ -335,8 +274,8 @@ size_t AvxAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
 const KernelTable& Avx2KernelTable() {
   static const KernelTable table = {
       AvxIntersect,  AvxIntersectSize, AvxIntersectSizeCapped,
-      AvxIsSubset,   AvxDifference,    AvxMaskCount,
-      AvxMaskFilter, AvxAndWords,      AvxAndCount,
+      AvxIsSubset,   AvxMaskCount,     AvxMaskFilter,
+      AvxAndCount,
   };
   return table;
 }

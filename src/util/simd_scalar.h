@@ -85,25 +85,6 @@ inline bool ScalarIsSubset(const VertexId* a, size_t na, const VertexId* b,
   return true;
 }
 
-inline size_t ScalarDifference(const VertexId* a, size_t na, const VertexId* b,
-                               size_t nb, VertexId* out) {
-  size_t i = 0, j = 0, count = 0;
-  while (i < na && j < nb) {
-    const VertexId x = a[i], y = b[j];
-    if (x < y) {
-      out[count++] = x;
-      ++i;
-    } else if (y < x) {
-      ++j;
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  while (i < na) out[count++] = a[i++];
-  return count;
-}
-
 inline size_t ScalarMaskCount(const VertexId* xs, size_t n,
                               const uint64_t* words) {
   size_t count = 0;
@@ -123,11 +104,6 @@ inline size_t ScalarMaskFilter(const VertexId* xs, size_t n,
     count += (words[x >> 6] >> (x & 63)) & 1;
   }
   return count;
-}
-
-inline void ScalarAndWords(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                           size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] & b[i];
 }
 
 inline size_t ScalarAndCount(const uint64_t* a, const uint64_t* b, size_t n) {

@@ -166,57 +166,10 @@ size_t SseIntersectSizeCapped(const VertexId* a, size_t na, const VertexId* b,
   return count < cap ? count : cap;
 }
 
-// Shared skeleton for difference and subset: walk blocks carrying the
-// found-mask of the current `a` block across the `b` blocks it straddles.
-// When the vector loop exhausts `b`, the carried mask finishes against the
-// scalar remainder of `b` before the plain scalar tail takes over.
-size_t SseDifference(const VertexId* a, size_t na, const VertexId* b,
-                     size_t nb, VertexId* out) {
-  size_t i = 0, j = 0, count = 0;
-  unsigned found = 0;
-  if (na >= 4 && nb >= 4) {
-    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
-    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-    for (;;) {
-      found |= PairwiseEqMask(va, vb);
-      const VertexId amax = a[i + 3], bmax = b[j + 3];
-      const bool adv_a = amax <= bmax, adv_b = bmax <= amax;
-      if (adv_a) {
-        const unsigned keep = ~found & 0xFu;
-        StoreCompact(out + count, va, keep);
-        count += static_cast<size_t>(std::popcount(keep));
-        found = 0;
-        i += 4;
-        if (i + 4 > na) {
-          if (adv_b) j += 4;
-          break;
-        }
-        va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-      }
-      if (adv_b) {
-        j += 4;
-        if (j + 4 > nb) break;
-        vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-      }
-    }
-  }
-  if (found != 0) {
-    // b ran out of full blocks mid-way through this a block: emit its
-    // unmatched lanes, still checking them against the b remainder.
-    for (size_t k = 0; k < 4; ++k) {
-      if ((found >> k) & 1) continue;
-      const VertexId x = a[i + k];
-      const VertexId* lo = BranchlessLowerBound(b + j, nb - j, x);
-      if (lo == b + nb || *lo != x) out[count++] = x;
-    }
-    i += 4;
-  }
-  if (i < na) {
-    count += ScalarDifference(a + i, na - i, b + j, nb - j, out + count);
-  }
-  return count;
-}
-
+// Subset walk: carry the found-mask of the current `a` block across the
+// `b` blocks it straddles. When the vector loop exhausts `b`, the carried
+// mask finishes against the scalar remainder of `b` before the plain
+// scalar tail takes over.
 bool SseIsSubset(const VertexId* a, size_t na, const VertexId* b, size_t nb) {
   if (na > nb) return false;
   size_t i = 0, j = 0;
@@ -265,8 +218,8 @@ const KernelTable& Sse42KernelTable() {
   // they get hardware popcount, which is the whole win for and_count.
   static const KernelTable table = {
       SseIntersect,     SseIntersectSize, SseIntersectSizeCapped,
-      SseIsSubset,      SseDifference,    ScalarMaskCount,
-      ScalarMaskFilter, ScalarAndWords,   ScalarAndCount,
+      SseIsSubset,      ScalarMaskCount,  ScalarMaskFilter,
+      ScalarAndCount,
   };
   return table;
 }

@@ -1,17 +1,20 @@
 // Engine-level tests for BBK (engines/bbk.h): oracle-checked output,
-// digest identity with MBET across graph families and set-layer configs,
-// the fixed candidate order (no per-node re-sort), and split-at-pickup
-// shard equivalence — the property the work-stealing driver relies on.
+// digest identity with MBET across graph families, L' bitmaps on every
+// node and the sorted-list fallback under memory pressure (serial and
+// through the stealing driver), and the facade's serial/parallel paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "api/mbe.h"
 #include "core/verify.h"
 #include "engines/bbk.h"
 #include "gen/generators.h"
+#include "parallel/parallel_mbe.h"
+#include "util/memory.h"
 
 namespace mbe {
 namespace {
@@ -64,25 +67,130 @@ TEST(BbkEngineTest, OutputIdenticalToMbetAcrossFamilies) {
   }
 }
 
-TEST(BbkEngineTest, SetLayerConfigsAreOutputInvariant) {
-  // bitmap_density only swaps the L' representation; forced bitmaps
-  // (0.0) and disabled bitmaps (2.0) must produce the default's digest.
+// A budget whose cap is far above what one test run charges, pre-charged
+// past its soft fraction: every consumer sees pressure, no charge is
+// declined. The pre-charge is returned on destruction.
+class PressuredBudget {
+ public:
+  static constexpr uint64_t kCap = uint64_t{1} << 30;
+  static constexpr uint64_t kPreCharge = kCap / 10 * 8;
+
+  PressuredBudget() {
+    budget_.BeginRun(kCap);
+    charged_ = budget_.TryCharge(kPreCharge);
+  }
+  ~PressuredBudget() {
+    if (charged_) budget_.Release(kPreCharge);
+  }
+  PressuredBudget(const PressuredBudget&) = delete;
+  PressuredBudget& operator=(const PressuredBudget&) = delete;
+
+  bool pressured() const { return charged_ && budget_.UnderPressure(); }
+  util::MemoryBudget* get() { return &budget_; }
+
+ private:
+  util::MemoryBudget budget_;
+  bool charged_ = false;
+};
+
+TEST(BbkEngineTest, MemoryPressureKeepsListsWithSameDigest) {
+  // Under pressure L' stays on its sorted list (a degradation, no
+  // bitmap); the output must be the unpressured run's.
   const BipartiteGraph graph = gen::PowerLaw(250, 180, 1400, 0.85, 0.8, 70);
-  BbkEnumerator def(graph);
+  BbkEnumerator free_run(graph);
   FingerprintSink a;
-  def.EnumerateAll(&a);
+  free_run.EnumerateAll(&a);
+  EXPECT_GT(free_run.stats().bitmap_conversions, 0u);
 
-  BbkEnumerator forced(graph, BbkOptions{.bitmap_density = 0.0});
+  PressuredBudget budget;
+  ASSERT_TRUE(budget.pressured());
   FingerprintSink b;
-  forced.EnumerateAll(&b);
+  EnumStats pressured_stats;
+  {
+    util::ScopedBudgetBinding binding(budget.get());
+    BbkEnumerator pressured(graph);
+    pressured.EnumerateAll(&b);
+    pressured_stats = pressured.stats();
+  }
   EXPECT_EQ(b.Digest(), a.Digest());
-  EXPECT_GT(forced.stats().bitmap_conversions, 0u);
+  EXPECT_EQ(b.count(), a.count());
+  EXPECT_EQ(pressured_stats.bitmap_conversions, 0u);
+  EXPECT_EQ(pressured_stats.bitmap_kernel_calls, 0u);
+  EXPECT_GT(budget.get()->degradations(), 0u);
+  EXPECT_FALSE(budget.get()->exhausted());
+}
 
-  BbkEnumerator lists(graph, BbkOptions{.bitmap_density = 2.0});
-  FingerprintSink c;
-  lists.EnumerateAll(&c);
-  EXPECT_EQ(c.Digest(), a.Digest());
-  EXPECT_EQ(lists.stats().bitmap_conversions, 0u);
+TEST(BbkEngineTest, EveryExpandedNodeCarriesABitmap) {
+  // Without pressure BBK never leaves L on a list alone: each expansion
+  // is entered with the root's or the parent's L' bitmap, so there is at
+  // least one conversion per expanded node, and every candidate/Q probe
+  // is a list x bitmap kernel.
+  const BipartiteGraph graph = gen::HubBlock(50, 35, 50, 100, 0.4, 0.03, 21);
+  BbkEnumerator engine(graph);
+  CountSink sink;
+  engine.EnumerateAll(&sink);
+  const EnumStats& s = engine.stats();
+  ASSERT_GT(s.nodes_expanded, 0u);
+  EXPECT_GE(s.bitmap_conversions, s.nodes_expanded);
+  EXPECT_GT(s.bitmap_kernel_calls, 0u);
+}
+
+// One BBK engine per stealing-driver worker.
+class BbkWorker : public SubtreeWorker {
+ public:
+  explicit BbkWorker(const BipartiteGraph& graph) : engine_(graph) {}
+  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
+    engine_.EnumerateSubtree(v, sink);
+  }
+  EnumStats stats() const override { return engine_.stats(); }
+
+ private:
+  BbkEnumerator engine_;
+};
+
+TEST(BbkEngineTest, PressuredParallelRunMatchesSerial) {
+  // The driver binds the run's budget on every worker thread, so pressure
+  // reaches each worker's engine: no worker builds a bitmap, and the
+  // merged output is the serial run's.
+  const BipartiteGraph graph = gen::PowerLaw(250, 180, 1400, 0.85, 0.8, 70);
+  BbkEnumerator serial(graph);
+  FingerprintSink ref;
+  serial.EnumerateAll(&ref);
+
+  PressuredBudget budget;
+  ASSERT_TRUE(budget.pressured());
+  ParallelOptions popts;
+  popts.threads = 4;
+  popts.budget = budget.get();
+  FingerprintSink got;
+  const EnumStats stats = ParallelEnumerate(
+      graph, [&graph] { return std::make_unique<BbkWorker>(graph); }, popts,
+      &got);
+  EXPECT_EQ(got.Digest(), ref.Digest());
+  EXPECT_EQ(got.count(), ref.count());
+  EXPECT_EQ(stats.maximal, ref.count());
+  EXPECT_EQ(stats.bitmap_conversions, 0u);
+  EXPECT_GT(budget.get()->degradations(), 0u);
+}
+
+TEST(BbkEngineTest, FacadeBbkIgnoresBitmapDensity) {
+  // `mbet.bitmap_density` is MBET's knob: a setting that disables MBET's
+  // bitmaps leaves BBK's per-node bitmaps, and its output, unchanged.
+  const BipartiteGraph graph = gen::PowerLaw(250, 180, 1400, 0.85, 0.8, 70);
+  RunOptions o;
+  o.algorithm = Algorithm::kBbk;
+  FingerprintSink def;
+  RunResult def_run;
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &def, &def_run).ok());
+
+  o.mbet.bitmap_density = 2.0;
+  FingerprintSink lists;
+  RunResult lists_run;
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &lists, &lists_run).ok());
+  EXPECT_EQ(lists.Digest(), def.Digest());
+  EXPECT_GT(lists_run.stats.bitmap_conversions, 0u);
+  EXPECT_EQ(lists_run.stats.bitmap_conversions,
+            def_run.stats.bitmap_conversions);
 }
 
 TEST(BbkEngineTest, EmptyAndDegenerateGraphs) {

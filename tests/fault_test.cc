@@ -7,9 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "api/mbe.h"
@@ -281,13 +280,14 @@ TEST_P(ControlTimesBudgetTest, CancellationDuringCappedRunYieldsValidPrefix) {
   options.control.cancel = &cancel;
   options.max_memory_bytes = 1 << 20;  // pressure (and maybe exhaustion)
   CollectSink sink;
-  RunResult run;
-  std::thread trigger([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Cancel once the first biclique is delivered: mid-run, no sleep.
+  CallbackSink latch([&](std::span<const VertexId> left,
+                         std::span<const VertexId> right) {
+    sink.Emit(left, right);
     cancel.store(true);
   });
-  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
-  trigger.join();
+  RunResult run;
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &latch, &run).ok());
   // Whichever limit won the race, the stop must be typed and the prefix
   // valid.
   EXPECT_TRUE(run.termination == Termination::kCancelled ||

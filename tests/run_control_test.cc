@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
+#include <span>
 #include <vector>
 
 #include "api/mbe.h"
@@ -193,6 +193,16 @@ TEST(RunControlTest, PreSetCancellationTokenStopsImmediately) {
   EXPECT_EQ(sink.count(), 0u);
 }
 
+// Forwards to `inner` and raises `cancel` once the first biclique has been
+// delivered, so the cancel lands mid-run without a wall-clock wait.
+CallbackSink CancelOnFirstEmit(ResultSink* inner, std::atomic<bool>* cancel) {
+  return CallbackSink([inner, cancel](std::span<const VertexId> left,
+                                      std::span<const VertexId> right) {
+    inner->Emit(left, right);
+    cancel->store(true);
+  });
+}
+
 TEST(RunControlTest, CancellationMidRunYieldsValidPrefix) {
   const BipartiteGraph graph = WorstCaseGraph();
   std::atomic<bool> cancel{false};
@@ -200,15 +210,35 @@ TEST(RunControlTest, CancellationMidRunYieldsValidPrefix) {
   options.control.cancel = &cancel;
   options.threads = 4;
   CountSink sink;
+  CallbackSink latch = CancelOnFirstEmit(&sink, &cancel);
   RunResult run;
-  std::thread canceller([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    cancel.store(true);
-  });
-  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
-  canceller.join();
+  ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &latch, &run).ok());
   EXPECT_EQ(run.termination, Termination::kCancelled);
   EXPECT_GT(sink.count(), 0u);
+}
+
+TEST(RunControlTest, CancellationMidRunStopsEverySerialEngine) {
+  // The single-thread path constructs each engine directly (no stealing
+  // driver); every one of them must honour a cancel that arrives mid-run.
+  const BipartiteGraph graph = WorstCaseGraph();
+  for (Algorithm algorithm :
+       {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
+        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kBbk}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    std::atomic<bool> cancel{false};
+    RunOptions options;
+    options.algorithm = algorithm;
+    options.control.cancel = &cancel;
+    CollectSink sink;
+    CallbackSink latch = CancelOnFirstEmit(&sink, &cancel);
+    RunResult run;
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &latch, &run).ok());
+    EXPECT_EQ(run.termination, Termination::kCancelled);
+    ASSERT_GT(sink.results().size(), 0u);
+    for (const Biclique& b : sink.results()) {
+      EXPECT_TRUE(IsMaximalBiclique(graph, b)) << ToString(b);
+    }
+  }
 }
 
 TEST(RunControlTest, ProgressCallbackFiresWithLiveCounters) {

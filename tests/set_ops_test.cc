@@ -1,6 +1,6 @@
 // Unit and property tests for the sorted-set kernels, including the
-// galloping path taken on lopsided operand sizes and the membership-mask
-// operations.
+// galloping path taken on lopsided operand sizes, the membership-mask
+// operations and the list x bitmap / bitmap x bitmap kernels.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/set_ops.h"
+#include "util/bitset.h"
 #include "util/random.h"
 
 namespace mbe {
@@ -74,16 +75,26 @@ TEST(SetOpsTest, IsSubset) {
   EXPECT_FALSE(IsSubset(std::vector<VertexId>{1}, std::vector<VertexId>{}));
 }
 
-TEST(SetOpsTest, UnionAndDifference) {
-  std::vector<VertexId> a = {1, 3, 5};
-  std::vector<VertexId> b = {2, 3, 6};
-  std::vector<VertexId> out;
-  Union(a, b, &out);
-  EXPECT_EQ(out, (std::vector<VertexId>{1, 2, 3, 5, 6}));
-  Difference(a, b, &out);
-  EXPECT_EQ(out, (std::vector<VertexId>{1, 5}));
-  Difference(b, a, &out);
-  EXPECT_EQ(out, (std::vector<VertexId>{2, 6}));
+TEST(SetOpsTest, IsSubsetAcrossKernelCutoffs) {
+  // IsSubset is the result checker's kernel (core/verify.h). Sizes
+  // straddle the inline-loop cutoff (16) and the gallop ratio (32); each
+  // subset is then broken at its front, middle and back.
+  for (size_t na : {1u, 15u, 16u, 17u, 40u}) {
+    for (size_t stride : {1u, 2u, 64u}) {
+      std::vector<VertexId> b;  // even numbers: odd values are misses
+      for (size_t i = 0; i < na * stride; ++i) {
+        b.push_back(static_cast<VertexId>(2 * i));
+      }
+      std::vector<VertexId> a;
+      for (size_t i = 0; i < na; ++i) a.push_back(b[i * stride]);
+      EXPECT_TRUE(IsSubset(a, b)) << na << "/" << stride;
+      for (size_t at : {size_t{0}, na / 2, na - 1}) {
+        std::vector<VertexId> miss = a;
+        ++miss[at];  // odd, and still below miss[at + 1]
+        EXPECT_FALSE(IsSubset(miss, b)) << na << "/" << stride << " @" << at;
+      }
+    }
+  }
 }
 
 TEST(SetOpsTest, Contains) {
@@ -108,18 +119,8 @@ TEST_P(SetOpsPropertyTest, AgreesWithStdOnRandomSets) {
     Intersect(a, b, &got);
     EXPECT_EQ(got, RefIntersect(a, b));
     EXPECT_EQ(IntersectSize(a, b), RefIntersect(a, b).size());
-
-    std::vector<VertexId> want_union;
-    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(want_union));
-    Union(a, b, &got);
-    EXPECT_EQ(got, want_union);
-
-    std::vector<VertexId> want_diff;
-    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(want_diff));
-    Difference(a, b, &got);
-    EXPECT_EQ(got, want_diff);
+    EXPECT_TRUE(IsSubset(got, a));
+    EXPECT_TRUE(IsSubset(got, b));
   }
 }
 
@@ -225,6 +226,146 @@ TEST(MembershipMaskTest, WordsExposePackedLayout) {
   mask.Set(s);
   EXPECT_EQ(mask.words()[0], (uint64_t{1} << 63) | 1u);
   EXPECT_EQ(mask.words()[1], (uint64_t{1} << 5) | 1u);
+}
+
+// --- Bitmap kernels ----------------------------------------------------------
+// The list x bitmap and bitmap x bitmap overloads, cross-checked against
+// the sorted-list reference.
+
+std::vector<VertexId> RandomSortedSet(size_t n, size_t universe,
+                                      util::Rng& rng) {
+  std::vector<VertexId> out;
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(static_cast<VertexId>(rng.Below(universe)));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<uint64_t> ToWords(std::span<const VertexId> set, size_t universe) {
+  std::vector<uint64_t> words(util::WordsFor(universe), 0);
+  util::SetBits(set, words);
+  return words;
+}
+
+TEST(SetKernelsTest, WordKernelsMatchListReference) {
+  util::Rng rng(11);
+  for (size_t universe : {40u, 64u, 130u, 500u}) {
+    auto a = RandomSortedSet(universe / 3, universe, rng);
+    auto b = RandomSortedSet(universe / 2, universe, rng);
+    std::vector<VertexId> want;
+    Intersect(a, b, &want);
+
+    auto wa = ToWords(a, universe), wb = ToWords(b, universe);
+    EXPECT_EQ(IntersectSize(std::span<const uint64_t>(wa),
+                            std::span<const uint64_t>(wb)),
+              want.size())
+        << "universe=" << universe;
+  }
+}
+
+TEST(SetKernelsTest, MixedKernelsMatchListReference) {
+  util::Rng rng(17);
+  const size_t universe = 300;
+  auto a = RandomSortedSet(80, universe, rng);
+  auto b = RandomSortedSet(150, universe, rng);
+  std::vector<VertexId> want;
+  Intersect(a, b, &want);
+
+  auto wb = ToWords(b, universe);
+  std::vector<VertexId> got;
+  IntersectInto(std::span<const VertexId>(a), wb, &got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(IntersectSize(std::span<const VertexId>(a),
+                          std::span<const uint64_t>(wb)),
+            want.size());
+}
+
+TEST(SetKernelsTest, IntersectIntoStrategiesAgree) {
+  util::Rng rng(19);
+  for (int round = 0; round < 50; ++round) {
+    const size_t universe = 16 + rng.Below(512);
+    auto a = RandomSortedSet(rng.Below(universe), universe, rng);
+    auto b = RandomSortedSet(rng.Below(universe), universe, rng);
+    std::vector<VertexId> merge, gallop, auto_out;
+    IntersectInto(a, b, &merge, IntersectStrategy::kMerge);
+    IntersectInto(a, b, &gallop, IntersectStrategy::kGallop);
+    IntersectInto(a, b, &auto_out, IntersectStrategy::kAuto);
+    EXPECT_EQ(gallop, merge) << "round=" << round;
+    EXPECT_EQ(auto_out, merge) << "round=" << round;
+  }
+}
+
+TEST(SetKernelsTest, EmptyOperands) {
+  const std::vector<uint64_t> full = ToWords(std::vector<VertexId>{0, 1, 2, 3},
+                                             64);
+  const std::vector<uint64_t> none(full.size(), 0);
+  std::vector<VertexId> out = {7};  // stale content must be cleared
+  IntersectInto(std::span<const VertexId>(), full, &out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(IntersectSize(std::span<const VertexId>(),
+                          std::span<const uint64_t>(full)),
+            0u);
+  const std::vector<VertexId> list = {0, 1, 2, 3};
+  IntersectInto(list, none, &out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(IntersectSize(std::span<const uint64_t>(full),
+                          std::span<const uint64_t>(none)),
+            0u);
+  // Zero-universe bitmaps intersect to nothing without touching words.
+  EXPECT_EQ(IntersectSize(std::span<const uint64_t>(),
+                          std::span<const uint64_t>()),
+            0u);
+}
+
+TEST(SetKernelsTest, MixedKernelsAcrossSmallListCutoff) {
+  // Lists shorter than 16 stay on the inline loop; longer ones dispatch
+  // the mask kernels. Both must agree with the reference at every length.
+  util::Rng rng(31);
+  const size_t universe = 200;
+  const auto b = RandomSortedSet(120, universe, rng);
+  const auto wb = ToWords(b, universe);
+  for (size_t n = 0; n <= 40; ++n) {
+    std::vector<VertexId> a;  // exactly n elements
+    for (size_t k = 0; k < n; ++k) {
+      a.push_back(static_cast<VertexId>(3 * k + n % 3));
+    }
+    std::vector<VertexId> want, got;
+    Intersect(a, b, &want);
+    IntersectInto(std::span<const VertexId>(a), wb, &got);
+    EXPECT_EQ(got, want) << "n=" << n;
+    EXPECT_EQ(IntersectSize(std::span<const VertexId>(a),
+                            std::span<const uint64_t>(wb)),
+              want.size())
+        << "n=" << n;
+  }
+}
+
+TEST(SetKernelsTest, WordCountAcrossDispatchCutoff) {
+  // One word stays inline; two and more dispatch and_count. Universes sit
+  // on and around the word boundaries, with the boundary bits set.
+  for (size_t universe : {1u, 63u, 64u, 65u, 128u, 129u, 320u}) {
+    std::vector<VertexId> a, b;
+    for (VertexId x : {0u, 62u, 63u, 64u, 65u, 127u, 128u, 319u}) {
+      if (x >= universe) continue;
+      a.push_back(x);
+      if (x % 2 == 1 || x == 64) b.push_back(x);
+    }
+    b.push_back(static_cast<VertexId>(universe - 1));
+    std::sort(b.begin(), b.end());
+    b.erase(std::unique(b.begin(), b.end()), b.end());
+    std::vector<VertexId> want;
+    Intersect(a, b, &want);
+    const auto wa = ToWords(a, universe), wb = ToWords(b, universe);
+    EXPECT_EQ(IntersectSize(std::span<const uint64_t>(wa),
+                            std::span<const uint64_t>(wb)),
+              want.size())
+        << "universe=" << universe;
+    std::vector<VertexId> got;
+    IntersectInto(std::span<const VertexId>(a), wb, &got);
+    EXPECT_EQ(got, want) << "universe=" << universe;
+  }
 }
 
 // --- HashVertexSpan ----------------------------------------------------------

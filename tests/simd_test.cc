@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <vector>
 
@@ -86,7 +87,7 @@ Pair RandomPair(uint64_t shape, util::Rng& rng) {
       p.a = RandomSorted(8, 5000, rng);
       p.b = RandomSorted(2000, 5000, rng);
       break;
-    case 3: {  // b = superset of a (subset/difference edge cases)
+    case 3: {  // b = superset of a (subset edge cases)
       p.b = RandomSorted(500, 2000, rng);
       for (VertexId x : p.b) {
         if (rng.Below(3) != 0) p.a.push_back(x);
@@ -121,9 +122,6 @@ TEST(SimdKernelTest, AllLevelsMatchScalarOnRandomPairs) {
 
     std::vector<VertexId> ref_out = PadCopy(p.a);
     const size_t ref_inter = ScalarIntersect(a, na, b, nb, ref_out.data());
-    std::vector<VertexId> ref_diff_out = PadCopy(p.a);
-    const size_t ref_diff =
-        ScalarDifference(a, na, b, nb, ref_diff_out.data());
     const bool ref_subset = ScalarIsSubset(a, na, b, nb);
     const size_t caps[] = {0, 1, ref_inter, ref_inter + 1, na + nb};
 
@@ -148,14 +146,6 @@ TEST(SimdKernelTest, AllLevelsMatchScalarOnRandomPairs) {
                   std::min(ref_inter, cap))
             << name << " round " << round << " cap " << cap;
       }
-
-      std::vector<VertexId> diff = PadCopy(p.a);
-      const size_t n_diff = k.difference(a, na, b, nb, diff.data());
-      ASSERT_EQ(n_diff, ref_diff) << name << " round " << round;
-      ASSERT_TRUE(std::equal(diff.begin(),
-                             diff.begin() + static_cast<ptrdiff_t>(n_diff),
-                             ref_diff_out.begin()))
-          << name << " round " << round;
 
       ASSERT_EQ(k.is_subset(a, na, b, nb), ref_subset)
           << name << " round " << round;
@@ -206,12 +196,45 @@ TEST(SimdKernelTest, MaskAndWordKernelsMatchScalar) {
       ASSERT_EQ(k.and_count(words.data(), other.data(), words.size()),
                 ref_and)
           << name << " round " << round;
-      std::vector<uint64_t> anded(words.size());
-      k.and_words(words.data(), other.data(), anded.data(), words.size());
-      for (size_t i = 0; i < words.size(); ++i) {
-        ASSERT_EQ(anded[i], words[i] & other[i])
-            << name << " round " << round << " word " << i;
-      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, IsSubsetEdgeShapesMatchScalar) {
+  // The block-carried found-mask of the SIMD subset walks: a == b, a
+  // missing one element at every lane position of the first blocks, a
+  // whose last block straddles the end of b, and a longer than b.
+  using namespace simd::internal;
+  const std::vector<DispatchLevel> levels = AvailableLevels();
+  std::vector<std::pair<std::vector<VertexId>, std::vector<VertexId>>> cases;
+  for (size_t n : {4u, 7u, 8u, 9u, 16u, 17u, 33u}) {
+    std::vector<VertexId> b(n);
+    for (size_t i = 0; i < n; ++i) b[i] = static_cast<VertexId>(2 * i);
+    cases.push_back({b, b});
+    for (size_t drop = 0; drop < n; ++drop) {
+      std::vector<VertexId> miss = b;
+      ++miss[drop];  // odd: absent from b, order kept
+      cases.push_back({miss, b});
+    }
+    std::vector<VertexId> tail(b.begin() + static_cast<ptrdiff_t>(n / 2),
+                               b.end());
+    tail.push_back(b.back() + 2);  // runs one past the end of b
+    cases.push_back({tail, b});
+    std::vector<VertexId> longer = b;
+    longer.push_back(b.back() + 2);
+    cases.push_back({longer, b});
+  }
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const auto& [a, b] = cases[c];
+    const bool want = ScalarIsSubset(a.data(), a.size(), b.data(), b.size());
+    ASSERT_EQ(want, std::includes(b.begin(), b.end(), a.begin(), a.end()));
+    for (DispatchLevel lvl : levels) {
+      ScopedDispatch forced(lvl);
+      ASSERT_TRUE(forced.installed());
+      EXPECT_EQ(simd::Kernels().is_subset(a.data(), a.size(), b.data(),
+                                          b.size()),
+                want)
+          << simd::DispatchLevelName(lvl) << " case " << c;
     }
   }
 }
@@ -238,11 +261,6 @@ TEST(SimdKernelTest, SetOpsIdenticalAcrossStrategiesAndLevels) {
             << static_cast<int>(strategy) << " round " << round;
       }
       ASSERT_EQ(IntersectSize(p.a, p.b), expect.size());
-      std::vector<VertexId> diff, ref_diff;
-      std::set_difference(p.a.begin(), p.a.end(), p.b.begin(), p.b.end(),
-                          std::back_inserter(ref_diff));
-      Difference(p.a, p.b, &diff);
-      ASSERT_EQ(diff, ref_diff);
       ASSERT_EQ(IsSubset(p.a, p.b),
                 std::includes(p.b.begin(), p.b.end(), p.a.begin(), p.a.end()));
     }
@@ -276,6 +294,56 @@ TEST(SimdDispatchTest, KernelCallCountersAdvance) {
   (void)IntersectSize(a, b);
   const simd::KernelCallCounters after = simd::SnapshotKernelCalls();
   EXPECT_GT(after.intersect, before.intersect);
+}
+
+TEST(SimdDispatchTest, KernelCallCountersAttributeFamilies) {
+  // Each family's entry point advances its own counter and no other one;
+  // is_subset (the result checker's kernel) is not counted at all.
+  std::vector<VertexId> a(64), b(64);
+  for (size_t i = 0; i < 64; ++i) {
+    a[i] = static_cast<VertexId>(2 * i);
+    b[i] = static_cast<VertexId>(3 * i);
+  }
+  MembershipMask mask(256);
+  mask.Set(b);
+  const std::vector<uint64_t> words(4, ~uint64_t{0});
+  auto delta = [](const simd::KernelCallCounters& before) {
+    const simd::KernelCallCounters after = simd::SnapshotKernelCalls();
+    return std::array<uint64_t, 3>{after.intersect - before.intersect,
+                                   after.mask - before.mask,
+                                   after.word - before.word};
+  };
+  simd::KernelCallCounters before = simd::SnapshotKernelCalls();
+  (void)IntersectSize(a, b);
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{1, 0, 0}));
+  before = simd::SnapshotKernelCalls();
+  (void)IntersectSizeWithMask(a, mask);
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 1, 0}));
+  before = simd::SnapshotKernelCalls();
+  (void)IntersectSize(std::span<const uint64_t>(words),
+                      std::span<const uint64_t>(words));
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 0, 1}));
+  before = simd::SnapshotKernelCalls();
+  (void)IsSubset(a, a);
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 0, 0}));
+}
+
+TEST(SimdDispatchTest, EveryTableEntryIsPopulated) {
+  // The tables are positional aggregates: an initializer list one entry
+  // short still compiles and leaves the last kernel null.
+  for (DispatchLevel lvl : AvailableLevels()) {
+    ScopedDispatch forced(lvl);
+    ASSERT_TRUE(forced.installed());
+    const simd::KernelTable& k = simd::Kernels();
+    const char* name = simd::DispatchLevelName(lvl);
+    EXPECT_NE(k.intersect, nullptr) << name;
+    EXPECT_NE(k.intersect_size, nullptr) << name;
+    EXPECT_NE(k.intersect_size_capped, nullptr) << name;
+    EXPECT_NE(k.is_subset, nullptr) << name;
+    EXPECT_NE(k.mask_count, nullptr) << name;
+    EXPECT_NE(k.mask_filter, nullptr) << name;
+    EXPECT_NE(k.and_count, nullptr) << name;
+  }
 }
 
 // --- Whole-engine digest identity across levels --------------------------

@@ -394,12 +394,11 @@ int main(int argc, char** argv) {
     std::printf("  bitmap kernels:      %llu calls, %llu conversions\n",
                 static_cast<unsigned long long>(s.bitmap_kernel_calls),
                 static_cast<unsigned long long>(s.bitmap_conversions));
-    std::printf("  kernel dispatch:     %s (intersect %llu, difference %llu, "
-                "mask %llu, word %llu calls)\n",
+    std::printf("  kernel dispatch:     %s (intersect %llu, mask %llu, "
+                "word %llu calls)\n",
                 simd::DispatchLevelName(
                     static_cast<simd::DispatchLevel>(s.kernel_dispatch)),
                 static_cast<unsigned long long>(s.simd_intersect_calls),
-                static_cast<unsigned long long>(s.simd_difference_calls),
                 static_cast<unsigned long long>(s.simd_mask_calls),
                 static_cast<unsigned long long>(s.simd_word_calls));
     if (s.auto_tuned != 0) {

@@ -36,6 +36,7 @@
 #include "gen/registry.h"
 #include "serve/wire.h"
 #include "util/flags.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -43,15 +44,6 @@ using Clock = std::chrono::steady_clock;
 
 double MsSince(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0;
-  const double rank = p * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
 /// Shared tally across worker threads; one session lands in exactly one
@@ -320,10 +312,9 @@ int main(int argc, char** argv) {
   for (std::thread& t : threads) t.join();
   const double wall_s = MsSince(bench_start, Clock::now()) / 1000.0;
 
-  std::sort(tally.latencies_ms.begin(), tally.latencies_ms.end());
-  const double p50 = Percentile(tally.latencies_ms, 0.50);
-  const double p95 = Percentile(tally.latencies_ms, 0.95);
-  const double p99 = Percentile(tally.latencies_ms, 0.99);
+  const double p50 = mbe::util::Percentile(tally.latencies_ms, 50);
+  const double p95 = mbe::util::Percentile(tally.latencies_ms, 95);
+  const double p99 = mbe::util::Percentile(tally.latencies_ms, 99);
   double mean = 0;
   for (double v : tally.latencies_ms) mean += v;
   if (!tally.latencies_ms.empty()) {

@@ -302,17 +302,9 @@ int main(int argc, char** argv) {
           {"ooMBEA-lite (subtree-local iMBEA, unilateral order)", o, g, true});
     }
     {
-      // Both degenerate densities of BBK's adaptive L' representation.
       RunOptions o;
       o.algorithm = Algorithm::kBbk;
-      o.mbet.bitmap_density = 0.0;
-      configs.push_back({"BBK forced bitmap", o});
-    }
-    {
-      RunOptions o;
-      o.algorithm = Algorithm::kBbk;
-      o.mbet.bitmap_density = 2.0;
-      configs.push_back({"BBK bitmap disabled", o});
+      configs.push_back({"BBK", o});
     }
     {
       RunOptions o;
