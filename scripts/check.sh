@@ -7,7 +7,7 @@
 # builds everything, runs ctest, repeats the timing-sensitive suites 20
 # times alone and under -j$(nproc), runs a pmbe_selfcheck smoke (which includes
 # a budget-truncation check every round), and drives the CLI against a
-# worst-case dataset with --timeout_s 1 to prove that cooperative
+# worst-case graph with --timeout_s 1 to prove that cooperative
 # cancellation terminates promptly and cleanly under the sanitizers. Then
 # the configuration matrices: the set-representation legs
 # (PMBE_FORCE_BITMAP on/off), the kernel-dispatch legs (scalar pin via
@@ -76,14 +76,23 @@ echo "=== selfcheck smoke (differential fuzz + budget truncation) ==="
 "$BUILD_DIR/tools/pmbe_selfcheck" --rounds 25 --seed 1
 
 echo "=== run-control proof: 1s deadline on a worst-case graph ==="
-# GH is a planted-block stand-in whose full enumeration takes longer than
-# a second even unsanitized (Release on a 4-CPU Xeon: 5.4-5.6 s at 1
-# thread, 1.45-1.59 s at 4; many times that under the sanitizers); the run
-# must stop on the deadline, report it, and exit 0 with the valid prefix
-# counted.
+# The crown graph K_{40,40} minus a perfect matching (gen::Crown(40)) has
+# 2^40 - 2 maximal bicliques, so no host finishes it before the deadline,
+# sanitized or not; the run must stop on the deadline, report it, and exit
+# 0 with the valid prefix counted. The dataset registry has no crown
+# graph, so the leg writes one as an edge list and loads it with --input.
+CROWN_FILE=$(mktemp /tmp/pmbe_crown_XXXXXX)
+{
+  echo "# pmbe 40 40"
+  for ((i = 0; i < 40; ++i)); do
+    for ((j = 0; j < 40; ++j)); do
+      if (( i != j )); then echo "$i $j"; fi
+    done
+  done
+} > "$CROWN_FILE"
 for threads in 1 4; do
   start_ms=$(date +%s%3N)
-  out=$("$BUILD_DIR/tools/pmbe" --dataset GH --timeout_s 1 \
+  out=$("$BUILD_DIR/tools/pmbe" --input "$CROWN_FILE" --timeout_s 1 \
         --threads "$threads" --stats=false)
   elapsed_ms=$(( $(date +%s%3N) - start_ms ))
   echo "$out" | sed "s/^/  [threads=$threads] /"
@@ -98,6 +107,7 @@ for threads in 1 4; do
   fi
   echo "  [threads=$threads] stopped in ${elapsed_ms}ms"
 done
+rm -f "$CROWN_FILE"
 
 echo "=== set-representation matrix: PMBE_FORCE_BITMAP=ON / OFF ==="
 # Build the suite with the bitmap representation force-enabled and with the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "util/bitset.h"
 #include "util/fault.h"
@@ -68,21 +69,10 @@ void MbetEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
   }
 
   Level& lvl = LevelAt(0);
-  local_universe_ = root_.l0.size();
   if (renumber_) {
-    // Renumber this subtree's left vertices into [0, |L0|): position in
-    // the sorted l0 is the local id, so sorted global locals map to
-    // sorted local locals.
-    if (local_id_.size() < graph_.num_left()) {
-      local_id_.resize(graph_.num_left(), 0);
-    }
-    for (size_t i = 0; i < root_.l0.size(); ++i) {
-      local_id_[root_.l0[i]] = static_cast<VertexId>(i);
-    }
-    lvl.l.resize(local_universe_);
-    for (size_t i = 0; i < local_universe_; ++i) {
-      lvl.l[i] = static_cast<VertexId>(i);
-    }
+    // The builder's locals are already in the local universe [0, |L0|).
+    lvl.l.resize(root_.l0.size());
+    std::iota(lvl.l.begin(), lvl.l.end(), 0);
   } else {
     lvl.l = root_.l0;
   }
@@ -91,21 +81,22 @@ void MbetEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
   lvl.r.insert(lvl.r.end(), root_absorbed_.begin(), root_absorbed_.end());
   std::sort(lvl.r.begin(), lvl.r.end());
 
+  // Level 0 takes the root's locals arena as is: each entry's range in it
+  // becomes its group's. MBETM compares these locals only for equality in
+  // Aggregate and then drops them, so local ids serve it as well.
+  std::swap(lvl.locs, root_.locs);
   lvl.groups.clear();
-  lvl.locs.clear();
   lvl.members.clear();
   for (const RootEntry& entry : root_.entries) {
     Group g;
     g.mem_off = static_cast<uint32_t>(lvl.members.size());
     g.mem_len = 1;
     lvl.members.push_back(entry.w);
-    g.loc_off = static_cast<uint32_t>(lvl.locs.size());
+    g.loc_off = entry.loc_off;
     g.loc_len = entry.loc_len;
     uint64_t hash = 1469598103934665603ULL;
-    for (VertexId x : root_.LocOf(entry)) {
-      const VertexId id = renumber_ ? local_id_[x] : x;
-      lvl.locs.push_back(id);
-      hash = (hash ^ (id + 1ULL)) * 1099511628211ULL;
+    for (VertexId x : lvl.LocOf(g)) {
+      hash = (hash ^ (x + 1ULL)) * 1099511628211ULL;
     }
     g.loc_hash = hash;
     g.forbidden = entry.forbidden;
@@ -413,7 +404,7 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
     uint64_t total_loc = 0;
     for (const Group& g : lvl.groups) total_loc += g.loc_len;
     if (static_cast<double>(total_loc) >=
-        options_.bitmap_density * static_cast<double>(local_universe_) *
+        options_.bitmap_density * static_cast<double>(root_.l0.size()) *
             static_cast<double>(lvl.groups.size())) {
       // "bitmap.build" models the word arrays failing to allocate.
       if (PMBE_FAULT("bitmap.build")) util::CurrentMemoryBudget().ForceExhaust();
@@ -422,7 +413,7 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
         // Degrade: stay on sorted lists — slower kernels, same results.
         util::CurrentMemoryBudget().NoteDegradation();
       } else {
-        const size_t words = util::WordsFor(local_universe_);
+        const size_t words = util::WordsFor(root_.l0.size());
         lvl.loc_words = frame.AcquireWords();
         lvl.lp_words = frame.AcquireWords();
         lvl.loc_words->assign(words * lvl.groups.size(), 0);

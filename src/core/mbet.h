@@ -35,9 +35,9 @@
 ///    for all member lists); groups are plain metadata, so the hot loops
 ///    never allocate. Equal locals are found by one hash pass per level
 ///    that chains duplicate groups in place (see Aggregate).
-///  * Each subtree's vertices are renumbered into the local universe
-///    [0, |L0|), and nodes the trie does not take classify through
-///    fixed-width bitmaps when their locals are dense enough
+///  * Each subtree runs in the local universe [0, |L0|) its root's
+///    locals arrive in (core/subtree.h), and nodes the trie does not take
+///    classify through fixed-width bitmaps when their locals are dense enough
 ///    (core/set_ops.h; `bitmap_density`). Per-node scratch comes from
 ///    an EnumContext arena instead of ad-hoc vectors.
 ///  * `MbetOptions` exposes each technique as a switch for the ablation
@@ -220,12 +220,10 @@ class MbetEnumerator {
   /// All per-node scratch (bitmap word arenas, absorbed-member buffers)
   /// comes from here; one context per enumerator (= per thread).
   EnumContext ctx_;
-  /// Renumber each subtree's locals into the local universe [0, |L0|):
-  /// local ids are dense, so L'/loc bitmaps are a handful of words.
-  /// Disabled in MBETM mode, which counts against global graph adjacency.
+  /// Run each subtree in the builder's local ids [0, |L0|), so L'/loc
+  /// bitmaps are a handful of words. Disabled in MBETM mode, whose sets
+  /// stay in global ids because it counts against global adjacency.
   bool renumber_ = false;
-  size_t local_universe_ = 0;          ///< |L0| of the current subtree
-  std::vector<VertexId> local_id_;     ///< global left id -> local id
   std::vector<VertexId> emit_l_;       ///< local -> global translation buffer
 };
 

@@ -5,9 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "core/set_ops.h"
 #include "graph/bipartite_graph.h"
-#include "graph/two_hop.h"
 #include "util/common.h"
 
 /// \file
@@ -20,13 +18,15 @@
 /// neighbors after v; two-hop neighbors before v act as forbidden (Q)
 /// witnesses. This decomposition is what both the sequential drivers and
 /// the parallel scheduler fan out over.
+/// Roots are built from a count and a fill pass over the wedges v–u–w
+/// (docs/SET_REPRESENTATION.md "Local-universe renumbering").
 
 namespace mbe {
 
 /// One root entry: a two-hop neighbor of the subtree's seed vertex. Its
 /// local neighborhood lives in the shared `SubtreeRoot::locs` arena
 /// (offset/length), so rebuilding a root reuses one flat buffer instead of
-/// allocating a vector per entry.
+/// allocating a vector per entry. Entries are ordered by ascending `w`.
 struct RootEntry {
   VertexId w = kInvalidVertex;
   bool forbidden = false;           ///< true when w precedes the seed
@@ -39,9 +39,10 @@ struct SubtreeRoot {
   VertexId seed = kInvalidVertex;
   std::vector<VertexId> l0;          ///< N(v)
   std::vector<RootEntry> entries;    ///< two-hop neighbors with locals
-  std::vector<VertexId> locs;        ///< arena: all entry locals, sorted
+  std::vector<VertexId> locs;        ///< arena: all entry locals
 
-  /// The local neighborhood N(entry.w) ∩ L0 of `entry`, sorted.
+  /// The local neighborhood N(entry.w) ∩ L0 of `entry`, sorted, in local
+  /// ids: local id x is the global vertex l0[x].
   std::span<const VertexId> LocOf(const RootEntry& entry) const {
     return {locs.data() + entry.loc_off, entry.loc_len};
   }
@@ -65,13 +66,13 @@ class SubtreeBuilder {
   bool Build(VertexId v, SubtreeRoot* root, std::vector<VertexId>* absorbed,
              bool* pruned);
 
-  const BipartiteGraph& graph() const { return graph_; }
-
  private:
   const BipartiteGraph& graph_;
-  TwoHopScratch two_hop_;
-  std::vector<VertexId> n2_;
-  MembershipMask l_mask_;
+  /// Per right vertex: |N(w) ∩ L0| in the count pass, then the entry's
+  /// arena cursor in the fill pass. All zero outside Build.
+  std::vector<uint32_t> slot_;
+  std::vector<uint64_t> mark_;  ///< bitmap over right ids, zero outside Build
+  std::vector<VertexId> n2_;    ///< N2(v) ∪ {v}, sorted after the count pass
 };
 
 }  // namespace mbe

@@ -12,7 +12,7 @@ BbkEnumerator::BbkEnumerator(const BipartiteGraph& graph)
     : graph_(graph), builder_(graph) {}
 
 bool BbkEnumerator::WantBitmap() const {
-  if (universe_ == 0) return false;
+  if (root_.l0.empty()) return false;
   // Under memory pressure the bitmap is declined: the list holds |L'| ids,
   // the bitmap the whole universe (docs/ROBUSTNESS.md). Slower kernels,
   // identical results.
@@ -32,27 +32,9 @@ void BbkEnumerator::EnumerateAll(ResultSink* sink) {
 
 bool BbkEnumerator::BuildRootState(VertexId v, bool* pruned) {
   if (!builder_.Build(v, &root_, &root_absorbed_, pruned)) return false;
-  universe_ = root_.l0.size();
-  if (local_of_.size() < graph_.num_left()) {
-    local_of_.resize(graph_.num_left());
-  }
-  // Local ids are positions in the sorted L0, so renumbering preserves
-  // order: every renumbered local list below stays sorted.
-  for (size_t i = 0; i < universe_; ++i) {
-    local_of_[root_.l0[i]] = static_cast<VertexId>(i);
-  }
-  entry_w_.clear();
-  entry_loc_off_.clear();
-  entry_loc_len_.clear();
-  locs_.clear();
-  locs_.reserve(root_.locs.size());
   order_keys_.clear();
-  for (const RootEntry& entry : root_.entries) {
-    const uint32_t idx = static_cast<uint32_t>(entry_w_.size());
-    entry_w_.push_back(entry.w);
-    entry_loc_off_.push_back(static_cast<uint32_t>(locs_.size()));
-    entry_loc_len_.push_back(entry.loc_len);
-    for (VertexId g : root_.LocOf(entry)) locs_.push_back(local_of_[g]);
+  for (uint32_t idx = 0; idx < root_.entries.size(); ++idx) {
+    const RootEntry& entry = root_.entries[idx];
     if (entry.forbidden) {
       // Root Q ordered by descending local size: a dominator must cover
       // all of L', so big-neighborhood witnesses are the likely hits and
@@ -106,12 +88,12 @@ void BbkEnumerator::EnumerateSubtree(VertexId v, ResultSink* sink) {
   if (!cands.empty()) {
     // Root L = the full local universe.
     std::vector<VertexId>& l = *frame.AcquireIds();
-    l.resize(universe_);
+    l.resize(root_.l0.size());
     std::iota(l.begin(), l.end(), 0);
     std::span<const uint64_t> l_words;
     if (WantBitmap()) {
       std::vector<uint64_t>& words = *frame.AcquireWords();
-      words.assign(util::WordsFor(universe_), 0);
+      words.assign(util::WordsFor(root_.l0.size()), 0);
       util::SetBits(l, words);
       ++stats_.bitmap_conversions;
       l_words = words;
@@ -162,7 +144,7 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
     // probes below.
     std::span<const uint64_t> lpw;
     if (WantBitmap()) {
-      lp_bits.assign(util::WordsFor(universe_), 0);
+      lp_bits.assign(util::WordsFor(root_.l0.size()), 0);
       util::SetBits(lp, lp_bits);
       ++stats_.bitmap_conversions;
       lpw = lp_bits;
@@ -197,13 +179,13 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
 
     if (maximal) {
       rp = r;
-      rp.push_back(entry_w_[vc]);
+      rp.push_back(root_.entries[vc].w);
       cp.clear();
       for (size_t j = i + 1; j < cands.size(); ++j) {
         const VertexId w = cands[j];
         const size_t k = loc_cap(w);
         if (k == lp.size()) {
-          rp.push_back(entry_w_[w]);
+          rp.push_back(root_.entries[w].w);
           ++stats_.candidates_absorbed;
         } else if (k > 0) {
           cp.push_back(w);
@@ -212,8 +194,8 @@ void BbkEnumerator::Expand(const std::vector<VertexId>& l,
         }
       }
       std::sort(rp.begin(), rp.end());
-      // Map L' back to global left ids (order-preserving renumbering, so
-      // the mapped list is already sorted).
+      // Map L' back to global left ids (local ids are positions in the
+      // sorted L0, so the mapped list is already sorted).
       lg.clear();
       lg.reserve(lp.size());
       for (VertexId x : lp) lg.push_back(root_.l0[x]);

@@ -26,9 +26,9 @@
 ///    intersection per candidate per node — pure overhead when locals are
 ///    short.
 ///  * **No adjacency rescans.** Candidate and Q neighborhoods are clipped
-///    to L0 once at the root and renumbered into the subtree-local
-///    universe [0, |L0|), so every set operation below the root runs over
-///    short renumbered lists instead of full adjacency rows (correct
+///    to L0 once at the root, in the subtree-local universe [0, |L0|)
+///    (core/subtree.h), so every set operation below the root runs over
+///    short local lists instead of full adjacency rows (correct
 ///    because L' ⊆ L0 implies |N(w) ∩ L'| == |loc0(w) ∩ L'|).
 ///  * **Witness-ordered maximality checks.** The Q scan probes the entry
 ///    that most recently proved a sibling non-maximal first (size-only),
@@ -71,15 +71,15 @@ class BbkEnumerator {
   }
 
  private:
-  /// Builds the root of subtree(v), renumbers every entry local into
-  /// [0, |L0|), and fixes the degree-ascending candidate order plus the
+  /// Builds the root of subtree(v) (its locals come in the local universe
+  /// [0, |L0|)) and fixes the degree-ascending candidate order plus the
   /// witness-descending root Q order. Returns false when the subtree is
   /// empty or pruned (`*pruned` distinguishes).
   bool BuildRootState(VertexId v, bool* pruned);
 
-  /// The renumbered local neighborhood loc0(entry), sorted.
+  /// The local neighborhood loc0(entry) in local ids, sorted.
   std::span<const VertexId> LocalOf(uint32_t entry) const {
-    return {locs_.data() + entry_loc_off_[entry], entry_loc_len_[entry]};
+    return root_.LocOf(root_.entries[entry]);
   }
 
   /// True when L' should carry a bitmap: always, unless the universe is
@@ -110,12 +110,6 @@ class BbkEnumerator {
   std::vector<VertexId> root_absorbed_;
 
   /// Per-subtree root state (rebuilt by BuildRootState, capacity reused).
-  size_t universe_ = 0;             ///< |L0| of the current subtree
-  std::vector<VertexId> local_of_;  ///< global left id -> local id
-  std::vector<VertexId> entry_w_;   ///< entry -> global right id
-  std::vector<uint32_t> entry_loc_off_;  ///< entry -> offset into locs_
-  std::vector<uint32_t> entry_loc_len_;  ///< entry -> |loc0|
-  std::vector<VertexId> locs_;      ///< renumbered local arena
   std::vector<uint64_t> order_keys_;  ///< (loc_len << 32 | entry) sorted
   std::vector<VertexId> forbidden_;   ///< root Q, descending loc_len
 

@@ -11,9 +11,9 @@
 /// \file
 /// Two-hop neighborhood computation. For a right vertex `v`, the two-hop
 /// neighborhood N2(v) is the set of right vertices (other than v) sharing at
-/// least one left neighbor with v. Subtree roots in the enumeration are
-/// seeded from two-hop neighborhoods, so this is on the startup path of
-/// every algorithm.
+/// least one left neighbor with v. The vertex orders and the two-hop
+/// degree statistics use it; subtree roots count their two-hop neighbors
+/// in their own wedge pass (core/subtree.h).
 
 namespace mbe {
 

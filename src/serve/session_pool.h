@@ -21,9 +21,9 @@
 /// the machine 64-fold. The pool inverts the ownership: N long-lived
 /// workers claim *tasks* (one per-vertex subtree, or one whole-graph task
 /// for monolithic algorithms) from the set of active sessions in
-/// round-robin order, so every session makes progress proportional to its
-/// remaining work and a giant query cannot starve a small one — it only
-/// adds its own subtrees to the rotation.
+/// round-robin order. The rotation is by claims, not by work: a giant
+/// query cannot starve a small one, but a small query that starts late
+/// waits behind the giant's long tasks (ROADMAP item 5).
 ///
 /// Isolation per task: the worker binds the owning session's MemoryBudget
 /// to its thread (charges attribute to that tenant only), polls that

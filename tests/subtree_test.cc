@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/subtree.h"
@@ -38,9 +39,10 @@ TEST(SubtreeBuilderTest, RootOfFirstVertex) {
   ASSERT_EQ(root.entries.size(), 1u);
   EXPECT_EQ(root.entries[0].w, 3u);
   EXPECT_FALSE(root.entries[0].forbidden);
-  auto loc = root.LocOf(root.entries[0]);
-  EXPECT_EQ(std::vector<VertexId>(loc.begin(), loc.end()),
-            (std::vector<VertexId>{1}));
+  // Locals are in local ids: positions in l0.
+  std::vector<VertexId> loc;
+  for (VertexId x : root.LocOf(root.entries[0])) loc.push_back(root.l0[x]);
+  EXPECT_EQ(loc, (std::vector<VertexId>{1}));
 }
 
 TEST(SubtreeBuilderTest, LaterVertexSeesForbiddenPredecessors) {
@@ -93,7 +95,11 @@ TEST(SubtreeBuilderTest, EntriesCoverExactlyUsefulTwoHops) {
     // Every entry has a nonempty local that is a strict subset of L0,
     // sorted, and consistent with the adjacency.
     for (const RootEntry& entry : root.entries) {
-      auto loc = root.LocOf(entry);
+      std::vector<VertexId> loc;
+      for (VertexId x : root.LocOf(entry)) {
+        ASSERT_LT(x, root.l0.size());
+        loc.push_back(root.l0[x]);
+      }
       EXPECT_FALSE(loc.empty());
       EXPECT_LT(loc.size(), root.l0.size());
       EXPECT_TRUE(std::is_sorted(loc.begin(), loc.end()));
@@ -109,6 +115,98 @@ TEST(SubtreeBuilderTest, EntriesCoverExactlyUsefulTwoHops) {
       for (VertexId u : root.l0) EXPECT_TRUE(g.HasEdge(u, w));
     }
   }
+}
+
+// Twin-heavy graph: a random base plus, for every base right vertex j, a
+// later twin (N = N(j)) and a later strict subset of N(j). Both copies
+// are dominated by j, so their roots are pruned, and j's root absorbs its
+// twin. One isolated right vertex closes the id range.
+BipartiteGraph TwinHeavyGraph() {
+  const BipartiteGraph base = gen::ErdosRenyi(30, 20, 0.25, 11);
+  const size_t n = base.num_right();
+  std::vector<Edge> edges;
+  for (VertexId j = 0; j < n; ++j) {
+    auto nbrs = base.RightNeighbors(j);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      edges.push_back({nbrs[i], j});
+      edges.push_back({nbrs[i], static_cast<VertexId>(n + j)});
+      if (i % 2 == 0) {
+        edges.push_back({nbrs[i], static_cast<VertexId>(2 * n + j)});
+      }
+    }
+  }
+  return BipartiteGraph::FromEdges(base.num_left(), 3 * n + 1,
+                                   std::move(edges));
+}
+
+// Differential check of every root against a reference built from
+// HasEdge alone. One builder runs over all v in sequence, so a root built
+// right after a pruned one shows the early exit left no stale state. The
+// first three graphs span few bitmap words, so N2(v) is ordered by the
+// bitmap scan; the last spreads a few two-hop neighbors over 2000 right
+// ids, so it takes the comparison sort.
+TEST(SubtreeBuilderTest, MatchesBruteForceRoots) {
+  const BipartiteGraph graphs[] = {gen::PowerLaw(60, 40, 300, 0.8, 0.8, 3),
+                                   gen::ErdosRenyi(40, 50, 0.15, 7),
+                                   TwinHeavyGraph(),
+                                   gen::ErdosRenyi(20, 2000, 0.002, 5)};
+  size_t built_after_pruned = 0;
+  for (const BipartiteGraph& g : graphs) {
+    SubtreeBuilder builder(g);
+    SubtreeRoot root;
+    std::vector<VertexId> absorbed;
+    bool pruned = false;
+    bool prev_pruned = false;
+    for (VertexId v = 0; v < g.num_right(); ++v) {
+      SCOPED_TRACE(testing::Message() << "v=" << v);
+      const std::vector<VertexId> l0(g.RightNeighbors(v).begin(),
+                                     g.RightNeighbors(v).end());
+      struct Expected {
+        VertexId w;
+        bool forbidden;
+        std::vector<VertexId> loc;  // local ids
+      };
+      std::vector<Expected> want_entries;
+      std::vector<VertexId> want_absorbed;
+      bool want_pruned = false;
+      for (VertexId w = 0; w < g.num_right(); ++w) {
+        if (w == v) continue;
+        std::vector<VertexId> loc;
+        for (VertexId i = 0; i < l0.size(); ++i) {
+          if (g.HasEdge(l0[i], w)) loc.push_back(i);
+        }
+        if (loc.empty()) continue;
+        if (loc.size() == l0.size()) {
+          if (w < v) want_pruned = true;
+          else want_absorbed.push_back(w);
+        } else {
+          want_entries.push_back({w, w < v, loc});
+        }
+      }
+      const bool want_built = !l0.empty() && !want_pruned;
+
+      const bool built = builder.Build(v, &root, &absorbed, &pruned);
+      ASSERT_EQ(built, want_built);
+      ASSERT_EQ(pruned, want_pruned);
+      if (built) {
+        if (prev_pruned) ++built_after_pruned;
+        EXPECT_EQ(root.seed, v);
+        EXPECT_EQ(root.l0, l0);
+        EXPECT_EQ(absorbed, want_absorbed);
+        ASSERT_EQ(root.entries.size(), want_entries.size());
+        for (size_t k = 0; k < want_entries.size(); ++k) {
+          const RootEntry& entry = root.entries[k];
+          EXPECT_EQ(entry.w, want_entries[k].w);
+          EXPECT_EQ(entry.forbidden, want_entries[k].forbidden);
+          auto loc = root.LocOf(entry);
+          EXPECT_EQ(std::vector<VertexId>(loc.begin(), loc.end()),
+                    want_entries[k].loc);
+        }
+      }
+      prev_pruned = pruned;
+    }
+  }
+  EXPECT_GT(built_after_pruned, 0u);
 }
 
 }  // namespace
