@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
         "and engine pick. tuner_correct_fraction is the >= 0.90 acceptance "
         "bar: the tuned engine's time within 10% of the faster of "
         "MBET/BBK. Engines differ in traversal, not output: the digest "
-        "matrix (work_stealing_test, pmbe_selfcheck) proves the sets "
+        "matrix (session_pool_test, pmbe_selfcheck) proves the sets "
         "identical.");
     std::fprintf(out, ",\n  \"counts_identical\": %s,\n",
                  counts_identical ? "true" : "false");

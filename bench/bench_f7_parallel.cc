@@ -1,6 +1,6 @@
-// F7 — parallel speedup under the one scheduler (whole-subtree work
-// stealing): MBET, parallel iMBEA (the ParMBE stand-in) and BBK at
-// 1..nproc threads. Expected shape: near-linear speedup to the core count
+// F7 — parallel speedup on the one task runtime (the session pool: whole
+// subtrees claimed in index order from one shared cursor): MBET, parallel
+// iMBEA (the ParMBE stand-in) and BBK at 1..nproc threads. Expected shape: near-linear speedup to the core count
 // while the subtree pool outweighs the heaviest subtree; on skewed
 // datasets the heaviest subtree bounds the tail (visible in the worker
 // busy share even when wall-clock parallelism is unavailable).
@@ -52,15 +52,14 @@ int main(int argc, char** argv) {
   thread_counts.push_back(hw);
   const unsigned max_threads = thread_counts.back();
 
-  bench::PrintBanner("F7", "parallel speedup under work stealing");
+  bench::PrintBanner("F7", "parallel speedup on the session pool");
   std::vector<std::string> headers = {"dataset", "config"};
   for (unsigned t : thread_counts) headers.push_back("T=" + std::to_string(t));
   bench::Table table(headers);
   // Scheduler counters at the highest thread count: load balance is the
   // signal that survives even on machines without enough cores for
   // wall-clock speedup (busy share ~1.0 means no worker starved).
-  bench::Table counters({"dataset", "config", "steals", "flushes",
-                         "busy_share"});
+  bench::Table counters({"dataset", "config", "flushes", "busy_share"});
 
   struct Config {
     const char* label;
@@ -95,12 +94,10 @@ int main(int argc, char** argv) {
           std::snprintf(share, sizeof(share), "%.3f",
                         total > 0 ? busy / total : 1.0);
           counters.AddRow({name, config.label,
-                           std::to_string(run.stats.steals),
                            std::to_string(run.stats.sink_flushes), share});
           counter_rows.push_back(
               {{{"dataset", name},
                 {"config", config.label},
-                {"steals", std::to_string(run.stats.steals)},
                 {"flushes", std::to_string(run.stats.sink_flushes)},
                 {"busy_share", share}}});
         }
@@ -125,7 +122,8 @@ int main(int argc, char** argv) {
     std::fprintf(out, "{\n");
     bench::WriteJsonContext(
         out, argv[0], flag_summary,
-        "One scheduler: whole-subtree work stealing. busy_share ~1.0 "
+        "One task runtime: the session pool, whole subtrees claimed in "
+        "index order from one shared cursor. busy_share ~1.0 "
         "means no worker starved; below it, the heaviest subtree held "
         "the tail of the run. Thread counts run to num_cpus, so "
         "wall-clock speedup is observable at every T recorded.");

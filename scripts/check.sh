@@ -538,12 +538,11 @@ echo "=== frontier-snapshot fuzz smoke (codec canonicity + typed errors) ==="
 echo "=== wire-protocol fuzz smoke (total decoding + canonical encoding) ==="
 "$FAULT_DIR/tools/fuzz_wire" -runs=20000
 
-echo "=== ThreadSanitizer leg: work-stealing deque + parallel driver ==="
-# The Chase–Lev deque keeps all shared state in std::atomic precisely so
-# TSan can verify the protocol. Build the concurrency-relevant tests with
-# -fsanitize=thread (mutually exclusive with ASan, hence a separate tree)
-# and run the deque stress tests plus the parallel, run-control, and sink
-# suites under it.
+echo "=== ThreadSanitizer leg: session pool + run control + sinks ==="
+# Build the concurrency-relevant tests with -fsanitize=thread (mutually
+# exclusive with ASan, hence a separate tree) and run the session-pool
+# suites (standalone private pools, shared pools, digests across thread
+# counts and durability) plus the run-control and sink suites under it.
 TSAN_DIR="$BUILD_DIR-tsan"
 TSAN_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake -B "$TSAN_DIR" -S . \
@@ -551,10 +550,10 @@ cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target \
-  work_stealing_test parallel_test run_control_test sink_test
+  session_pool_test engine_session_test run_control_test sink_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure --no-tests=error \
   -j "$(nproc)" \
-  -R 'TaskDeque|TaskEncoding|StealingDriver|StealingDigest|StealingRunControl|ParallelEnumerate|RunControl|ControlledSink|BufferedSink|CountSink|FingerprintSink'
+  -R 'SessionPool|RunControl|ControlledSink|BufferedSink|CountSink|FingerprintSink'
 echo "tsan leg OK"
 
 echo "=== all checks passed ==="

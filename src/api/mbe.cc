@@ -1,40 +1,13 @@
 #include "api/mbe.h"
 
-#include <exception>
 #include <memory>
 #include <utility>
+
+#include "api/session_pool.h"
 
 namespace mbe {
 
 namespace {
-
-/// Runs `session`'s subtree tasks in order on one worker of this thread,
-/// through the cooperative API a shared scheduler uses.
-util::Status RunSubtreeTasks(Session& session, ResultSink* sink,
-                             RunResult* result) {
-  util::ScopedBudgetBinding binding(&session.budget());
-  PMBE_RETURN_IF_ERROR(session.Prepare(sink));
-  RunController* ctrl = session.controller();
-  ResultSink* run_sink = session.run_sink();
-  {
-    std::unique_ptr<SubtreeWorker> worker = session.MakeWorker();
-    // Containment as in Session::Run: a failure becomes kInternal and the
-    // sink keeps its valid prefix.
-    try {
-      for (size_t v = 0; v < session.task_count() && !run_sink->ShouldStop();
-           ++v) {
-        worker->EnumerateSubtree(static_cast<VertexId>(v), run_sink);
-      }
-    } catch (const std::exception& e) {
-      ctrl->ReportInternal(e.what());
-    } catch (...) {
-      ctrl->ReportInternal("unknown exception");
-    }
-    session.AddWorkerStats(worker->stats());
-  }
-  session.Finish(result);
-  return util::Status::Ok();
-}
 
 util::Status RunOnce(const BipartiteGraph& graph,
                      const GraphOptions& graph_options, const RunOptions& run,
@@ -49,9 +22,18 @@ util::Status RunOnce(const BipartiteGraph& graph,
   PMBE_RETURN_IF_ERROR(engine.status());
   Session session(engine.value(), run);
   RunResult result;
-  PMBE_RETURN_IF_ERROR(subtree_tasks
-                           ? RunSubtreeTasks(session, sink, &result)
-                           : session.Run(sink, &result));
+  if (subtree_tasks) {
+    // The subtree tasks in order on one pool worker: the same path a
+    // served session takes.
+    util::ScopedBudgetBinding binding(&session.budget());
+    PMBE_RETURN_IF_ERROR(session.Prepare(sink));
+    SessionPool pool(1);
+    pool.Submit(std::shared_ptr<Session>(&session, [](Session*) {}),
+                [&result](const RunResult& done) { result = done; });
+    pool.Shutdown();
+  } else {
+    PMBE_RETURN_IF_ERROR(session.Run(sink, &result));
+  }
   result.preprocess_seconds = engine.value()->build_seconds();
   if (out_result != nullptr) *out_result = std::move(result);
   return util::Status::Ok();

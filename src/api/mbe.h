@@ -66,8 +66,10 @@ util::Status Enumerate(const BipartiteGraph& graph,
                        RunResult* result);
 
 /// Like Enumerate, but runs the per-vertex subtree tasks one after another
-/// on the calling thread — what a one-thread shared scheduler does —
-/// instead of the algorithm's whole-graph traversal (same result set).
+/// on a private one-worker SessionPool (api/session_pool.h) — exactly what
+/// a served session on a one-thread pool does — instead of the
+/// algorithm's whole-graph traversal (same result set). Ignores
+/// `run.threads` and `run.checkpoint`.
 /// For Algorithm::kImbea under VertexOrder::kUnilateralAsc this is the
 /// paper's ooMBEA-lite baseline: iMBEA per right vertex over 2-hop-local
 /// roots, dominated subtrees pruned.

@@ -42,12 +42,12 @@ enum class Algorithm {
                   ///< (Baudin et al. 2024) — the large-sparse-graph engine
 };
 
-/// The parallel scheduler: whole-subtree work stealing
-/// (docs/PARALLELISM.md) is the only one. The enum and
-/// `RunOptions::scheduling` stay until a benchmark change stops naming
-/// them.
+/// Names nothing any more: every parallel run executes on the session
+/// pool (api/session_pool.h; docs/PARALLELISM.md), and no value changes
+/// that. The enum and `RunOptions::scheduling` stay until a benchmark
+/// change stops naming them.
 enum class Scheduling {
-  kStealing,  ///< per-worker deques of whole subtrees + stealing
+  kStealing,  ///< ignored; the session pool schedules every run
 };
 
 /// Parses "mbet", "mbetm", "minelmbc", "mbea", "imbea", "bbk" into
@@ -111,12 +111,13 @@ struct GraphOptions {
 struct RunOptions {
   Algorithm algorithm = Algorithm::kMbet;
 
-  /// Worker threads for a standalone `Session::Run`. >1 uses the
-  /// per-vertex subtree decomposition, which requires
-  /// SupportsParallel(algorithm). Ignored when the session executes on a
-  /// shared pool (serve/session_pool.h) — the pool brings the threads.
+  /// Worker threads for a standalone `Session::Run`: >1 runs the
+  /// per-vertex subtree tasks on a private pool of min(threads, tasks)
+  /// workers, which requires SupportsParallel(algorithm). Ignored when the
+  /// session executes on a shared pool (api/session_pool.h) — the pool
+  /// brings the threads.
   unsigned threads = 1;
-  /// Always kStealing (see Scheduling).
+  /// Ignored (see Scheduling).
   Scheduling scheduling = Scheduling::kStealing;
 
   /// Ablation switches forwarded to MBET (trie / aggregation / Q pruning),

@@ -3,13 +3,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <exception>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "api/session_pool.h"
 #include "baselines/mbea.h"
 #include "baselines/mine_lmbc.h"
 #include "core/mbet.h"
 #include "engines/bbk.h"
+#include "snapshot/checkpoint.h"
+#include "snapshot/frontier.h"
 #include "util/fault.h"
 #include "util/simd.h"
 
@@ -80,45 +87,56 @@ class TranslatingSink : public ResultSink {
   bool swapped_;
 };
 
-/// SubtreeWorker adapter over an engine with a per-vertex subtree
-/// decomposition (MBET/MBETM, the MBEA family, BBK). Each worker engine
-/// polls the run's shared controller (may be null), so any worker tripping
-/// a limit stops all workers *of that session* — and nothing else.
+/// SubtreeWorker adapter over one engine, polling the run's shared
+/// controller (may be null), so any worker tripping a limit stops all
+/// workers *of that session* — and nothing else. An engine without a
+/// subtree decomposition (no EnumerateSubtree) runs its whole enumeration
+/// as the one task "subtree 0" (Session::monolithic()).
+///
+/// Kernel calls are attributed per session by reading the executing
+/// thread's counters around each enumeration call: whatever else the
+/// thread runs between calls (another session's tasks on a shared pool)
+/// stays out of this worker's counts.
 template <typename Enumerator>
-class SubtreeEngineWorker : public SubtreeWorker {
+class EngineWorker : public SubtreeWorker {
  public:
   template <typename... Args>
-  explicit SubtreeEngineWorker(RunController* controller, Args&&... args)
+  explicit EngineWorker(RunController* controller, Args&&... args)
       : engine_(std::forward<Args>(args)...) {
     engine_.SetRunController(controller);
   }
   void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
+    const simd::KernelCallCounters before = simd::ThreadKernelCalls();
+    if constexpr (requires { engine_.EnumerateSubtree(v, sink); }) {
+      engine_.EnumerateSubtree(v, sink);
+    } else {
+      engine_.EnumerateAll(sink);
+    }
+    CountKernelCalls(before);
   }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  Enumerator engine_;
-};
-
-/// Adapter for the algorithms without a subtree decomposition: the whole
-/// enumeration is one monolithic task (Session::monolithic()), executed as
-/// "subtree 0".
-template <typename Enumerator>
-class WholeGraphWorker : public SubtreeWorker {
- public:
-  template <typename... Args>
-  explicit WholeGraphWorker(RunController* controller, Args&&... args)
-      : engine_(std::forward<Args>(args)...) {
-    engine_.SetRunController(controller);
-  }
-  void EnumerateSubtree(VertexId /*v*/, ResultSink* sink) override {
+  void EnumerateAll(ResultSink* sink) override {
+    const simd::KernelCallCounters before = simd::ThreadKernelCalls();
     engine_.EnumerateAll(sink);
+    CountKernelCalls(before);
   }
-  EnumStats stats() const override { return engine_.stats(); }
+  EnumStats stats() const override {
+    EnumStats stats = engine_.stats();
+    stats.simd_intersect_calls += kernel_calls_.intersect;
+    stats.simd_mask_calls += kernel_calls_.mask;
+    stats.simd_word_calls += kernel_calls_.word;
+    return stats;
+  }
 
  private:
+  void CountKernelCalls(const simd::KernelCallCounters& before) {
+    const simd::KernelCallCounters after = simd::ThreadKernelCalls();
+    kernel_calls_.intersect += after.intersect - before.intersect;
+    kernel_calls_.mask += after.mask - before.mask;
+    kernel_calls_.word += after.word - before.word;
+  }
+
   Enumerator engine_;
+  simd::KernelCallCounters kernel_calls_;
 };
 
 }  // namespace
@@ -224,15 +242,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   degradations_before_ = budget_.degradations();
   faults_before_ = util::FaultRegistry::Global().faults_injected();
 
-  // Kernel-call attribution: the counters are process-wide (per-thread
-  // blocks summed), so diff a snapshot around the run. Concurrent sessions
-  // in one process bleed into each other's deltas; the counters are
-  // diagnostics, not invariants.
-  const simd::KernelCallCounters kernel_before = simd::SnapshotKernelCalls();
-  kernel_intersect_before_ = kernel_before.intersect;
-  kernel_mask_before_ = kernel_before.mask;
-  kernel_word_before_ = kernel_before.word;
-
   translator_ = std::make_unique<TranslatingSink>(
       sink, engine_->left_map(), engine_->right_map(), engine_->swapped());
 
@@ -283,8 +292,14 @@ void Session::Cancel() {
 }
 
 size_t Session::task_count() const {
+  if (frontier_ != nullptr) return frontier_tasks_.size();
   if (monolithic_) return 1;
   return engine_->graph().num_right();
+}
+
+VertexId Session::task_vertex(size_t index) const {
+  return frontier_ != nullptr ? frontier_tasks_[index]
+                              : static_cast<VertexId>(index);
 }
 
 std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
@@ -295,19 +310,18 @@ std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
   switch (effective_algorithm_) {
     case Algorithm::kMbet:
     case Algorithm::kMbetM:
-      return std::make_unique<SubtreeEngineWorker<MbetEnumerator>>(
+      return std::make_unique<EngineWorker<MbetEnumerator>>(
           ctrl, work, effective_mbet_);
     case Algorithm::kImbea:
-      return std::make_unique<SubtreeEngineWorker<MbeaEnumerator>>(
+      return std::make_unique<EngineWorker<MbeaEnumerator>>(
           ctrl, work, MbeaOptions{.improved = true});
     case Algorithm::kMbea:
-      return std::make_unique<SubtreeEngineWorker<MbeaEnumerator>>(
+      return std::make_unique<EngineWorker<MbeaEnumerator>>(
           ctrl, work, MbeaOptions{.improved = false});
     case Algorithm::kBbk:
-      return std::make_unique<SubtreeEngineWorker<BbkEnumerator>>(ctrl, work);
+      return std::make_unique<EngineWorker<BbkEnumerator>>(ctrl, work);
     case Algorithm::kMineLmbc:
-      return std::make_unique<WholeGraphWorker<MineLmbcEnumerator>>(ctrl,
-                                                                    work);
+      return std::make_unique<EngineWorker<MineLmbcEnumerator>>(ctrl, work);
   }
   return nullptr;
 }
@@ -323,6 +337,18 @@ void Session::AddWorkerStats(const EnumStats& stats) {
   stats_.MergeFrom(stats);
 }
 
+void Session::ReportFailure(const std::string& what) {
+  if (RunController* ctrl = controller()) {
+    ctrl->ReportInternal(what);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  if (!failed_) {
+    failed_ = true;
+    failure_ = what;
+  }
+}
+
 void Session::Finish(RunResult* result) {
   if (!prepared_ || finished_) return;
   finished_ = true;
@@ -334,11 +360,7 @@ void Session::Finish(RunResult* result) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     out.stats = stats_;
   }
-  const simd::KernelCallCounters after = simd::SnapshotKernelCalls();
   out.stats.kernel_dispatch = static_cast<uint64_t>(simd::ActiveLevel());
-  out.stats.simd_intersect_calls = after.intersect - kernel_intersect_before_;
-  out.stats.simd_mask_calls = after.mask - kernel_mask_before_;
-  out.stats.simd_word_calls = after.word - kernel_word_before_;
 
   // Robustness counters: read the budget's peak before EndRun re-baselines
   // it. Degradations diff against this session's budget — per-session by
@@ -361,11 +383,156 @@ void Session::Finish(RunResult* result) {
     out.termination = Termination::kComplete;
     out.results_emitted = out.stats.maximal;
   }
-  out.frontier_digest = frontier_digest_;
-  out.frontier_completed = frontier_completed_;
-  out.frontier_pending = frontier_pending_;
+  if (frontier_ != nullptr) {
+    out.frontier_digest = frontier_->MergedDigest().Value();
+    out.frontier_completed = frontier_->completed_count();
+    out.frontier_pending = frontier_->pending_count();
+  }
   budget_.EndRun();
   if (result != nullptr) *result = std::move(out);
+}
+
+util::Status Session::SeedFrontier() {
+  const BipartiteGraph& work = engine_->graph();
+  frontier_ = std::make_unique<snapshot::TaskFrontier>(
+      static_cast<uint8_t>(effective_algorithm_),
+      options_.checkpoint.shard_index, options_.checkpoint.shard_count, work);
+  if (options_.checkpoint.resume) {
+    util::StatusOr<snapshot::FrontierSnapshot> snap =
+        snapshot::ReadSnapshotFile(options_.checkpoint.path);
+    PMBE_RETURN_IF_ERROR(snap.status());
+    PMBE_RETURN_IF_ERROR(frontier_->Restore(snap.value()));
+  } else if (::access(options_.checkpoint.path.c_str(), F_OK) == 0) {
+    // A fresh durable run must never clobber a resumable snapshot: the
+    // first periodic write would silently destroy the previous run's
+    // state. Forgetting checkpoint.resume is the common way to get here,
+    // so refuse before any worker starts.
+    return util::Status::InvalidArgument(
+        "checkpoint.path '" + options_.checkpoint.path +
+        "' already exists; set checkpoint.resume (--resume) to continue "
+        "that run, or remove the file to start fresh");
+  } else {
+    for (uint64_t v = 0; v < work.num_right(); ++v) {
+      if (options_.checkpoint.shard_count > 1 &&
+          snapshot::ShardOfSeed(static_cast<VertexId>(v),
+                                options_.checkpoint.shard_count) !=
+              options_.checkpoint.shard_index) {
+        continue;
+      }
+      frontier_->AddPending(EncodeTask(static_cast<VertexId>(v)));
+    }
+  }
+  for (uint64_t word : frontier_->PendingTasks()) {
+    frontier_tasks_.push_back(TaskVertex(word));
+  }
+  return util::Status::Ok();
+}
+
+void Session::RunOnPool(RunResult* out) {
+  RunController* ctrl = controller();
+  const unsigned workers = static_cast<unsigned>(std::min<size_t>(
+      options_.threads, std::max<size_t>(1, task_count())));
+  SessionPool pool(workers);
+
+  // Standalone-only monitor, one thread for both duties (each needs the
+  // controller to report to):
+  //  * watchdog — a pool worker busy on one task for over
+  //    watchdog_stall_seconds stops the run with kInternal instead of an
+  //    indistinguishable hang (docs/ROBUSTNESS.md);
+  //  * checkpointer — persists the frontier every checkpoint.every_s
+  //    seconds (every transition is atomic, so a snapshot at any instant
+  //    is consistent) and turns the checkpoint-stop token into a typed
+  //    kCheckpointed stop. A failed write breaks the durability contract,
+  //    so it stops the run with kInternal.
+  const snapshot::CheckpointOptions& checkpoint = options_.checkpoint;
+  const bool persisting = frontier_ != nullptr && checkpoint.enabled();
+  const uint64_t stall_ns =
+      ctrl != nullptr
+          ? static_cast<uint64_t>(options_.watchdog_stall_seconds * 1e9)
+          : 0;
+  const uint64_t every_ns =
+      persisting && checkpoint.every_s > 0
+          ? static_cast<uint64_t>(checkpoint.every_s * 1e9)
+          : 0;
+  const std::atomic<bool>* stop_token =
+      frontier_ != nullptr && ctrl != nullptr ? checkpoint.checkpoint_stop
+                                              : nullptr;
+  std::atomic<bool> monitor_stop{false};
+  uint64_t watchdog_checks = 0;
+  uint64_t checkpoints_written = 0;
+  std::thread monitor;
+  if (stall_ns > 0 || every_ns > 0 || stop_token != nullptr) {
+    const auto tick = std::chrono::nanoseconds(
+        stall_ns > 0 ? std::min<uint64_t>(stall_ns / 4 + 1, 20000000ULL)
+                     : 20000000ULL);
+    monitor = std::thread([&, tick] {
+      uint64_t last_write = SessionPool::NowNs();
+      bool stall_reported = false;
+      while (!monitor_stop.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(tick);
+        const uint64_t now = SessionPool::NowNs();
+        if (stall_ns > 0 && !stall_reported) {
+          ++watchdog_checks;
+          for (unsigned w = 0; w < pool.threads() && !stall_reported; ++w) {
+            const uint64_t since = pool.busy_since_ns(w);
+            if (since != 0 && now > since && now - since > stall_ns) {
+              stall_reported = true;  // one report stops the run
+              ctrl->ReportInternal(
+                  "watchdog: worker " + std::to_string(w) +
+                  " has run one task for over " +
+                  std::to_string(options_.watchdog_stall_seconds) + "s");
+            }
+          }
+        }
+        if (stop_token != nullptr &&
+            stop_token->load(std::memory_order_relaxed)) {
+          ctrl->RequestStop(Termination::kCheckpointed);
+        }
+        if (every_ns > 0 && now - last_write >= every_ns) {
+          last_write = now;
+          const util::Status written = snapshot::WriteSnapshotFile(
+              checkpoint.path, frontier_->BuildSnapshot());
+          if (!written.ok()) {
+            ctrl->ReportInternal(written.ToString());
+            return;
+          }
+          ++checkpoints_written;
+        }
+      }
+    });
+  }
+
+  const util::WallTimer wall;
+  pool.Submit(std::shared_ptr<Session>(this, [](Session*) {}),
+              [out](const RunResult& result) { *out = result; });
+  pool.Shutdown();  // returns once the session finished
+  const uint64_t wall_ns = static_cast<uint64_t>(wall.Nanos());
+  if (monitor.joinable()) {
+    monitor_stop.store(true, std::memory_order_release);
+    monitor.join();
+  }
+  // Final snapshot at drain — written on every exit path (clean finish,
+  // cancellation, checkpointed stop, contained failure): the frontier is
+  // consistent in all of them, and a snapshot with live tasks is exactly
+  // what makes the run resumable.
+  if (persisting) {
+    const util::Status written =
+        snapshot::WriteSnapshotFile(checkpoint.path, frontier_->BuildSnapshot());
+    if (written.ok()) {
+      ++checkpoints_written;
+    } else {
+      ctrl->ReportInternal(written.ToString());
+      out->termination = ctrl->termination();
+      out->message = ctrl->message();
+    }
+  }
+  out->stats.watchdog_checks = watchdog_checks;
+  out->stats.checkpoints_written = checkpoints_written;
+  // The private pool's workers were this run's alone: whatever part of
+  // their wall time was not task time was waiting for work.
+  const uint64_t worker_ns = wall_ns * pool.threads();
+  out->stats.idle_ns =
+      worker_ns > out->stats.busy_ns ? worker_ns - out->stats.busy_ns : 0;
 }
 
 util::Status Session::Run(ResultSink* sink, RunResult* result) {
@@ -374,45 +541,12 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
   // releases pair under the same budget.
   util::ScopedBudgetBinding binding(&budget_);
   PMBE_RETURN_IF_ERROR(PrepareImpl(sink, /*force_controller=*/false));
-  RunController* ctrl = controller();
-  const BipartiteGraph& work = engine_->graph();
 
-  // Durable runs are frontier-driven (docs/CHECKPOINT.md): build the task
-  // frontier before enumeration, either restoring a previous snapshot or
-  // seeding this process's hash shard of the right side. Setup failures
+  // Durable runs are frontier-driven (docs/CHECKPOINT.md). Setup failures
   // (unreadable, corrupt, or mismatched snapshot) surface as a Status
   // before any worker starts.
-  std::unique_ptr<snapshot::TaskFrontier> frontier;
   if (options_.checkpoint.enabled()) {
-    frontier = std::make_unique<snapshot::TaskFrontier>(
-        static_cast<uint8_t>(effective_algorithm_),
-        options_.checkpoint.shard_index, options_.checkpoint.shard_count,
-        work);
-    util::Status seeded = util::Status::Ok();
-    if (options_.checkpoint.resume) {
-      util::StatusOr<snapshot::FrontierSnapshot> snap =
-          snapshot::ReadSnapshotFile(options_.checkpoint.path);
-      seeded = snap.ok() ? frontier->Restore(snap.value()) : snap.status();
-    } else if (::access(options_.checkpoint.path.c_str(), F_OK) == 0) {
-      // A fresh durable run must never clobber a resumable snapshot: the
-      // first periodic write would silently destroy the previous run's
-      // state. Forgetting checkpoint.resume is the common way to get
-      // here, so refuse before any worker starts.
-      seeded = util::Status::InvalidArgument(
-          "checkpoint.path '" + options_.checkpoint.path +
-          "' already exists; set checkpoint.resume (--resume) to continue "
-          "that run, or remove the file to start fresh");
-    } else {
-      for (uint64_t v = 0; v < work.num_right(); ++v) {
-        if (options_.checkpoint.shard_count > 1 &&
-            snapshot::ShardOfSeed(static_cast<VertexId>(v),
-                                  options_.checkpoint.shard_count) !=
-                options_.checkpoint.shard_index) {
-          continue;
-        }
-        frontier->AddPending(EncodeTask(static_cast<VertexId>(v)));
-      }
-    }
+    const util::Status seeded = SeedFrontier();
     if (!seeded.ok()) {
       finished_ = true;
       budget_.EndRun();
@@ -420,91 +554,34 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
     }
   }
 
-  auto run_enumeration = [&]() {
-    // Durable runs always go through the parallel driver, even with one
-    // thread: the frontier bookkeeping and the checkpointer live there.
-    if (options_.threads > 1 || frontier != nullptr) {
-      ParallelOptions popts;
-      popts.threads = options_.threads;
-      popts.controller = ctrl;
-      popts.budget = &budget_;
-      popts.watchdog_stall_seconds = options_.watchdog_stall_seconds;
-      popts.frontier = frontier.get();
-      popts.checkpoint = options_.checkpoint;
-      WorkerFactory factory = [this]() { return MakeWorker(); };
-      EnumStats merged = ParallelEnumerate(work, factory, popts, run_sink_);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.MergeFrom(merged);
-      return;
+  RunResult out;
+  if (options_.threads > 1 || frontier_ != nullptr) {
+    RunOnPool(&out);
+  } else {
+    // One thread, volatile: the engine's own whole-graph traversal, inline.
+    // Containment: an exception escaping it (a throwing user sink) is a
+    // component failure, not a crash.
+    try {
+      std::unique_ptr<SubtreeWorker> worker = MakeWorker();
+      worker->EnumerateAll(run_sink_);
+      AddWorkerStats(worker->stats());
+    } catch (const std::exception& e) {
+      ReportFailure(e.what());
+    } catch (...) {
+      ReportFailure("unknown exception");
     }
-    switch (effective_algorithm_) {
-      case Algorithm::kMbet:
-      case Algorithm::kMbetM: {
-        MbetEnumerator engine(work, effective_mbet_);
-        engine.SetRunController(ctrl);
-        engine.EnumerateAll(run_sink_);
-        AddWorkerStats(engine.stats());
-        break;
-      }
-      case Algorithm::kMineLmbc: {
-        MineLmbcEnumerator engine(work);
-        engine.SetRunController(ctrl);
-        engine.EnumerateAll(run_sink_);
-        AddWorkerStats(engine.stats());
-        break;
-      }
-      case Algorithm::kMbea: {
-        MbeaEnumerator engine(work, MbeaOptions{.improved = false});
-        engine.SetRunController(ctrl);
-        engine.EnumerateAll(run_sink_);
-        AddWorkerStats(engine.stats());
-        break;
-      }
-      case Algorithm::kImbea: {
-        MbeaEnumerator engine(work, MbeaOptions{.improved = true});
-        engine.SetRunController(ctrl);
-        engine.EnumerateAll(run_sink_);
-        AddWorkerStats(engine.stats());
-        break;
-      }
-      case Algorithm::kBbk: {
-        BbkEnumerator engine(work);
-        engine.SetRunController(ctrl);
-        engine.EnumerateAll(run_sink_);
-        AddWorkerStats(engine.stats());
-        break;
-      }
-    }
-  };
-  // Containment: an exception escaping the engines (a throwing user sink
-  // in a single-thread run, or a parallel failure the driver rethrew for
-  // lack of a controller) is a component failure, not a crash. With a
-  // controller it becomes Termination::kInternal and the sink keeps its
-  // valid prefix; without one it is reported as a kInternal Status.
-  try {
-    run_enumeration();
-  } catch (const std::exception& e) {
-    if (ctrl == nullptr) {
-      finished_ = true;
-      budget_.EndRun();
-      return util::Status::Internal(std::string("enumeration failed: ") +
-                                    e.what());
-    }
-    ctrl->ReportInternal(e.what());
-  } catch (...) {
-    if (ctrl == nullptr) {
-      finished_ = true;
-      budget_.EndRun();
-      return util::Status::Internal("enumeration failed: unknown exception");
-    }
-    ctrl->ReportInternal("unknown exception");
+    Finish(&out);
   }
-  if (frontier != nullptr) {
-    frontier_digest_ = frontier->MergedDigest().Value();
-    frontier_completed_ = frontier->completed_count();
-    frontier_pending_ = frontier->pending_count();
+  // With a controller a failure already ended the run as kInternal and
+  // the sink keeps its valid prefix; without one it is reported as a
+  // kInternal Status.
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (failed_) {
+      return util::Status::Internal("enumeration failed: " + failure_);
+    }
   }
-  Finish(result);
+  if (result != nullptr) *result = std::move(out);
   return util::Status::Ok();
 }
 

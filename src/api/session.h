@@ -6,12 +6,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "api/engine.h"
 #include "api/options.h"
+#include "core/enum_stats.h"
 #include "core/run_control.h"
 #include "core/sink.h"
-#include "parallel/parallel_mbe.h"
 #include "util/memory.h"
 
 /// \file
@@ -26,18 +27,48 @@
 /// counts them against the result budget. Any number of sessions run
 /// concurrently over one engine.
 ///
-/// Two execution modes:
-///  * `Run(sink)` — standalone: the session drives the enumeration itself,
-///    spawning `options.threads` workers through the parallel driver (or
-///    running inline when threads == 1). This is what the one-shot
-///    `mbe::Enumerate` facade wraps.
-///  * cooperative — a shared scheduler (serve/session_pool.h) calls
+/// Every multi-threaded or durable run executes on a `SessionPool`
+/// (api/session_pool.h), the one task runtime:
+///  * `Run(sink)` — standalone. One thread and no checkpoint runs inline:
+///    one worker's whole-graph traversal on the calling thread. Otherwise
+///    the session submits itself to a private pool of
+///    min(`options.threads`, tasks) workers and waits; a durable run's
+///    watchdog and checkpointer threads run around that wait. This is
+///    what the one-shot `mbe::Enumerate` facade wraps.
+///  * cooperative — a shared pool (the serving daemon's) calls
 ///    `Prepare()`, executes the session's subtree tasks on its own
 ///    workers (`MakeWorker` / `run_sink`), and calls `Finish()`. The
 ///    session still owns control, budget, and accounting; only the
 ///    threads are shared.
+///
+/// A durable session (checkpoint.path set) owns its task frontier
+/// (snapshot/frontier.h): its tasks are the frontier's live words in
+/// ascending order, and the pool commits each finished one there.
 
 namespace mbe {
+
+namespace snapshot {
+class TaskFrontier;
+}  // namespace snapshot
+
+/// One single-threaded enumeration engine of a session. Workers are
+/// thread-compatible: a scheduler builds one per thread and reuses it
+/// across that thread's tasks.
+class SubtreeWorker {
+ public:
+  virtual ~SubtreeWorker() = default;
+
+  /// Enumerates the maximal bicliques whose minimum right vertex is `v`.
+  virtual void EnumerateSubtree(VertexId v, ResultSink* sink) = 0;
+
+  /// Enumerates every maximal biclique with the engine's own whole-graph
+  /// traversal (the inline one-thread run).
+  virtual void EnumerateAll(ResultSink* sink) = 0;
+
+  /// Counters accumulated by this worker so far, including the kernel
+  /// calls (EnumStats::simd_*_calls) its own enumeration dispatched.
+  virtual EnumStats stats() const = 0;
+};
 
 /// Outcome of an enumeration run.
 struct RunResult {
@@ -68,7 +99,7 @@ struct RunResult {
   /// Durable-run accounting (checkpointing runs only; all zero otherwise).
   /// `frontier_digest` folds the completed-task result digests
   /// (snapshot/frontier.h TaskDigest::Value): independent of threads and
-  /// steal order, so a resumed run and an uninterrupted run that
+  /// claim order, so a resumed run and an uninterrupted run that
   /// completed the same enumeration report the same digest.
   /// `frontier_pending` > 0 means the run stopped early and the snapshot
   /// file resumes it.
@@ -86,7 +117,7 @@ class Session {
   /// budget, stats, and result for multi-tenant accounting.
   Session(std::shared_ptr<const Engine> engine, RunOptions options,
           uint64_t id = 0);
-  ~Session();
+  virtual ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -127,18 +158,25 @@ class Session {
   /// session even with inert RunControl.
   util::Status Prepare(ResultSink* sink);
 
-  /// Subtree tasks of this run: one per right vertex of the engine graph
-  /// for subtree-decomposable algorithms, 1 (whole-graph) otherwise.
+  /// Subtree tasks of this run: the frontier's live tasks for a durable
+  /// run; otherwise one per right vertex of the engine graph for
+  /// subtree-decomposable algorithms, 1 (whole-graph) for the rest.
   size_t task_count() const;
+
+  /// Seed vertex of task `index` (< task_count()). Tasks ascend by vertex.
+  VertexId task_vertex(size_t index) const;
 
   /// True when task v is the whole graph rather than one subtree (non
   /// subtree-decomposable algorithm).
   bool monolithic() const { return monolithic_; }
 
+  /// The durable run's task frontier; null for volatile runs.
+  snapshot::TaskFrontier* frontier() { return frontier_.get(); }
+
   /// Fresh single-threaded worker over the shared engine graph, attached
   /// to this session's controller. Thread-compatible: one per scheduler
-  /// thread.
-  std::unique_ptr<SubtreeWorker> MakeWorker() const;
+  /// thread. Virtual so a test can run the pool with recording workers.
+  virtual std::unique_ptr<SubtreeWorker> MakeWorker() const;
 
   /// The session's sink chain (translation + run control). Thread-safe.
   ResultSink* run_sink();
@@ -148,6 +186,12 @@ class Session {
 
   /// Folds one worker's counters into the session result (thread-safe).
   void AddWorkerStats(const EnumStats& stats);
+
+  /// Contains a failed task or flush (thread-safe): with a controller the
+  /// session stops with Termination::kInternal; without one (a standalone
+  /// Run over inert options) the first message is kept and Run returns it
+  /// as an Internal status.
+  void ReportFailure(const std::string& what);
 
   /// Finalizes accounting (termination, budget peak, wall time) into
   /// `*result` (may be null). Call exactly once, after all tasks retired
@@ -162,6 +206,14 @@ class Session {
   /// sink as an Internal *status*); cooperative callers force the
   /// controller.
   util::Status PrepareImpl(ResultSink* sink, bool force_controller);
+
+  /// Builds the durable run's frontier: restores checkpoint.path or seeds
+  /// this process's shard of the right side.
+  util::Status SeedFrontier();
+
+  /// Runs the prepared session on a private pool with the standalone-only
+  /// watchdog and checkpointer around the wait; fills `*out`.
+  void RunOnPool(RunResult* out);
 
   const uint64_t id_;
   std::shared_ptr<const Engine> engine_;
@@ -184,28 +236,26 @@ class Session {
   MbetOptions effective_mbet_;  ///< thresholds swapped into engine space
   /// The engine that actually runs. Equals options_.algorithm except when
   /// auto_tune's engine recommendation was honored (MBET ↔ BBK on
-  /// plain-enumeration queries; see PrepareImpl). Drives MakeWorker, the
-  /// single-threaded dispatch, and the durable frontier's algorithm tag —
-  /// deterministic per (graph, options), so a resumed checkpoint re-derives
-  /// the same engine.
+  /// plain-enumeration queries; see PrepareImpl). Drives MakeWorker and
+  /// the durable frontier's algorithm tag — deterministic per (graph,
+  /// options), so a resumed checkpoint re-derives the same engine.
   Algorithm effective_algorithm_ = Algorithm::kMbet;
 
   /// Accounting snapshots taken in Prepare, diffed in Finish.
   uint64_t degradations_before_ = 0;
   uint64_t faults_before_ = 0;
-  uint64_t kernel_intersect_before_ = 0;
-  uint64_t kernel_mask_before_ = 0;
-  uint64_t kernel_word_before_ = 0;
 
-  /// Frontier accounting of a durable standalone Run, copied into the
-  /// RunResult by Finish (zero for volatile runs).
-  uint64_t frontier_digest_ = 0;
-  uint64_t frontier_completed_ = 0;
-  uint64_t frontier_pending_ = 0;
+  /// Durable runs only: the frontier and its live tasks' seed vertices,
+  /// ascending (the pool's claim order).
+  std::unique_ptr<snapshot::TaskFrontier> frontier_;
+  std::vector<VertexId> frontier_tasks_;
 
-  /// Merged worker counters (guarded by stats_mu_).
+  /// Merged worker counters and the first uncontrolled failure (all
+  /// guarded by stats_mu_).
   std::mutex stats_mu_;
   EnumStats stats_;
+  bool failed_ = false;
+  std::string failure_;
 
   util::WallTimer timer_;
 };

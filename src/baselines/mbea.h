@@ -21,7 +21,7 @@
 /// filtered, and intersection sizes use early exit.
 ///
 /// Besides the faithful global-root EnumerateAll, the class offers the
-/// per-vertex EnumerateSubtree used by the parallel driver (the ParMBE
+/// per-vertex EnumerateSubtree used by the session pool (the ParMBE
 /// work decomposition of Das & Tirthapura, HiPC 2019).
 
 namespace mbe {

@@ -32,8 +32,8 @@
 /// runs under the scripts/check.sh sanitizer leg to prove the engines
 /// clean).
 ///
-/// One EnumContext serves one thread; parallel_mbe gives each worker its
-/// own, same as the per-worker engine instances.
+/// One EnumContext serves one thread; the session pool gives each worker
+/// its own, same as the per-worker engine instances.
 
 namespace mbe {
 

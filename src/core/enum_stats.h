@@ -52,9 +52,10 @@ struct EnumStats {
   /// dispatch).
   uint64_t kernel_dispatch = 0;
   /// Calls dispatched through the vectorized kernel table, by family
-  /// (util/simd.h KernelOp). Process-wide snapshot deltas captured around
-  /// the run by the API facade; tiny operands served by inline scalar
-  /// loops are not counted.
+  /// (util/simd.h KernelOp), by this run's own workers: each worker diffs
+  /// its thread's counters around every enumeration call, so concurrent
+  /// sessions never count each other's calls. Tiny operands served by
+  /// inline scalar loops are not counted.
   uint64_t simd_intersect_calls = 0;
   /// mask_count / mask_filter (membership-mask probe) family.
   uint64_t simd_mask_calls = 0;
@@ -67,7 +68,8 @@ struct EnumStats {
   /// bytes. NOT additive: merged via max (workers' arenas coexist, but
   /// the per-thread peak is the capacity-planning number).
   uint64_t arena_peak_bytes = 0;
-  /// Tasks taken from another worker's deque (Scheduling::kStealing only).
+  /// Always 0: nothing steals, every worker claims from the session
+  /// pool's shared cursor. Stays until a benchmark change stops reading it.
   uint64_t steals = 0;
   /// Always 0: subtree splitting is gone, every task is one whole
   /// subtree. Stays until a benchmark change stops reading it.
@@ -75,12 +77,15 @@ struct EnumStats {
   /// Batched flushes performed by the per-worker BufferedSinks; together
   /// with `maximal` this gives the emissions-per-lock amortization.
   uint64_t sink_flushes = 0;
-  /// Wall time workers spent executing subtree tasks, summed over
-  /// workers, in nanoseconds (parallel driver only).
+  /// Wall time session-pool workers spent executing this run's subtree
+  /// tasks, summed over workers, in nanoseconds (0 for the inline
+  /// one-thread run).
   uint64_t busy_ns = 0;
-  /// Wall time workers spent waiting for work (steal attempts, backoff),
+  /// Wall time the workers of a standalone run's private pool spent not
+  /// executing its tasks (start-up, claiming, waiting for the last task),
   /// summed over workers, in nanoseconds. busy/(busy+idle) is the
-  /// scheduler's load-balance figure of merit.
+  /// load-balance figure of merit. 0 on a shared pool, whose workers are
+  /// not one run's.
   uint64_t idle_ns = 0;
   /// Faults fired by the injection framework during the run (0 unless the
   /// build defines PMBE_FAULT_INJECTION and a point is armed).
@@ -95,9 +100,10 @@ struct EnumStats {
   uint64_t peak_charged_bytes = 0;
   /// Heartbeat sweeps performed by the worker watchdog monitor.
   uint64_t watchdog_checks = 0;
-  /// Time the run spent admitted-but-waiting before its first task ran on
-  /// a shared scheduler (serve/session_pool.h), in nanoseconds. 0 for
-  /// standalone runs.
+  /// Time from submission to a session pool (api/session_pool.h) until the
+  /// run's first task was claimed, in nanoseconds; a served session adds
+  /// its admission wait. For a standalone run this is only its private
+  /// pool's start-up (microseconds); 0 for the inline one-thread run.
   uint64_t queue_wait_ns = 0;
   /// Frontier snapshots persisted by a checkpointing run (periodic plus
   /// the final one at drain; snapshot/checkpoint.h).

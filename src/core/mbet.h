@@ -45,7 +45,7 @@
 ///    local lists and recomputes counts from the graph.
 ///
 /// Thread-compatibility: one MbetEnumerator instance is single-threaded
-/// state; the parallel driver creates one per worker over the shared graph.
+/// state; the session pool creates one per worker over the shared graph.
 
 namespace mbe {
 
@@ -108,7 +108,7 @@ class MbetEnumerator {
 
   /// Enumerates the maximal bicliques whose minimum right vertex is `v`.
   /// The union over all v of EnumerateSubtree(v) is EnumerateAll; subtrees
-  /// are independent, which is what the parallel driver exploits.
+  /// are independent, which is what the session pool exploits.
   void EnumerateSubtree(VertexId v, ResultSink* sink);
 
   const EnumStats& stats() const { return stats_; }

@@ -15,12 +15,12 @@
 /// Result sinks: where enumerated maximal bicliques go. Enumerators call
 /// `Emit(left, right)` with sorted spans valid only for the duration of the
 /// call; sinks copy what they need. All sinks here are thread-safe so the
-/// same sink can be shared by the parallel driver's workers — except
+/// same sink can be shared by the session pool's workers — except
 /// `BufferedSink`, which is explicitly worker-local (see its comment).
 ///
 /// Batching: `ResultSink::EmitBatch` delivers many bicliques in one call so
 /// a sink can amortize its synchronization (one lock acquisition / one
-/// atomic round per batch instead of per biclique). The parallel driver
+/// atomic round per batch instead of per biclique). The session pool
 /// wraps the shared sink in one `BufferedSink` per worker, which
 /// accumulates emissions in worker-local storage and flushes them as a
 /// batch; sinks that don't override EmitBatch transparently fall back to
@@ -236,9 +236,9 @@ class FingerprintSink : public ResultSink {
 /// per emission.
 ///
 /// NOT thread-safe by design: each producing worker owns one BufferedSink
-/// over the shared inner sink (the parallel driver creates one per
+/// over the shared inner sink (the session pool creates one per
 /// worker). The owner must call Flush() (or destroy the sink) before the
-/// run's results are read; the driver flushes on drain, including when a
+/// run's results are read; the pool flushes on drain, including when a
 /// run is cancelled — buffered bicliques are genuine maximal bicliques, so
 /// flushing them preserves the valid-prefix guarantee of interrupted runs.
 ///

@@ -10,7 +10,7 @@
 
 #include "serve/admission.h"
 #include "serve/registry.h"
-#include "serve/session_pool.h"
+#include "api/session_pool.h"
 #include "serve/wire.h"
 
 /// \file

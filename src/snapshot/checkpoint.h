@@ -23,7 +23,7 @@
 namespace mbe::snapshot {
 
 /// Caller-facing checkpoint configuration, carried through RunOptions into
-/// the parallel driver. Default-constructed options disable checkpointing
+/// the durable session. Default-constructed options disable checkpointing
 /// entirely (the frontier machinery is never built).
 struct CheckpointOptions {
   /// Snapshot file path; empty disables checkpointing. Periodic snapshots

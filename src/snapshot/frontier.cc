@@ -32,7 +32,7 @@ uint64_t Fnv1a(std::span<const uint8_t> bytes) {
 /// shard, shard index within bounds. Version 1 of the format also carries
 /// the shard words of split subtrees (shard s of k > 1) that earlier
 /// writers produced; they decode, and Restore refuses them
-/// (parallel/work_stealing.h).
+/// (EncodeTask, snapshot/frontier.h).
 bool ValidTaskWord(uint64_t word) {
   const uint32_t shard = static_cast<uint32_t>((word >> 16) & 0xffff);
   const uint32_t num_shards = static_cast<uint32_t>(word & 0xffff);
@@ -340,7 +340,7 @@ util::Status TaskFrontier::Restore(const FrontierSnapshot& snap) {
   // the same checks: they never re-run, but their words feed the merged
   // digest and shard-merge bookkeeping. A split-subtree word in either
   // section refuses the whole snapshot, before any state changes: its
-  // sibling shards cannot be run by a driver that only runs whole
+  // sibling shards cannot be run by a scheduler that only runs whole
   // subtrees, and resuming the rest would be a partial resume.
   for (uint64_t word : snap.pending) {
     PMBE_RETURN_IF_ERROR(CheckRestorableTask(word, graph_right_));

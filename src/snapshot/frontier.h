@@ -9,18 +9,19 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
-#include "parallel/work_stealing.h"
+#include "util/common.h"
 #include "util/status.h"
 
 /// \file
-/// The durable task frontier: a first-class, serializable view of the
-/// parallel driver's outstanding work (docs/CHECKPOINT.md).
+/// The durable task frontier: a first-class, serializable view of a
+/// durable run's outstanding work (docs/CHECKPOINT.md).
 ///
-/// The unit of parallel work is already an independently re-runnable
-/// subtree task — the encoded task word of parallel/work_stealing.h.
-/// Before this module that frontier lived only in volatile deque slots: a
-/// crash lost the whole run. `TaskFrontier` tracks every task's lifecycle
-/// outside the deques:
+/// The unit of parallel work is an independently re-runnable subtree
+/// task, encoded as one 64-bit task word (EncodeTask below). A durable
+/// `Session` owns one `TaskFrontier`; the session pool
+/// (api/session_pool.h) claims the frontier's live tasks in ascending
+/// order and commits each finished one here. `TaskFrontier` tracks every
+/// task's lifecycle:
 ///
 ///  * **live** — seeded, not yet finished. Live tasks include in-flight
 ///    ones: a snapshot taken while a task is executing records it live,
@@ -32,7 +33,7 @@
 ///
 /// Because every emitted biclique belongs to exactly one completed task
 /// and the accumulators are commutative, the fold over all completed-task
-/// digests is independent of thread count, steal order, and process
+/// digests is independent of thread count, claim order, and process
 /// sharding. Two runs (or a run resumed across N crashes, or N process
 /// shards merged) that completed the same enumeration produce
 /// bit-identical merged digests. That is the restart-correctness proof
@@ -50,6 +51,42 @@
 /// InvalidArgument/CorruptData, never a crash), and canonical — a decoded
 /// snapshot re-encodes to exactly the input bytes, which the fuzzer
 /// (tools/fuzz_frontier.cc) relies on to detect silent coercions.
+
+namespace mbe {
+
+/// One unit of enumeration work — the whole subtree of seed vertex v —
+/// encoded into a single 64-bit word:
+///   bits [32, 64): subtree seed vertex v
+///   bits [16, 32): shard index, always 0
+///   bits [ 0, 16): shard count, always 1
+/// The shard bits are left over from subtree splitting, which no scheduler
+/// does any more. They stay because snapshot files store task words
+/// verbatim: keeping the packing lets every snapshot an earlier unsplit
+/// run wrote resume unchanged, while a word with other shard bits is
+/// recognizable — and refused — at restore.
+constexpr uint64_t EncodeTask(VertexId v) {
+  return (static_cast<uint64_t>(v) << 32) | 1;
+}
+
+constexpr VertexId TaskVertex(uint64_t word) {
+  return static_cast<VertexId>(word >> 32);
+}
+
+/// True when `word` is a whole-subtree task (shard 0 of 1).
+constexpr bool IsSubtreeTask(uint64_t word) {
+  return (word & 0xffffffffULL) == 1;
+}
+
+// The snapshot file format persists these words verbatim, so the packing
+// is an on-disk contract. Pin it.
+static_assert(EncodeTask(0xdeadbeefu) == 0xdeadbeef00000001ULL,
+              "task packing must stay v:[32,64) shard:[16,32) k:[0,16)");
+static_assert(TaskVertex(0xdeadbeef00000001ULL) == 0xdeadbeefu &&
+                  IsSubtreeTask(0xdeadbeef00000001ULL) &&
+                  !IsSubtreeTask(0xdeadbeef00010002ULL),
+              "task unpacking must invert the packing bit-exactly");
+
+}  // namespace mbe
 
 namespace mbe::snapshot {
 
@@ -92,7 +129,7 @@ struct TaskDigest {
 
 /// One completed-task record of a snapshot.
 struct CompletedTask {
-  uint64_t task = 0;  ///< encoded task word (work_stealing.h)
+  uint64_t task = 0;  ///< encoded task word (EncodeTask)
   TaskDigest digest;
 
   friend bool operator==(const CompletedTask&, const CompletedTask&) = default;
@@ -167,7 +204,7 @@ util::Status EncodeSnapshot(const FrontierSnapshot& snap,
 util::StatusOr<FrontierSnapshot> DecodeSnapshot(
     std::span<const uint8_t> bytes);
 
-/// The thread-safe live frontier the stealing driver operates against.
+/// The thread-safe live frontier of one durable session.
 /// Header fields (algorithm, shard coordinates, graph fingerprint) are
 /// fixed at construction; task state transitions are serialized by one
 /// internal mutex so any concurrent BuildSnapshot observes a consistent
@@ -181,7 +218,7 @@ class TaskFrontier {
   TaskFrontier& operator=(const TaskFrontier&) = delete;
 
   /// Seeds one live whole-subtree task. Aborts on any other word or a
-  /// duplicate (seeding is driver setup, not untrusted input).
+  /// duplicate (seeding is session setup, not untrusted input).
   void AddPending(uint64_t task);
 
   /// Replaces the frontier's state with a decoded snapshot: pending tasks
@@ -197,7 +234,7 @@ class TaskFrontier {
   /// is not live (every task completes exactly once).
   void MarkCompleted(uint64_t task, const TaskDigest& digest);
 
-  /// The live tasks, in ascending order (driver seeding order input).
+  /// The live tasks, in ascending order (the order the pool claims them).
   std::vector<uint64_t> PendingTasks() const;
 
   size_t pending_count() const;

@@ -1,8 +1,6 @@
 #include "util/simd.h"
 
 #include <cstdlib>
-#include <mutex>
-#include <vector>
 
 #include "util/simd_scalar.h"
 
@@ -108,68 +106,6 @@ DispatchLevel ForceLevel(DispatchLevel want) {
   d.table = &TableFor(level);
   d.level = level;
   return level;
-}
-
-// --- Counter registry ----------------------------------------------------
-
-namespace {
-
-struct CounterRegistry {
-  std::mutex mu;
-  std::vector<std::atomic<uint64_t>*> live;
-  uint64_t retired[kNumKernelOps] = {};
-};
-
-CounterRegistry& Registry() {
-  static CounterRegistry* r = new CounterRegistry();  // never destroyed:
-  // thread_local blocks may retire after static destruction would run.
-  return *r;
-}
-
-}  // namespace
-
-namespace internal {
-
-void RegisterTlsCounters(std::atomic<uint64_t>* block) {
-  CounterRegistry& r = Registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.live.push_back(block);
-}
-
-void RetireTlsCounters(std::atomic<uint64_t>* block) {
-  CounterRegistry& r = Registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (size_t k = 0; k < kNumKernelOps; ++k) {
-    r.retired[k] += block[k].load(std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < r.live.size(); ++i) {
-    if (r.live[i] == block) {
-      r.live[i] = r.live.back();
-      r.live.pop_back();
-      break;
-    }
-  }
-}
-
-}  // namespace internal
-
-KernelCallCounters SnapshotKernelCalls() {
-  CounterRegistry& r = Registry();
-  uint64_t totals[kNumKernelOps] = {};
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (size_t k = 0; k < kNumKernelOps; ++k) totals[k] = r.retired[k];
-    for (std::atomic<uint64_t>* block : r.live) {
-      for (size_t k = 0; k < kNumKernelOps; ++k) {
-        totals[k] += block[k].load(std::memory_order_relaxed);
-      }
-    }
-  }
-  KernelCallCounters out;
-  out.intersect = totals[static_cast<size_t>(KernelOp::kIntersect)];
-  out.mask = totals[static_cast<size_t>(KernelOp::kMask)];
-  out.word = totals[static_cast<size_t>(KernelOp::kWord)];
-  return out;
 }
 
 }  // namespace mbe::simd

@@ -1,7 +1,6 @@
 #ifndef PMBE_UTIL_SIMD_H_
 #define PMBE_UTIL_SIMD_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -85,11 +84,12 @@ DispatchLevel MaxSupportedLevel();
 DispatchLevel ForceLevel(DispatchLevel want);
 
 // --- Per-kernel call counters ------------------------------------------
-// Process-wide accounting of dispatched kernel calls, cheap enough for the
-// hot path: each thread owns a block of relaxed single-writer atomics
-// (plain adds on x86), and SnapshotKernelCalls() sums live blocks plus the
-// folded totals of exited threads. The API facade diffs two snapshots
-// around a run to fill EnumStats::simd_*_calls.
+// Per-thread accounting of dispatched kernel calls, cheap enough for the
+// hot path: each thread owns plain counters that only it reads and
+// writes. Diff two ThreadKernelCalls() reads taken on one thread around a
+// piece of work to attribute the calls it made; the session's workers do
+// that around every task (EnumStats::simd_*_calls), so concurrent
+// sessions never see each other's calls.
 
 /// Kernel families the counters distinguish. `is_subset` is uncounted:
 /// only the result checker (core/verify.h) calls it.
@@ -109,32 +109,23 @@ struct KernelCallCounters {
 
 namespace internal {
 
-void RegisterTlsCounters(std::atomic<uint64_t>* block);
-void RetireTlsCounters(std::atomic<uint64_t>* block);
-
-/// One per thread; registers with the process registry on first use and
-/// folds its totals into the retired accumulator on thread exit.
-struct TlsCounterBlock {
-  std::atomic<uint64_t> calls[kNumKernelOps] = {};
-  TlsCounterBlock() { RegisterTlsCounters(calls); }
-  ~TlsCounterBlock() { RetireTlsCounters(calls); }
-};
-
-inline thread_local TlsCounterBlock g_tls_counters;
+/// The calling thread's totals, indexed by KernelOp.
+inline thread_local uint64_t g_tls_counters[kNumKernelOps] = {};
 
 }  // namespace internal
 
 /// Counts one dispatched call of family `op` on the calling thread.
-/// Single-writer relaxed atomics: compiles to a plain increment.
 inline void CountKernelCall(KernelOp op) {
-  std::atomic<uint64_t>& c =
-      internal::g_tls_counters.calls[static_cast<size_t>(op)];
-  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  ++internal::g_tls_counters[static_cast<size_t>(op)];
 }
 
-/// Sums the counters of all live threads plus exited ones. Monotone
-/// between calls; diff two snapshots to attribute calls to a run.
-KernelCallCounters SnapshotKernelCalls();
+/// The calling thread's totals so far (monotone).
+inline KernelCallCounters ThreadKernelCalls() {
+  const uint64_t* c = internal::g_tls_counters;
+  return {c[static_cast<size_t>(KernelOp::kIntersect)],
+          c[static_cast<size_t>(KernelOp::kMask)],
+          c[static_cast<size_t>(KernelOp::kWord)]};
+}
 
 }  // namespace mbe::simd
 

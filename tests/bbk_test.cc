@@ -1,7 +1,7 @@
 // Engine-level tests for BBK (engines/bbk.h): oracle-checked output,
 // digest identity with MBET across graph families, L' bitmaps on every
 // node and the sorted-list fallback under memory pressure (serial and
-// through the stealing driver), and the facade's serial/parallel paths.
+// through the session pool), and the facade's serial/parallel paths.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/verify.h"
 #include "engines/bbk.h"
 #include "gen/generators.h"
-#include "parallel/parallel_mbe.h"
 #include "util/memory.h"
 
 namespace mbe {
@@ -135,42 +134,34 @@ TEST(BbkEngineTest, EveryExpandedNodeCarriesABitmap) {
   EXPECT_GT(s.bitmap_kernel_calls, 0u);
 }
 
-// One BBK engine per stealing-driver worker.
-class BbkWorker : public SubtreeWorker {
- public:
-  explicit BbkWorker(const BipartiteGraph& graph) : engine_(graph) {}
-  void EnumerateSubtree(VertexId v, ResultSink* sink) override {
-    engine_.EnumerateSubtree(v, sink);
-  }
-  EnumStats stats() const override { return engine_.stats(); }
-
- private:
-  BbkEnumerator engine_;
-};
-
 TEST(BbkEngineTest, PressuredParallelRunMatchesSerial) {
-  // The driver binds the run's budget on every worker thread, so pressure
-  // reaches each worker's engine: no worker builds a bitmap, and the
-  // merged output is the serial run's.
+  // The pool binds the session's budget on every worker thread, so
+  // pressure reaches each worker's engine: no worker builds a bitmap, and
+  // the merged output is the serial run's.
   const BipartiteGraph graph = gen::PowerLaw(250, 180, 1400, 0.85, 0.8, 70);
   BbkEnumerator serial(graph);
   FingerprintSink ref;
   serial.EnumerateAll(&ref);
 
-  PressuredBudget budget;
-  ASSERT_TRUE(budget.pressured());
-  ParallelOptions popts;
-  popts.threads = 4;
-  popts.budget = budget.get();
+  auto engine = Engine::Build(graph, GraphOptions());
+  ASSERT_TRUE(engine.ok());
+  RunOptions options;
+  options.algorithm = Algorithm::kBbk;
+  options.threads = 4;
+  options.max_memory_bytes = PressuredBudget::kCap;
+  Session session(engine.value(), options);
+  // Charged before the run; the run's cap turns it into pressure.
+  ASSERT_TRUE(session.budget().TryCharge(PressuredBudget::kPreCharge));
   FingerprintSink got;
-  const EnumStats stats = ParallelEnumerate(
-      graph, [&graph] { return std::make_unique<BbkWorker>(graph); }, popts,
-      &got);
+  RunResult run;
+  ASSERT_TRUE(session.Run(&got, &run).ok());
+  session.budget().Release(PressuredBudget::kPreCharge);
+  EXPECT_TRUE(run.complete());
   EXPECT_EQ(got.Digest(), ref.Digest());
   EXPECT_EQ(got.count(), ref.count());
-  EXPECT_EQ(stats.maximal, ref.count());
-  EXPECT_EQ(stats.bitmap_conversions, 0u);
-  EXPECT_GT(budget.get()->degradations(), 0u);
+  EXPECT_EQ(run.stats.maximal, ref.count());
+  EXPECT_EQ(run.stats.bitmap_conversions, 0u);
+  EXPECT_GT(run.stats.degradations, 0u);
 }
 
 TEST(BbkEngineTest, FacadeBbkIgnoresBitmapDensity) {

@@ -1,7 +1,7 @@
 // Cross-validation of every enumerator against the brute-force oracle on
 // small random graphs, and against each other on medium graphs. These are
 // the load-bearing correctness tests of the library: every algorithm,
-// every ablation configuration, and the parallel driver must produce the
+// every ablation configuration, and the session pool must produce the
 // exact same set of maximal bicliques.
 
 #include <gtest/gtest.h>
@@ -239,7 +239,7 @@ TEST(CrossCheckTest, PlantedBicliquesAreFound) {
   }
 }
 
-// --- The parallel driver produces identical results -----------------------
+// --- The session pool produces identical results --------------------------
 
 TEST(ParallelTest, ThreadsDoNotChangeResults) {
   BipartiteGraph graph = gen::PowerLaw(250, 180, 1500, 0.85, 0.8, 99);

@@ -1,7 +1,8 @@
 // Engine/Session API tests (api/engine.h, api/session.h) and the shared
-// SessionPool (serve/session_pool.h): facade equivalence, run-once
-// semantics, cancellation, per-session memory-budget isolation, and
-// multi-session digest identity on a shared pool.
+// SessionPool (api/session_pool.h): facade equivalence, run-once
+// semantics, cancellation, per-session memory-budget isolation,
+// multi-session digest identity on a shared pool, and per-session
+// accounting (kernel calls, flushes, busy time) of pool sessions.
 
 #include <gtest/gtest.h>
 
@@ -9,13 +10,14 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/mbe.h"
 #include "core/run_control.h"
 #include "core/sink.h"
 #include "gen/generators.h"
-#include "serve/session_pool.h"
+#include "api/session_pool.h"
 
 namespace mbe {
 namespace {
@@ -213,7 +215,7 @@ TEST(SessionPoolTest, ManyConcurrentSessionsDigestIdentity) {
   }
 
   constexpr int kSessions = 9;
-  serve::SessionPool pool(3);
+  SessionPool pool(3);
   std::vector<std::shared_ptr<Session>> sessions;
   std::vector<std::unique_ptr<FingerprintSink>> sinks;
   std::vector<RunResult> results(kSessions);
@@ -250,7 +252,7 @@ TEST(SessionPoolTest, CancelStopsOnlyTheTargetedSession) {
   uint64_t want_count = 0;
   const uint64_t want_digest = SoloDigest(engine, RunOptions{}, &want_count);
 
-  serve::SessionPool pool(2);
+  SessionPool pool(2);
   auto cancelled = std::make_shared<Session>(engine, RunOptions{}, 1);
   auto survivor = std::make_shared<Session>(engine, RunOptions{}, 2);
   FingerprintSink cancelled_sink, survivor_sink;
@@ -290,7 +292,7 @@ TEST(SessionPoolTest, PerSessionBudgetContainmentOnSharedWorkers) {
 
   RunOptions capped;
   capped.max_memory_bytes = 1 << 12;
-  serve::SessionPool pool(2);
+  SessionPool pool(2);
   auto victim = std::make_shared<Session>(engine, capped, 1);
   auto neighbor = std::make_shared<Session>(engine, RunOptions{}, 2);
   FingerprintSink victim_sink, neighbor_sink;
@@ -318,9 +320,73 @@ TEST(SessionPoolTest, PerSessionBudgetContainmentOnSharedWorkers) {
   EXPECT_EQ(neighbor_sink.count(), want_count);
 }
 
+/// Prepares `session` into `sink` and runs it alone on a one-worker pool.
+RunResult SoloOnPool(const std::shared_ptr<Session>& session,
+                     ResultSink* sink) {
+  EXPECT_TRUE(session->Prepare(sink).ok());
+  SessionPool pool(1);
+  RunResult result;
+  pool.Submit(session, [&result](const RunResult& r) { result = r; });
+  pool.Shutdown();
+  return result;
+}
+
+TEST(SessionPoolTest, KernelCallsAreCountedPerSession) {
+  // Two sessions on one worker: round-robin interleaves their tasks on the
+  // same thread, yet each reports exactly the kernel calls of its solo
+  // run — none of its neighbour's. MBEA and iMBEA both dispatch many
+  // mask-family calls here, in different numbers.
+  auto engine = BuildEngine(gen::ErdosRenyi(60, 60, 0.3, 17));
+  RunOptions improved;
+  improved.algorithm = Algorithm::kImbea;
+  RunOptions plain;
+  plain.algorithm = Algorithm::kMbea;
+  CountSink solo_sink;
+  const EnumStats solo_improved =
+      SoloOnPool(std::make_shared<Session>(engine, improved), &solo_sink)
+          .stats;
+  const EnumStats solo_plain =
+      SoloOnPool(std::make_shared<Session>(engine, plain), &solo_sink).stats;
+  ASSERT_GT(solo_improved.simd_mask_calls, 0u);
+  ASSERT_GT(solo_plain.simd_mask_calls, 0u);
+  ASSERT_NE(solo_improved.simd_mask_calls, solo_plain.simd_mask_calls);
+
+  auto first = std::make_shared<Session>(engine, improved, 1);
+  auto second = std::make_shared<Session>(engine, plain, 2);
+  CountSink first_sink, second_sink;
+  ASSERT_TRUE(first->Prepare(&first_sink).ok());
+  ASSERT_TRUE(second->Prepare(&second_sink).ok());
+  RunResult first_result, second_result;
+  SessionPool pool(1);
+  pool.Submit(first, [&](const RunResult& r) { first_result = r; });
+  pool.Submit(second, [&](const RunResult& r) { second_result = r; });
+  pool.Shutdown();
+
+  for (const auto& [got, want] :
+       {std::pair{first_result.stats, solo_improved},
+        std::pair{second_result.stats, solo_plain}}) {
+    EXPECT_EQ(got.simd_intersect_calls, want.simd_intersect_calls);
+    EXPECT_EQ(got.simd_mask_calls, want.simd_mask_calls);
+    EXPECT_EQ(got.simd_word_calls, want.simd_word_calls);
+  }
+}
+
+TEST(SessionPoolTest, PoolSessionStatsCarryFlushesAndBusyTime) {
+  // The pool merges each worker slot's sink flushes and task time into
+  // the session, not only the engine counters.
+  auto engine = BuildEngine(gen::PowerLaw(40, 60, 400, 0.8, 0.8, 7));
+  CountSink sink;
+  const RunResult result =
+      SoloOnPool(std::make_shared<Session>(engine, RunOptions{}), &sink);
+  ASSERT_TRUE(result.complete());
+  ASSERT_GT(sink.count(), 0u);
+  EXPECT_GT(result.stats.sink_flushes, 0u);
+  EXPECT_GT(result.stats.busy_ns, 0u);
+}
+
 TEST(SessionPoolTest, SubmitAfterShutdownCancelsInline) {
   auto engine = BuildEngine(gen::ErdosRenyi(10, 10, 0.3, 5));
-  serve::SessionPool pool(1);
+  SessionPool pool(1);
   pool.Shutdown();
   auto session = std::make_shared<Session>(engine, RunOptions{}, 1);
   FingerprintSink sink;

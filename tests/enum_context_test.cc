@@ -179,7 +179,7 @@ TEST(EnumContextTest, NoScratchEscapesARewoundFrameInAnyEngine) {
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
         Algorithm::kMbea, Algorithm::kImbea}) {
-    // MineLMBC and MBEA have no parallel driver support.
+    // MineLMBC and MBEA have no parallel support.
     const bool parallel_ok = algorithm != Algorithm::kMineLmbc &&
                              algorithm != Algorithm::kMbea;
     for (unsigned threads : {1u, 4u}) {

@@ -199,12 +199,18 @@ TEST(MemoryLimitTest, CapSweepIsCompleteOrValidPrefix) {
 // --- Sink-failure containment ---------------------------------------------
 
 TEST(ContainmentTest, ThrowingSinkWithoutControllerIsInternalStatus) {
-  ThrowAfterSink sink(4);
-  RunResult run;
-  const util::Status status =
-      Enumerate(MediumGraph(), GraphOptions(), RunOptions(), &sink, &run);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kInternal);
+  // Inline at one thread, on the session pool at four: the same contract.
+  for (unsigned threads : {1u, 4u}) {
+    RunOptions options;
+    options.threads = threads;
+    ThrowAfterSink sink(4);
+    RunResult run;
+    const util::Status status =
+        Enumerate(MediumGraph(), GraphOptions(), options, &sink, &run);
+    ASSERT_FALSE(status.ok()) << "threads=" << threads;
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ContainmentTest, ThrowingSinkWithControllerIsInternalTermination) {

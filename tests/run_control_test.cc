@@ -218,8 +218,8 @@ TEST(RunControlTest, CancellationMidRunYieldsValidPrefix) {
 }
 
 TEST(RunControlTest, CancellationMidRunStopsEverySerialEngine) {
-  // The single-thread path constructs each engine directly (no stealing
-  // driver); every one of them must honour a cancel that arrives mid-run.
+  // The single-thread path runs each engine inline (no session pool);
+  // every one of them must honour a cancel that arrives mid-run.
   const BipartiteGraph graph = WorstCaseGraph();
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,

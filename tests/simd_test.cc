@@ -284,7 +284,7 @@ TEST(SimdDispatchTest, ForceLevelClampsAndRestores) {
 }
 
 TEST(SimdDispatchTest, KernelCallCountersAdvance) {
-  const simd::KernelCallCounters before = simd::SnapshotKernelCalls();
+  const simd::KernelCallCounters before = simd::ThreadKernelCalls();
   // Operands above the small-operand cutoff so the calls dispatch.
   std::vector<VertexId> a(64), b(64);
   for (size_t i = 0; i < 64; ++i) {
@@ -292,7 +292,7 @@ TEST(SimdDispatchTest, KernelCallCountersAdvance) {
     b[i] = static_cast<VertexId>(3 * i);
   }
   (void)IntersectSize(a, b);
-  const simd::KernelCallCounters after = simd::SnapshotKernelCalls();
+  const simd::KernelCallCounters after = simd::ThreadKernelCalls();
   EXPECT_GT(after.intersect, before.intersect);
 }
 
@@ -308,22 +308,22 @@ TEST(SimdDispatchTest, KernelCallCountersAttributeFamilies) {
   mask.Set(b);
   const std::vector<uint64_t> words(4, ~uint64_t{0});
   auto delta = [](const simd::KernelCallCounters& before) {
-    const simd::KernelCallCounters after = simd::SnapshotKernelCalls();
+    const simd::KernelCallCounters after = simd::ThreadKernelCalls();
     return std::array<uint64_t, 3>{after.intersect - before.intersect,
                                    after.mask - before.mask,
                                    after.word - before.word};
   };
-  simd::KernelCallCounters before = simd::SnapshotKernelCalls();
+  simd::KernelCallCounters before = simd::ThreadKernelCalls();
   (void)IntersectSize(a, b);
   EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{1, 0, 0}));
-  before = simd::SnapshotKernelCalls();
+  before = simd::ThreadKernelCalls();
   (void)IntersectSizeWithMask(a, mask);
   EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 1, 0}));
-  before = simd::SnapshotKernelCalls();
+  before = simd::ThreadKernelCalls();
   (void)IntersectSize(std::span<const uint64_t>(words),
                       std::span<const uint64_t>(words));
   EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 0, 1}));
-  before = simd::SnapshotKernelCalls();
+  before = simd::ThreadKernelCalls();
   (void)IsSubset(a, a);
   EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 0, 0}));
 }

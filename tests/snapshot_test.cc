@@ -53,6 +53,42 @@ uint64_t Word(VertexId v, uint32_t shard, uint32_t num_shards) {
 // The word every whole-subtree task has always been written as.
 uint64_t Word(VertexId v) { return Word(v, 0, 1); }
 
+// --- Task encoding ---------------------------------------------------------
+
+TEST(TaskEncodingTest, RoundTrips) {
+  for (const VertexId v : {VertexId{0}, VertexId{42}, VertexId{7},
+                           VertexId{0xffffffffu}}) {
+    const uint64_t word = EncodeTask(v);
+    EXPECT_EQ(TaskVertex(word), v);
+    EXPECT_TRUE(IsSubtreeTask(word));
+  }
+}
+
+// The snapshot format persists encoded task words verbatim, making the
+// packing an on-disk contract. Pin it at every 32-bit seed-vertex edge
+// value: a task encodes as the unsplit (v, shard 0, 1 shard) word of the
+// version-1 layout, and no word with any other shard coordinates passes
+// for a whole subtree.
+TEST(TaskEncodingTest, ExhaustiveAtShardBitsAndVertexBoundaries) {
+  for (const VertexId v :
+       {VertexId{0}, VertexId{1}, VertexId{0x7fffffffu},
+        VertexId{0x80000000u}, VertexId{0xfffffffeu}, VertexId{0xffffffffu}}) {
+    const uint64_t word = EncodeTask(v);
+    ASSERT_EQ(word, uint64_t{v} << 32 | uint64_t{0} << 16 | 1);
+    ASSERT_EQ(TaskVertex(word), v);
+    const uint64_t base = uint64_t{v} << 32;
+    for (uint32_t shard = 0; shard < 0xffff; ++shard) {
+      ASSERT_FALSE(IsSubtreeTask(base | uint64_t{shard} << 16 | 0xffff));
+      ASSERT_EQ(TaskVertex(base | uint64_t{shard} << 16 | 0xffff), v);
+    }
+    ASSERT_FALSE(IsSubtreeTask(base | uint64_t{1} << 16 | 1));
+    ASSERT_FALSE(IsSubtreeTask(base));
+  }
+  // Distinctness at the packing seam: the vertex never aliases the shard
+  // bits.
+  EXPECT_NE(EncodeTask(1), EncodeTask(0) | uint64_t{1} << 16);
+}
+
 FrontierSnapshot SampleSnapshot() {
   FrontierSnapshot snap;
   snap.algorithm = 3;
@@ -499,7 +535,7 @@ TEST(CheckpointResumeTest, DigestIdenticalAcrossAlgorithmsAndThreads) {
         reference_digest = run.digest;
         reference_count = run.emitted;
       }
-      // The frontier digest is independent of thread count and steal
+      // The frontier digest is independent of thread count and claim
       // order.
       EXPECT_EQ(run.digest, reference_digest)
           << AlgorithmName(algorithm) << " x" << threads;

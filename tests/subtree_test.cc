@@ -1,5 +1,5 @@
 // Unit tests for the subtree-root builder: the per-vertex decomposition
-// every enumerator and the parallel driver rely on.
+// every enumerator and the session pool rely on.
 
 #include <gtest/gtest.h>
 

@@ -198,7 +198,7 @@ TEST(TunerEndToEndTest, EngineRecommendationYieldsToPinnedAlgorithm) {
 }
 
 TEST(TunerEndToEndTest, AutoTuneAppliesToParallelRuns) {
-  // The tuned knobs reach the parallel driver's workers; digest identity
+  // The tuned knobs reach the session pool's workers; digest identity
   // must hold there too (the dense row picks different knobs than the
   // default).
   const BipartiteGraph graph = gen::ErdosRenyi(48, 36, 0.25, 13);

@@ -435,8 +435,6 @@ int main(int argc, char** argv) {
                       .c_str());
     }
     if (options.threads > 1) {
-      std::printf("  scheduler:           %llu steals\n",
-                  static_cast<unsigned long long>(s.steals));
       std::printf("  sink flushes:        %llu (batched emission)\n",
                   static_cast<unsigned long long>(s.sink_flushes));
       const double busy = static_cast<double>(s.busy_ns);

@@ -2,7 +2,7 @@
 //
 // Generates random bipartite graphs across a spread of families, sizes and
 // densities, and cross-checks every algorithm, every MBET ablation
-// configuration, and the parallel driver against each other (and against
+// configuration, and the session pool against each other (and against
 // the brute-force oracle when the graph is small enough). Any mismatch
 // prints the offending graph as an edge list and exits non-zero, so a
 // failing case can be replayed with `pmbe --input`.
