@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
             bench::TimedRun(graph, GraphOptions(), options, budget);
         const std::string cell = bench::TimeCell(run, budget);
         row.push_back(cell);
-        timing.fields.push_back({"t" + std::to_string(threads), cell});
+        timing.fields.push_back(
+            {std::string("t").append(std::to_string(threads)), cell});
         if (threads == max_threads) {
           const double busy = static_cast<double>(run.stats.busy_ns);
           const double total = busy + static_cast<double>(run.stats.idle_ns);

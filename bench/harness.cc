@@ -138,7 +138,7 @@ RunOutcome TimedRun(const BipartiteGraph& graph,
 
 std::string TimeCell(const RunOutcome& outcome, double budget_seconds) {
   if (!outcome.completed) {
-    return ">" + util::HumanSeconds(budget_seconds);
+    return std::string(">").append(util::HumanSeconds(budget_seconds));
   }
   return util::HumanSeconds(outcome.seconds);
 }

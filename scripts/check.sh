@@ -181,15 +181,18 @@ echo "=== tuner matrix: default + --tune, every leg count-identical ==="
 # invisible: the same bicliques with the default knobs and with the tuner
 # choosing the engine and bitmap density (--tune) — under
 # the sanitizers, on the scalar-pinned table, and in the AVX2-compiled-out
-# build. Reuses the builds from the legs above.
+# build. Reuses the builds from the legs above. The two sanitized legs run
+# on the session pool at 4 threads, the Release noavx2 leg serially, so
+# every row also checks count identity across thread counts.
 tune_ref=""
 for cfg in "" "--tune"; do
   for leg in asan scalar noavx2; do
+    leg_start=$SECONDS
     case "$leg" in
       asan)   out=$("$BUILD_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
-                    --stats=false $cfg) ;;
+                    --threads 4 --stats=false $cfg) ;;
       scalar) out=$(PMBE_FORCE_SCALAR=1 "$BUILD_DIR/tools/pmbe" --dataset DBT \
-                    --scale 0.2 --stats=false $cfg) ;;
+                    --scale 0.2 --threads 4 --stats=false $cfg) ;;
       noavx2) out=$("$NOAVX2_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
                     --stats=false $cfg) ;;
     esac
@@ -205,7 +208,8 @@ for cfg in "" "--tune"; do
            "$count bicliques, reference found $tune_ref" >&2
       exit 1
     fi
-    echo "  [$leg, ${cfg:-(default)}] $count bicliques"
+    echo "  [$leg, ${cfg:-(default)}] $count bicliques" \
+         "($((SECONDS - leg_start)) s)"
   done
 done
 echo "tuner matrix OK: $tune_ref bicliques in every leg"
@@ -214,15 +218,18 @@ echo "=== engine matrix: mbet / imbea / bbk count-identical on every leg ==="
 # The interchangeable engines (docs/ALGORITHM.md) must enumerate the same
 # set whatever the build: sanitized adaptive dispatch, the scalar-pinned
 # table, and the AVX2-compiled-out build. BBK's fixed candidate order and
-# witness-ordered Q scans change the traversal, never the output.
+# witness-ordered Q scans change the traversal, never the output. As in the
+# tuner matrix, the sanitized legs run at 4 threads and noavx2 serially.
 engine_ref=""
 for algo in mbet imbea bbk; do
   for leg in asan scalar noavx2; do
+    leg_start=$SECONDS
     case "$leg" in
       asan)   out=$("$BUILD_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
-                    --algorithm "$algo" --stats=false) ;;
+                    --threads 4 --algorithm "$algo" --stats=false) ;;
       scalar) out=$(PMBE_FORCE_SCALAR=1 "$BUILD_DIR/tools/pmbe" --dataset DBT \
-                    --scale 0.2 --algorithm "$algo" --stats=false) ;;
+                    --scale 0.2 --threads 4 --algorithm "$algo" \
+                    --stats=false) ;;
       noavx2) out=$("$NOAVX2_DIR/tools/pmbe" --dataset DBT --scale 0.2 \
                     --algorithm "$algo" --stats=false) ;;
     esac
@@ -238,7 +245,7 @@ for algo in mbet imbea bbk; do
            "bicliques, reference found $engine_ref" >&2
       exit 1
     fi
-    echo "  [$leg, $algo] $count bicliques"
+    echo "  [$leg, $algo] $count bicliques ($((SECONDS - leg_start)) s)"
   done
 done
 echo "engine matrix OK: $engine_ref bicliques in every leg"
@@ -538,11 +545,13 @@ echo "=== frontier-snapshot fuzz smoke (codec canonicity + typed errors) ==="
 echo "=== wire-protocol fuzz smoke (total decoding + canonical encoding) ==="
 "$FAULT_DIR/tools/fuzz_wire" -runs=20000
 
-echo "=== ThreadSanitizer leg: session pool + run control + sinks ==="
+echo "=== ThreadSanitizer leg: session pool + serve + run control + sinks ==="
 # Build the concurrency-relevant tests with -fsanitize=thread (mutually
 # exclusive with ASan, hence a separate tree) and run the session-pool
 # suites (standalone private pools, shared pools, digests across thread
-# counts and durability) plus the run-control and sink suites under it.
+# counts and durability), the serving daemon (session starts run on the
+# connection readers and on the pool workers that free admission slots),
+# and the run-control and sink suites under it.
 TSAN_DIR="$BUILD_DIR-tsan"
 TSAN_FLAGS="-fsanitize=thread -fno-sanitize-recover=all"
 cmake -B "$TSAN_DIR" -S . \
@@ -550,10 +559,10 @@ cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target \
-  session_pool_test engine_session_test run_control_test sink_test
+  session_pool_test engine_session_test run_control_test sink_test serve_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure --no-tests=error \
   -j "$(nproc)" \
-  -R 'SessionPool|RunControl|ControlledSink|BufferedSink|CountSink|FingerprintSink'
+  -R 'SessionPool|ServeTest|RunControl|ControlledSink|BufferedSink|CountSink|FingerprintSink'
 echo "tsan leg OK"
 
 echo "=== all checks passed ==="

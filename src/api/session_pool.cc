@@ -123,9 +123,11 @@ void SessionPool::Submit(std::shared_ptr<Session> session,
   }
   if (inline_finish) {
     if (cancelled) active->session->Cancel();
-    util::ScopedBudgetBinding binding(&active->session->budget());
     RunResult result;
-    active->session->Finish(&result);
+    {
+      util::ScopedBudgetBinding binding(&active->session->budget());
+      active->session->Finish(&result);
+    }
     if (active->done) active->done(result);
     return;
   }
@@ -267,34 +269,40 @@ void SessionPool::Retire(const std::shared_ptr<ActiveSession>& active,
   // Last task retired: zero tasks are in flight, and the acq_rel handoff
   // above ordered every worker's slot writes before these reads.
   Session& session = *active->session;
-  util::ScopedBudgetBinding binding(&session.budget());
-  for (ActiveSession::WorkerState& slot : active->per_worker) {
-    if (slot.sink == nullptr) continue;
-    try {
-      // Buffered bicliques are genuine maximal bicliques: flushing them on
-      // cancelled/limited sessions preserves the valid-prefix guarantee.
-      slot.sink->Flush();
-    } catch (const std::exception& e) {
-      session.ReportFailure(e.what());
-    } catch (...) {
-      session.ReportFailure("unknown exception flushing worker sink");
-    }
-  }
-  for (ActiveSession::WorkerState& slot : active->per_worker) {
-    if (slot.worker != nullptr) {
-      EnumStats stats = slot.worker->stats();
-      stats.busy_ns += slot.busy_ns;
-      if (slot.sink != nullptr) stats.sink_flushes += slot.sink->flushes();
-      session.AddWorkerStats(stats);
-    }
-    // Destroy under the session's budget binding so arena releases pair
-    // with their charges.
-    slot.digest.reset();
-    slot.sink.reset();
-    slot.worker.reset();
-  }
   RunResult result;
-  session.Finish(&result);
+  {
+    util::ScopedBudgetBinding binding(&session.budget());
+    for (ActiveSession::WorkerState& slot : active->per_worker) {
+      if (slot.sink == nullptr) continue;
+      try {
+        // Buffered bicliques are genuine maximal bicliques: flushing them
+        // on cancelled/limited sessions preserves the valid-prefix
+        // guarantee.
+        slot.sink->Flush();
+      } catch (const std::exception& e) {
+        session.ReportFailure(e.what());
+      } catch (...) {
+        session.ReportFailure("unknown exception flushing worker sink");
+      }
+    }
+    for (ActiveSession::WorkerState& slot : active->per_worker) {
+      if (slot.worker != nullptr) {
+        EnumStats stats = slot.worker->stats();
+        stats.busy_ns += slot.busy_ns;
+        if (slot.sink != nullptr) stats.sink_flushes += slot.sink->flushes();
+        session.AddWorkerStats(stats);
+      }
+      // Destroy under the session's budget binding so arena releases pair
+      // with their charges.
+      slot.digest.reset();
+      slot.sink.reset();
+      slot.worker.reset();
+    }
+    session.Finish(&result);
+  }
+  // Outside the binding: the callback may start another session (the
+  // serving daemon hands a freed admission slot on from here), and that
+  // session's charges are its own.
   if (active->done) active->done(result);
 }
 

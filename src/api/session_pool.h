@@ -56,7 +56,9 @@ class SessionPool {
  public:
   /// Fired exactly once per submitted session, from a pool worker thread,
   /// after `Session::Finish` — the result is final and all result batches
-  /// have been flushed to the session's sink.
+  /// have been flushed to the session's sink. It runs outside the
+  /// session's budget binding, so it may prepare and submit another
+  /// session.
   using DoneCallback = std::function<void(const RunResult&)>;
 
   /// Starts `threads` workers (at least 1).

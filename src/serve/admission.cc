@@ -1,60 +1,58 @@
 #include "serve/admission.h"
 
-#include <chrono>
+#include <utility>
 
 namespace mbe::serve {
 
-AdmissionController::Ticket AdmissionController::Acquire() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (draining_) {
-    return Ticket{.admitted = false, .reason = RejectReason::kDraining};
+void AdmissionController::Admit(Start start) {
+  Ticket ticket;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (draining_) {
+      ticket.reason = RejectReason::kDraining;
+    } else if (active_ < max_active_ && queue_.empty()) {
+      ++active_;
+      ticket.admitted = true;
+    } else if (queue_.size() < max_queued_) {
+      queue_.push_back(
+          Pending{std::move(start), std::chrono::steady_clock::now()});
+      return;
+    }
   }
-  // Immediate admission only when nobody is ahead of us — a free slot with
-  // a non-empty queue belongs to the head waiter.
-  if (active_ < max_active_ && queued_ == 0) {
-    ++active_;
-    return Ticket{.admitted = true};
-  }
-  if (queued_ >= max_queued_) {
-    return Ticket{.admitted = false,
-                  .reason = RejectReason::kTooManySessions};
-  }
-  const uint64_t my_ticket = next_ticket_++;
-  ++queued_;
-  const auto enqueue_time = std::chrono::steady_clock::now();
-  cv_.wait(lock, [&] {
-    return draining_ || (serving_ == my_ticket && active_ < max_active_);
-  });
-  --queued_;
-  if (draining_) {
-    // Keep serving_ moving so waiters behind us (all also draining) make
-    // their predicates true in order; with notify_all it is moot, but
-    // cheap.
-    if (serving_ == my_ticket) ++serving_;
-    cv_.notify_all();
-    return Ticket{.admitted = false, .reason = RejectReason::kDraining};
-  }
-  ++serving_;
-  ++active_;
-  const auto wait = std::chrono::steady_clock::now() - enqueue_time;
-  cv_.notify_all();  // the next ticket holder may also have a free slot
-  return Ticket{
-      .admitted = true,
-      .queue_wait_ns = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(wait)
-              .count())};
+  start(ticket);
 }
 
 void AdmissionController::Release() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_ > 0) --active_;
-  cv_.notify_all();
+  Pending next;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) {
+      if (active_ > 0) --active_;
+      return;
+    }
+    // The slot passes to the head waiter; active_ stays as it is.
+    next = std::move(queue_.front());
+    queue_.pop_front();
+  }
+  next.start(Ticket{
+      .admitted = true,
+      .queue_wait_ns = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - next.enqueued)
+              .count())});
 }
 
 void AdmissionController::StartDraining() {
-  std::lock_guard<std::mutex> lock(mu_);
-  draining_ = true;
-  cv_.notify_all();
+  std::deque<Pending> rejected;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_ = true;
+    rejected.swap(queue_);
+  }
+  for (Pending& pending : rejected) {
+    pending.start(
+        Ticket{.admitted = false, .reason = RejectReason::kDraining});
+  }
 }
 
 bool AdmissionController::draining() const {
@@ -69,7 +67,7 @@ size_t AdmissionController::active() const {
 
 size_t AdmissionController::queued() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queued_;
+  return queue_.size();
 }
 
 }  // namespace mbe::serve

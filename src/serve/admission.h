@@ -1,8 +1,10 @@
 #ifndef PMBE_SERVE_ADMISSION_H_
 #define PMBE_SERVE_ADMISSION_H_
 
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <mutex>
 
 #include "serve/wire.h"
@@ -10,14 +12,20 @@
 /// \file
 /// `serve::AdmissionController` — bounds how many sessions run at once.
 ///
-/// Up to `max_active` sessions hold a slot; up to `max_queued` more wait in
-/// strict FIFO order (ticket-numbered, so a released slot always goes to
-/// the longest waiter, never to a lucky newcomer). Anything beyond that is
+/// Up to `max_active` sessions hold a slot; up to `max_queued` more wait as
+/// pending starts in strict FIFO order (a released slot always goes to the
+/// longest waiter, never to a lucky newcomer). Anything beyond that is
 /// rejected immediately with a typed reason — the caller turns it into a
 /// kRejected wire frame instead of letting latency pile up invisibly.
 /// `StartDraining` flips the controller into shutdown mode: every queued
-/// waiter wakes with kDraining and new arrivals are rejected, while already
+/// start is rejected with kDraining and so are new arrivals, while already
 /// admitted sessions keep their slots until they Release.
+///
+/// Nothing here blocks: a queued start is a stored callback, not a waiting
+/// thread. Each start runs exactly once, outside the controller's mutex, on
+/// whichever thread decided its outcome — the Admit caller when it is
+/// admitted or rejected at once, the Release caller when a freed slot
+/// passes to it, the StartDraining caller when the drain rejects it.
 
 namespace mbe::serve {
 
@@ -36,16 +44,21 @@ class AdmissionController {
     uint64_t queue_wait_ns = 0;
   };
 
-  /// Acquires a slot, blocking in the FIFO queue when all slots are taken.
-  /// Returns a rejection without blocking when the queue is full or the
-  /// controller is draining.
-  Ticket Acquire();
+  /// Receives the outcome. An admitted start owns one slot until it calls
+  /// Release().
+  using Start = std::function<void(const Ticket&)>;
 
-  /// Returns a previously acquired slot and hands it to the head waiter.
+  /// Runs `start` now when a slot is free and nobody waits (admitted) or
+  /// when the queue is full or the controller is draining (rejected);
+  /// otherwise queues it behind the earlier waiters.
+  void Admit(Start start);
+
+  /// Returns a slot. The head of the queue, if any, takes it over and its
+  /// start runs on the calling thread.
   void Release();
 
-  /// Rejects all queued and future Acquire calls with kDraining. Active
-  /// sessions are unaffected.
+  /// Rejects all queued and future starts with kDraining. Active sessions
+  /// are unaffected.
   void StartDraining();
 
   bool draining() const;
@@ -53,17 +66,19 @@ class AdmissionController {
   size_t queued() const;
 
  private:
+  struct Pending {
+    Start start;
+    std::chrono::steady_clock::time_point enqueued;
+  };
+
   const size_t max_active_;
   const size_t max_queued_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   size_t active_ = 0;
-  size_t queued_ = 0;
-  /// FIFO tickets: a waiter is admitted only when it holds the serving
-  /// ticket *and* a slot is free.
-  uint64_t next_ticket_ = 0;
-  uint64_t serving_ = 0;
+  /// Non-empty only while every slot is taken: Release hands a freed slot
+  /// straight to the head instead of returning it.
+  std::deque<Pending> queue_;
   bool draining_ = false;
 };
 

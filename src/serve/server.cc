@@ -120,10 +120,10 @@ struct Server::Connection {
   std::atomic<bool> finished{false};
   std::thread reader;
 
-  /// The only thread that ever blocks in send(): the reader, the session
-  /// starters, and every pool worker just enqueue frames (WriteFrame), so
-  /// a client that stops reading backs up this connection's queue instead
-  /// of wedging whoever produced the frame.
+  /// The only thread that ever blocks in send(): the reader, whichever
+  /// thread runs an admitted or rejected start, and every pool worker just
+  /// enqueue frames (WriteFrame), so a client that stops reading backs up
+  /// this connection's queue instead of wedging whoever produced the frame.
   std::thread writer;
   std::mutex out_mu;
   std::condition_variable out_cv;
@@ -134,15 +134,6 @@ struct Server::Connection {
 
   std::mutex sessions_mu;
   std::map<uint64_t, std::shared_ptr<internal::SessionRec>> sessions;
-  /// Helper threads waiting out admission; guarded by sessions_mu. Each
-  /// flips its `done` flag as its very last action, so StartSession can
-  /// join finished starters without blocking (see the reap there); the
-  /// reader's exit path joins whatever is left.
-  struct Starter {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<Starter> starters;
 
   ~Connection() {
     if (reader.joinable()) reader.join();
@@ -230,6 +221,19 @@ struct Server::Connection {
     }
     out_cv.notify_all();
     if (writer.joinable()) writer.join();
+  }
+
+  /// Queues a kRejected frame: the reason's name, then `detail` if any.
+  void Reject(RejectReason reason, const std::string& detail = {}) {
+    WriteFrame(RejectedMsg{static_cast<uint8_t>(reason),
+                           std::string(RejectReasonName(reason)) +
+                               (detail.empty() ? "" : ": " + detail)});
+  }
+
+  /// Forgets a session that was refused or has ended.
+  void DropSession(uint64_t session_id) {
+    std::lock_guard<std::mutex> lock(sessions_mu);
+    sessions.erase(session_id);
   }
 
   /// Marks the connection dead and cancels all of its sessions. Idempotent.
@@ -322,8 +326,8 @@ bool Server::idle() const {
 
 void Server::Stop() {
   if (stopping_.exchange(true)) return;
-  // Drain first: queued session starters wake with kDraining, so joining
-  // the readers below (which join the starters) cannot deadlock.
+  // Drain first: queued starts are rejected with kDraining here, so no
+  // session starts after the pool shuts down below.
   BeginDrain();
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -404,40 +408,20 @@ void Server::AcceptLoop() {
 }
 
 void Server::ConnectionLoop(std::shared_ptr<Connection> conn) {
-  std::vector<uint8_t> buffer;
+  FrameAssembler assembler;
   std::array<uint8_t, 4096> chunk;
   bool keep_going = !stopping_.load();
   while (keep_going) {
-    // Drain every complete frame currently buffered.
-    size_t consumed = 0;
-    while (keep_going) {
-      std::span<const uint8_t> rest(buffer.data() + consumed,
-                                    buffer.size() - consumed);
-      size_t frame_size = 0;
-      bool complete = false;
-      if (util::Status status = PeekFrame(rest, &frame_size, &complete);
-          !status.ok()) {
-        conn->WriteFrame(ErrorMsg{status.ToString()});
-        keep_going = false;
-        break;
-      }
-      if (!complete) break;
-      util::StatusOr<Message> decoded =
-          DecodeMessage(rest.subspan(0, frame_size));
-      consumed += frame_size;
-      if (!decoded.ok()) {
-        conn->WriteFrame(ErrorMsg{decoded.status().ToString()});
-        keep_going = false;
-        break;
-      }
-      if (!HandleMessage(conn, std::move(decoded).value())) {
-        keep_going = false;
-        break;
-      }
+    Message message;
+    const util::StatusOr<bool> next = assembler.Next(&message);
+    if (!next.ok()) {
+      conn->WriteFrame(ErrorMsg{next.status().ToString()});
+      break;
     }
-    buffer.erase(buffer.begin(),
-                 buffer.begin() + static_cast<ptrdiff_t>(consumed));
-    if (!keep_going) break;
+    if (next.value()) {
+      keep_going = HandleMessage(conn, std::move(message));
+      continue;
+    }
     const ssize_t n = net::Recv(conn->fd, chunk.data(), chunk.size());
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -459,18 +443,12 @@ void Server::ConnectionLoop(std::shared_ptr<Connection> conn) {
       continue;
     }
     if (n <= 0) break;  // peer closed or connection error
-    buffer.insert(buffer.end(), chunk.data(), chunk.data() + n);
+    assembler.Feed(std::span<const uint8_t>(chunk.data(),
+                                            static_cast<size_t>(n)));
   }
-  // Sessions past this point have no one to read them.
+  // Sessions past this point have no one to read them; queued ones are
+  // cancelled too and finish as no-op sweeps once admitted.
   conn->Abandon();
-  std::vector<Connection::Starter> starters;
-  {
-    std::lock_guard<std::mutex> lock(conn->sessions_mu);
-    starters.swap(conn->starters);
-  }
-  for (Connection::Starter& starter : starters) {
-    if (starter.thread.joinable()) starter.thread.join();
-  }
   // Deliver the already-queued final frames (e.g. the kError reply), then
   // half-close so the peer sees EOF (the kError path exits this loop with
   // the socket otherwise still open). Late WriteFrame calls are no-ops
@@ -613,21 +591,15 @@ ServerInfoMsg Server::Info() const {
 
 void Server::StartSession(const std::shared_ptr<Connection>& conn,
                           StartSessionMsg msg) {
-  auto reject = [&](RejectReason reason, const std::string& detail) {
-    conn->WriteFrame(
-        RejectedMsg{static_cast<uint8_t>(reason),
-                    std::string(RejectReasonName(reason)) +
-                        (detail.empty() ? "" : ": " + detail)});
-  };
   Algorithm algorithm = Algorithm::kMbet;
   if (util::Status status = AlgorithmFromValue(msg.algorithm, &algorithm);
       !status.ok()) {
-    reject(RejectReason::kBadOptions, status.message());
+    conn->Reject(RejectReason::kBadOptions, status.message());
     return;
   }
   std::shared_ptr<const Engine> engine = registry_.Get(msg.graph);
   if (engine == nullptr) {
-    reject(RejectReason::kUnknownGraph, "'" + msg.graph + "'");
+    conn->Reject(RejectReason::kUnknownGraph, "'" + msg.graph + "'");
     return;
   }
   RunOptions opts;
@@ -640,7 +612,7 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
   opts.control.deadline_seconds = msg.deadline_seconds;
   opts.max_memory_bytes = msg.max_memory_bytes;
   if (util::Status status = opts.Validate(); !status.ok()) {
-    reject(RejectReason::kBadOptions, status.ToString());
+    conn->Reject(RejectReason::kBadOptions, status.ToString());
     return;
   }
 
@@ -655,42 +627,26 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
       [conn](Message&& frame) { return conn->WriteFrame(frame); },
       session_id, batch_results);
 
-  // Register before the starter runs so kCancelSession reaches the
-  // session even while it waits in the admission queue (Cancel before
-  // Prepare is a supported latch).
-  std::lock_guard<std::mutex> lock(conn->sessions_mu);
-  conn->sessions[session_id] = rec;
-  // Reap starters that already finished: a long-lived connection may
-  // start thousands of sessions, and a finished-but-unjoined thread pins
-  // kernel and stack resources until someone joins it. A set `done` flag
-  // is a starter's final action, so these joins return immediately.
-  std::erase_if(conn->starters, [](Connection::Starter& starter) {
-    if (!starter.done->load(std::memory_order_acquire)) return false;
-    if (starter.thread.joinable()) starter.thread.join();
-    return true;
+  // Register before admission so kCancelSession reaches the session even
+  // while it waits in the admission queue (Cancel before Prepare is a
+  // supported latch).
+  {
+    std::lock_guard<std::mutex> lock(conn->sessions_mu);
+    conn->sessions[session_id] = rec;
+  }
+  admission_.Admit([this, conn, rec, session_id](
+                       const AdmissionController::Ticket& ticket) {
+    OnAdmission(conn, rec, session_id, ticket);
   });
-  auto done_flag = std::make_shared<std::atomic<bool>>(false);
-  conn->starters.push_back(Connection::Starter{
-      std::thread([this, conn, rec, session_id, done_flag] {
-        RunStarter(conn, rec, session_id);
-        done_flag->store(true, std::memory_order_release);
-      }),
-      done_flag});
 }
 
-void Server::RunStarter(const std::shared_ptr<Connection>& conn,
-                        const std::shared_ptr<internal::SessionRec>& rec,
-                        uint64_t session_id) {
-  auto drop = [&] {
-    std::lock_guard<std::mutex> inner(conn->sessions_mu);
-    conn->sessions.erase(session_id);
-  };
-  const AdmissionController::Ticket ticket = admission_.Acquire();
+void Server::OnAdmission(const std::shared_ptr<Connection>& conn,
+                         const std::shared_ptr<internal::SessionRec>& rec,
+                         uint64_t session_id,
+                         const AdmissionController::Ticket& ticket) {
   if (!ticket.admitted) {
-    conn->WriteFrame(
-        RejectedMsg{static_cast<uint8_t>(ticket.reason),
-                    RejectReasonName(ticket.reason)});
-    drop();
+    conn->Reject(ticket.reason);
+    conn->DropSession(session_id);
     return;
   }
   if (ticket.queue_wait_ns > 0) {
@@ -700,11 +656,9 @@ void Server::RunStarter(const std::shared_ptr<Connection>& conn,
   }
   if (util::Status status = rec->session->Prepare(rec->sink.get());
       !status.ok()) {
+    conn->Reject(RejectReason::kBadOptions, status.ToString());
+    conn->DropSession(session_id);
     admission_.Release();
-    conn->WriteFrame(RejectedMsg{
-        static_cast<uint8_t>(RejectReason::kBadOptions),
-        status.ToString()});
-    drop();
     return;
   }
   conn->WriteFrame(SessionStartedMsg{session_id});
@@ -727,10 +681,7 @@ void Server::RunStarter(const std::shared_ptr<Connection>& conn,
     done.digest = rec->sink->Digest();
     done.message = result.message;
     conn->WriteFrame(done);
-    {
-      std::lock_guard<std::mutex> inner(conn->sessions_mu);
-      conn->sessions.erase(session_id);
-    }
+    conn->DropSession(session_id);
     sessions_completed_.fetch_add(1, std::memory_order_relaxed);
     admission_.Release();
   });

@@ -24,9 +24,12 @@
 /// concurrency: past `max_active_sessions` running + `max_queued_sessions`
 /// waiting, new sessions get a typed kRejected frame instead of latency.
 ///
-/// Per-connection: one reader thread; session starts wait for admission on
-/// short-lived helper threads (reaped as they finish) so the reader keeps
-/// servicing kCancelSession frames while a start is queued. Results stream
+/// Per-connection: one reader thread, which never blocks on admission. A
+/// kStartSession that finds a free slot prepares and submits its session
+/// right there on the reader; one that must wait is stored in the
+/// admission queue as a pending start, and the pool worker whose finishing
+/// session releases a slot runs it. So the reader keeps servicing
+/// kCancelSession frames while a start is queued. Results stream
 /// back as kResultBatch frames through a bounded outbound queue drained by
 /// one dedicated writer thread per connection (frames from concurrent
 /// sessions interleave, each frame is atomic). Pool workers never touch
@@ -117,11 +120,15 @@ class Server {
                      Message message);
   void StartSession(const std::shared_ptr<Connection>& conn,
                     StartSessionMsg msg);
-  /// Starter-thread body: waits out admission, prepares the session, and
-  /// submits it to the pool (or writes the typed rejection).
-  void RunStarter(const std::shared_ptr<Connection>& conn,
-                  const std::shared_ptr<internal::SessionRec>& rec,
-                  uint64_t session_id);
+  /// The session's admission start: prepares the session and submits it
+  /// to the pool, or writes the typed rejection. Runs once, on the reader
+  /// thread (admitted or rejected at once), on a pool worker (a finishing
+  /// session passed its slot on), or on the thread calling BeginDrain
+  /// (rejected while queued).
+  void OnAdmission(const std::shared_ptr<Connection>& conn,
+                   const std::shared_ptr<internal::SessionRec>& rec,
+                   uint64_t session_id,
+                   const AdmissionController::Ticket& ticket);
   /// `swap` false: first-wins kLoadGraph. `swap` true: kReloadGraph —
   /// replaces (or inserts) the engine slot in a new epoch.
   void HandleLoadGraph(const std::shared_ptr<Connection>& conn,

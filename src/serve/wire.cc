@@ -1,17 +1,24 @@
 #include "serve/wire.h"
 
+#include <array>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 namespace mbe::serve {
 
 namespace {
 
-/// Little-endian primitive writer appending to a byte vector.
+/// Little-endian primitive writer appending to a byte vector. It takes the
+/// same calls as the Reader, so one field list (Fields below) drives both.
+/// A value the Reader would reject fails the encode instead of producing a
+/// frame the peer refuses: the first failure latches into status().
 class Writer {
  public:
   explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
 
   void U8(uint8_t v) { out_->push_back(v); }
+  void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(uint32_t v) {
     for (int i = 0; i < 4; ++i) out_->push_back((v >> (8 * i)) & 0xff);
   }
@@ -24,7 +31,11 @@ class Writer {
     std::memcpy(&bits, &v, sizeof(bits));
     U64(bits);
   }
-  void Str(const std::string& s) {
+  void Str(const std::string& s, size_t max_bytes) {
+    if (s.size() > max_bytes) {
+      Fail("string field exceeds " + std::to_string(max_bytes) + " bytes");
+      return;
+    }
     U32(static_cast<uint32_t>(s.size()));
     out_->insert(out_->end(), s.begin(), s.end());
   }
@@ -32,78 +43,91 @@ class Writer {
     for (VertexId id : ids) U32(id);
   }
 
+  void Fail(std::string what) {
+    if (error_.empty()) error_ = std::move(what);
+  }
+  util::Status status() const {
+    return error_.empty() ? util::Status::Ok()
+                          : util::Status::InvalidArgument(error_);
+  }
+
  private:
   std::vector<uint8_t>* out_;
+  std::string error_;
 };
 
 /// Bounds-checked little-endian reader. Overruns latch the error flag and
-/// return zeros; callers check ok() once at the end instead of per field.
+/// read zeros; the caller checks status() once at the end instead of per
+/// field.
 class Reader {
  public:
   explicit Reader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return bytes_[pos_++];
-  }
+  void U8(uint8_t& v) { v = Need(1) ? bytes_[pos_++] : 0; }
   /// Strict bool: only 0 and 1 are valid encodings. Anything else would
   /// decode to a message that re-encodes differently, breaking the
   /// canonical-encoding guarantee the fuzzer relies on.
-  bool Bool() {
-    const uint8_t v = U8();
-    if (v > 1) ok_ = false;
-    return v != 0;
+  void Bool(bool& v) {
+    uint8_t byte = 0;
+    U8(byte);
+    if (byte > 1) ok_ = false;
+    v = byte != 0;
   }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
+  void U32(uint32_t& v) {
+    v = 0;
+    if (!Need(4)) return;
     for (int i = 0; i < 4; ++i) v |= uint32_t{bytes_[pos_ + i]} << (8 * i);
     pos_ += 4;
-    return v;
   }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
+  void U64(uint64_t& v) {
+    v = 0;
+    if (!Need(8)) return;
     for (int i = 0; i < 8; ++i) v |= uint64_t{bytes_[pos_ + i]} << (8 * i);
     pos_ += 8;
-    return v;
   }
-  double F64() {
-    const uint64_t bits = U64();
-    double v;
+  void F64(double& v) {
+    uint64_t bits = 0;
+    U64(bits);
     std::memcpy(&v, &bits, sizeof(v));
-    return v;
   }
-  std::string Str(size_t max_bytes) {
-    const uint32_t n = U32();
+  void Str(std::string& s, size_t max_bytes) {
+    uint32_t n = 0;
+    U32(n);
     if (n > max_bytes || !Need(n)) {
       ok_ = false;
-      return "";
+      s.clear();
+      return;
     }
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
+    s.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
     pos_ += n;
-    return s;
   }
-  /// Reads `count` ids, each strictly below `bound` (bound 0 skips the
-  /// range check — used where the bound is carried elsewhere).
-  std::vector<VertexId> Ids(size_t count, uint32_t bound) {
-    std::vector<VertexId> ids;
-    if (!Need(count * 4)) return ids;
-    ids.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      const uint32_t v = U32();
-      if (bound != 0 && v >= bound) {
-        ok_ = false;
-        return ids;
-      }
-      ids.push_back(v);
+  /// Reads `count` ids into `ids`, each strictly below `bound` (bound 0
+  /// skips the range check — used where the bound is carried elsewhere).
+  void Ids(std::vector<VertexId>& ids, size_t count, uint32_t bound) {
+    ids.clear();
+    if (!Need(count * 4)) return;
+    ids.resize(count);
+    for (VertexId& id : ids) {
+      U32(id);
+      if (bound != 0 && id >= bound) ok_ = false;
     }
-    return ids;
   }
 
+  /// Structural failure with a reason; the first one is reported.
+  void Fail(std::string what) {
+    ok_ = false;
+    if (error_.empty()) error_ = std::move(what);
+  }
   bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == bytes_.size(); }
   size_t remaining() const { return bytes_.size() - pos_; }
+  /// Ok only when every read fit and the payload is consumed exactly.
+  util::Status status() const {
+    if (!error_.empty()) return util::Status::CorruptData(error_);
+    if (!ok_ || pos_ != bytes_.size()) {
+      return util::Status::CorruptData("payload has trailing or missing bytes");
+    }
+    return util::Status::Ok();
+  }
 
  private:
   bool Need(size_t n) {
@@ -117,67 +141,52 @@ class Reader {
   std::span<const uint8_t> bytes_;
   size_t pos_ = 0;
   bool ok_ = true;
+  std::string error_;
 };
 
-void EncodePayload(const HelloMsg& m, Writer& w) { w.U32(m.version); }
+// The two variable-length bodies. Each direction is written out because
+// the decoder checks structure the encoder cannot get wrong (and vice
+// versa); both still go through the Writer/Reader primitives.
 
-void EncodePayload(const HelloOkMsg& m, Writer& w) {
-  w.U32(m.version);
-  w.U32(m.max_payload);
-  w.U32(m.pool_threads);
-}
-
-void EncodePayload(const LoadGraphMsg& m, Writer& w) {
-  w.Str(m.name);
-  w.U32(m.num_left);
-  w.U32(m.num_right);
-  w.U8(m.order);
-  w.U8(m.hub_first_left ? 1 : 0);
-  w.U8(m.auto_swap_sides ? 1 : 0);
-  w.U8(m.core_reduce ? 1 : 0);
-  w.U32(m.min_left);
-  w.U32(m.min_right);
-  w.U64(m.seed);
+/// Edge arrays of kLoadGraph / kReloadGraph: a u64 count, then the left
+/// ids, then the right ids.
+void Edges(Writer& w, const LoadGraphMsg& m) {
+  if (m.edge_left.size() != m.edge_right.size()) {
+    w.Fail("kLoadGraph: edge_left/edge_right size mismatch (" +
+           std::to_string(m.edge_left.size()) + " vs " +
+           std::to_string(m.edge_right.size()) + ")");
+    return;
+  }
   w.U64(m.edge_left.size());
   w.Ids(m.edge_left);
   w.Ids(m.edge_right);
 }
 
-void EncodePayload(const LoadOkMsg& m, Writer& w) {
-  w.Str(m.name);
-  w.U32(m.num_left);
-  w.U32(m.num_right);
-  w.U64(m.num_edges);
-  w.U64(m.epoch);
-  w.F64(m.build_seconds);
+void Edges(Reader& r, LoadGraphMsg& m) {
+  uint64_t edges = 0;
+  r.U64(edges);
+  // Each edge is two u32 ids: an honest count fills the remaining
+  // payload exactly, so a corrupt count cannot drive a giant reserve.
+  if (!r.ok() || r.remaining() % 8 != 0 || edges != r.remaining() / 8) {
+    r.Fail("kLoadGraph: edge count mismatch");
+    return;
+  }
+  if (edges > 0 && (m.num_left == 0 || m.num_right == 0)) {
+    r.Fail("kLoadGraph: edges on an empty side");
+    return;
+  }
+  r.Ids(m.edge_left, edges, m.num_left);
+  r.Ids(m.edge_right, edges, m.num_right);
+  if (!r.ok()) r.Fail("kLoadGraph: edge id out of range");
 }
 
-void EncodePayload(const StartSessionMsg& m, Writer& w) {
-  w.Str(m.graph);
-  w.U8(m.algorithm);
-  w.U32(m.min_left);
-  w.U32(m.min_right);
-  w.U64(m.max_results);
-  w.U64(m.max_nodes_expanded);
-  w.F64(m.deadline_seconds);
-  w.U64(m.max_memory_bytes);
-  w.U32(m.batch_results);
-}
-
-void EncodePayload(const SessionStartedMsg& m, Writer& w) {
-  w.U64(m.session_id);
-}
-
-void EncodePayload(const CancelSessionMsg& m, Writer& w) {
-  w.U64(m.session_id);
-}
-
-void EncodePayload(const ResultBatchMsg& m, Writer& w) {
-  w.U64(m.session_id);
-  w.U32(static_cast<uint32_t>(m.batch.size()));
-  for (size_t i = 0; i < m.batch.size(); ++i) {
-    const auto left = m.batch.left(i);
-    const auto right = m.batch.right(i);
+/// Entries of kResultBatch: a u32 count, then per biclique its two side
+/// lengths and ids.
+void Entries(Writer& w, const BicliqueBatch& batch) {
+  w.U32(static_cast<uint32_t>(batch.size()));
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto left = batch.left(i);
+    const auto right = batch.right(i);
     w.U32(static_cast<uint32_t>(left.size()));
     w.U32(static_cast<uint32_t>(right.size()));
     w.Ids(left);
@@ -185,220 +194,188 @@ void EncodePayload(const ResultBatchMsg& m, Writer& w) {
   }
 }
 
-void EncodePayload(const SessionDoneMsg& m, Writer& w) {
-  w.U64(m.session_id);
-  w.U8(m.termination);
-  w.U64(m.results_emitted);
-  w.U64(m.maximal);
-  w.U64(m.nodes_expanded);
-  w.U64(m.peak_charged_bytes);
-  w.U64(m.queue_wait_ns);
-  w.F64(m.seconds);
-  w.U64(m.digest);
-  w.Str(m.message);
-}
-
-void EncodePayload(const RejectedMsg& m, Writer& w) {
-  w.U8(m.reason);
-  w.Str(m.detail);
-}
-
-void EncodePayload(const ErrorMsg& m, Writer& w) { w.Str(m.detail); }
-
-void EncodePayload(const PingMsg& m, Writer& w) { w.U64(m.token); }
-
-void EncodePayload(const PongMsg& m, Writer& w) { w.U64(m.token); }
-
-void EncodePayload(const InfoRequestMsg&, Writer&) {}
-
-void EncodePayload(const ServerInfoMsg& m, Writer& w) {
-  w.U32(m.pool_threads);
-  w.U32(m.active_sessions);
-  w.U32(m.queued_sessions);
-  w.U32(m.graphs);
-  w.U64(m.sessions_started);
-  w.U64(m.sessions_completed);
-  w.U64(m.reloads);
-  w.U64(m.heartbeats);
-  w.U64(m.idle_disconnects);
-  w.U64(m.connections_accepted);
-  w.U8(m.draining);
-}
-
-void EncodePayload(const ReloadGraphMsg& m, Writer& w) {
-  // Same payload as kLoadGraph; the type byte carries the swap semantics.
-  EncodePayload(m.load, w);
-}
-
-/// kLoadGraph payload body, shared with kReloadGraph (same layout).
-util::StatusOr<LoadGraphMsg> DecodeLoadGraphBody(Reader& r) {
-  LoadGraphMsg m;
-  m.name = r.Str(kMaxNameBytes);
-  m.num_left = r.U32();
-  m.num_right = r.U32();
-  m.order = r.U8();
-  m.hub_first_left = r.Bool();
-  m.auto_swap_sides = r.Bool();
-  m.core_reduce = r.Bool();
-  m.min_left = r.U32();
-  m.min_right = r.U32();
-  m.seed = r.U64();
-  const uint64_t edges = r.U64();
-  // Each edge is two u32 ids: an honest count fills the remaining
-  // payload exactly, so a corrupt count cannot drive a giant reserve.
-  if (!r.ok() || r.remaining() % 8 != 0 || edges != r.remaining() / 8) {
-    return util::Status::CorruptData("kLoadGraph: edge count mismatch");
+void Entries(Reader& r, BicliqueBatch& batch) {
+  uint32_t count = 0;
+  r.U32(count);
+  std::vector<VertexId> left, right;
+  for (uint32_t i = 0; r.ok() && i < count; ++i) {
+    uint32_t l_len = 0, r_len = 0;
+    r.U32(l_len);
+    r.U32(r_len);
+    // Both sides must fit in the remaining bytes before any reserve.
+    if (!r.ok() ||
+        uint64_t{l_len} * 4 + uint64_t{r_len} * 4 > r.remaining()) {
+      r.Fail("kResultBatch: entry length mismatch");
+      return;
+    }
+    r.Ids(left, l_len, 0);
+    r.Ids(right, r_len, 0);
+    batch.Append(left, right);
   }
-  if (edges > 0 && (m.num_left == 0 || m.num_right == 0)) {
-    return util::Status::CorruptData("kLoadGraph: edges on an empty side");
-  }
-  m.edge_left = r.Ids(edges, m.num_left);
-  m.edge_right = r.Ids(edges, m.num_right);
-  if (!r.ok()) {
-    return util::Status::CorruptData("kLoadGraph: edge id out of range");
-  }
-  return m;
 }
 
-util::StatusOr<Message> DecodePayload(MsgType type, Reader& r) {
-  switch (type) {
-    case MsgType::kHello: {
-      HelloMsg m;
-      m.version = r.U32();
-      return Message{m};
-    }
-    case MsgType::kHelloOk: {
-      HelloOkMsg m;
-      m.version = r.U32();
-      m.max_payload = r.U32();
-      m.pool_threads = r.U32();
-      return Message{m};
-    }
-    case MsgType::kLoadGraph: {
-      util::StatusOr<LoadGraphMsg> m = DecodeLoadGraphBody(r);
-      PMBE_RETURN_IF_ERROR(m.status());
-      return Message{std::move(m).value()};
-    }
-    case MsgType::kLoadOk: {
-      LoadOkMsg m;
-      m.name = r.Str(kMaxNameBytes);
-      m.num_left = r.U32();
-      m.num_right = r.U32();
-      m.num_edges = r.U64();
-      m.epoch = r.U64();
-      m.build_seconds = r.F64();
-      return Message{std::move(m)};
-    }
-    case MsgType::kStartSession: {
-      StartSessionMsg m;
-      m.graph = r.Str(kMaxNameBytes);
-      m.algorithm = r.U8();
-      m.min_left = r.U32();
-      m.min_right = r.U32();
-      m.max_results = r.U64();
-      m.max_nodes_expanded = r.U64();
-      m.deadline_seconds = r.F64();
-      m.max_memory_bytes = r.U64();
-      m.batch_results = r.U32();
-      return Message{std::move(m)};
-    }
-    case MsgType::kSessionStarted: {
-      SessionStartedMsg m;
-      m.session_id = r.U64();
-      return Message{m};
-    }
-    case MsgType::kCancelSession: {
-      CancelSessionMsg m;
-      m.session_id = r.U64();
-      return Message{m};
-    }
-    case MsgType::kResultBatch: {
-      ResultBatchMsg m;
-      m.session_id = r.U64();
-      const uint32_t count = r.U32();
-      for (uint32_t i = 0; r.ok() && i < count; ++i) {
-        const uint32_t l_len = r.U32();
-        const uint32_t r_len = r.U32();
-        // Both sides must fit in the remaining bytes before any reserve.
-        if (!r.ok() ||
-            uint64_t{l_len} * 4 + uint64_t{r_len} * 4 > r.remaining()) {
-          return util::Status::CorruptData(
-              "kResultBatch: entry length mismatch");
-        }
-        const std::vector<VertexId> left = r.Ids(l_len, 0);
-        const std::vector<VertexId> right = r.Ids(r_len, 0);
-        if (!r.ok()) break;
-        m.batch.Append(left, right);
-      }
-      if (!r.ok()) {
-        return util::Status::CorruptData("kResultBatch: truncated entries");
-      }
-      return Message{std::move(m)};
-    }
-    case MsgType::kSessionDone: {
-      SessionDoneMsg m;
-      m.session_id = r.U64();
-      m.termination = r.U8();
-      m.results_emitted = r.U64();
-      m.maximal = r.U64();
-      m.nodes_expanded = r.U64();
-      m.peak_charged_bytes = r.U64();
-      m.queue_wait_ns = r.U64();
-      m.seconds = r.F64();
-      m.digest = r.U64();
-      m.message = r.Str(kMaxPayloadBytes);
-      return Message{std::move(m)};
-    }
-    case MsgType::kRejected: {
-      RejectedMsg m;
-      m.reason = r.U8();
-      m.detail = r.Str(kMaxPayloadBytes);
-      return Message{std::move(m)};
-    }
-    case MsgType::kError: {
-      ErrorMsg m;
-      m.detail = r.Str(kMaxPayloadBytes);
-      return Message{std::move(m)};
-    }
-    case MsgType::kPing: {
-      PingMsg m;
-      m.token = r.U64();
-      return Message{m};
-    }
-    case MsgType::kPong: {
-      PongMsg m;
-      m.token = r.U64();
-      return Message{m};
-    }
-    case MsgType::kInfoRequest: {
-      return Message{InfoRequestMsg{}};
-    }
-    case MsgType::kServerInfo: {
-      ServerInfoMsg m;
-      m.pool_threads = r.U32();
-      m.active_sessions = r.U32();
-      m.queued_sessions = r.U32();
-      m.graphs = r.U32();
-      m.sessions_started = r.U64();
-      m.sessions_completed = r.U64();
-      m.reloads = r.U64();
-      m.heartbeats = r.U64();
-      m.idle_disconnects = r.U64();
-      m.connections_accepted = r.U64();
-      m.draining = r.U8();
-      return Message{m};
-    }
-    case MsgType::kReloadGraph: {
-      util::StatusOr<LoadGraphMsg> body = DecodeLoadGraphBody(r);
-      PMBE_RETURN_IF_ERROR(body.status());
-      ReloadGraphMsg m;
-      m.load = std::move(body).value();
-      return Message{std::move(m)};
-    }
-  }
-  return util::Status::InvalidArgument(
-      "unknown message type " + std::to_string(static_cast<int>(type)));
+// One field list per message, in wire order. `Io` is the Writer (encode)
+// or the Reader (decode).
+
+template <class Io>
+void Fields(Io& io, HelloMsg& m) {
+  io.U32(m.version);
 }
+
+template <class Io>
+void Fields(Io& io, HelloOkMsg& m) {
+  io.U32(m.version);
+  io.U32(m.max_payload);
+  io.U32(m.pool_threads);
+}
+
+template <class Io>
+void Fields(Io& io, LoadGraphMsg& m) {
+  io.Str(m.name, kMaxNameBytes);
+  io.U32(m.num_left);
+  io.U32(m.num_right);
+  io.U8(m.order);
+  io.Bool(m.hub_first_left);
+  io.Bool(m.auto_swap_sides);
+  io.Bool(m.core_reduce);
+  io.U32(m.min_left);
+  io.U32(m.min_right);
+  io.U64(m.seed);
+  Edges(io, m);
+}
+
+template <class Io>
+void Fields(Io& io, LoadOkMsg& m) {
+  io.Str(m.name, kMaxNameBytes);
+  io.U32(m.num_left);
+  io.U32(m.num_right);
+  io.U64(m.num_edges);
+  io.U64(m.epoch);
+  io.F64(m.build_seconds);
+}
+
+template <class Io>
+void Fields(Io& io, StartSessionMsg& m) {
+  io.Str(m.graph, kMaxNameBytes);
+  io.U8(m.algorithm);
+  io.U32(m.min_left);
+  io.U32(m.min_right);
+  io.U64(m.max_results);
+  io.U64(m.max_nodes_expanded);
+  io.F64(m.deadline_seconds);
+  io.U64(m.max_memory_bytes);
+  io.U32(m.batch_results);
+}
+
+template <class Io>
+void Fields(Io& io, SessionStartedMsg& m) {
+  io.U64(m.session_id);
+}
+
+template <class Io>
+void Fields(Io& io, CancelSessionMsg& m) {
+  io.U64(m.session_id);
+}
+
+template <class Io>
+void Fields(Io& io, ResultBatchMsg& m) {
+  io.U64(m.session_id);
+  Entries(io, m.batch);
+}
+
+template <class Io>
+void Fields(Io& io, SessionDoneMsg& m) {
+  io.U64(m.session_id);
+  io.U8(m.termination);
+  io.U64(m.results_emitted);
+  io.U64(m.maximal);
+  io.U64(m.nodes_expanded);
+  io.U64(m.peak_charged_bytes);
+  io.U64(m.queue_wait_ns);
+  io.F64(m.seconds);
+  io.U64(m.digest);
+  io.Str(m.message, kMaxPayloadBytes);
+}
+
+template <class Io>
+void Fields(Io& io, RejectedMsg& m) {
+  io.U8(m.reason);
+  io.Str(m.detail, kMaxPayloadBytes);
+}
+
+template <class Io>
+void Fields(Io& io, ErrorMsg& m) {
+  io.Str(m.detail, kMaxPayloadBytes);
+}
+
+template <class Io>
+void Fields(Io& io, PingMsg& m) {
+  io.U64(m.token);
+}
+
+template <class Io>
+void Fields(Io& io, PongMsg& m) {
+  io.U64(m.token);
+}
+
+template <class Io>
+void Fields(Io&, InfoRequestMsg&) {}
+
+template <class Io>
+void Fields(Io& io, ServerInfoMsg& m) {
+  io.U32(m.pool_threads);
+  io.U32(m.active_sessions);
+  io.U32(m.queued_sessions);
+  io.U32(m.graphs);
+  io.U64(m.sessions_started);
+  io.U64(m.sessions_completed);
+  io.U64(m.reloads);
+  io.U64(m.heartbeats);
+  io.U64(m.idle_disconnects);
+  io.U64(m.connections_accepted);
+  io.U8(m.draining);
+}
+
+/// Same payload as kLoadGraph; the type byte carries the swap semantics.
+template <class Io>
+void Fields(Io& io, ReloadGraphMsg& m) {
+  Fields(io, m.load);
+}
+
+// The frame type byte is the Message alternative index + 1.
+template <MsgType T, class M>
+constexpr bool kTypeIs = std::is_same_v<
+    std::variant_alternative_t<static_cast<size_t>(T) - 1, Message>, M>;
+static_assert(kTypeIs<MsgType::kHello, HelloMsg> &&
+              kTypeIs<MsgType::kHelloOk, HelloOkMsg> &&
+              kTypeIs<MsgType::kLoadGraph, LoadGraphMsg> &&
+              kTypeIs<MsgType::kLoadOk, LoadOkMsg> &&
+              kTypeIs<MsgType::kStartSession, StartSessionMsg> &&
+              kTypeIs<MsgType::kSessionStarted, SessionStartedMsg> &&
+              kTypeIs<MsgType::kCancelSession, CancelSessionMsg> &&
+              kTypeIs<MsgType::kResultBatch, ResultBatchMsg> &&
+              kTypeIs<MsgType::kSessionDone, SessionDoneMsg> &&
+              kTypeIs<MsgType::kRejected, RejectedMsg> &&
+              kTypeIs<MsgType::kError, ErrorMsg> &&
+              kTypeIs<MsgType::kPing, PingMsg> &&
+              kTypeIs<MsgType::kPong, PongMsg> &&
+              kTypeIs<MsgType::kInfoRequest, InfoRequestMsg> &&
+              kTypeIs<MsgType::kServerInfo, ServerInfoMsg> &&
+              kTypeIs<MsgType::kReloadGraph, ReloadGraphMsg> &&
+              std::variant_size_v<Message> == 16);
+
+/// Decoders indexed by type byte - 1: each default-constructs its
+/// alternative and reads it through its field list.
+using DecodeFn = void (*)(Reader&, Message&);
+
+template <size_t... I>
+constexpr std::array<DecodeFn, sizeof...(I)> MakeDecoders(
+    std::index_sequence<I...>) {
+  return {[](Reader& r, Message& out) { Fields(r, out.emplace<I>()); }...};
+}
+
+constexpr std::array<DecodeFn, std::variant_size_v<Message>> kDecoders =
+    MakeDecoders(std::make_index_sequence<std::variant_size_v<Message>>());
 
 }  // namespace
 
@@ -417,83 +394,21 @@ const char* RejectReasonName(RejectReason reason) {
 }
 
 MsgType TypeOf(const Message& message) {
-  struct Visitor {
-    MsgType operator()(const HelloMsg&) { return MsgType::kHello; }
-    MsgType operator()(const HelloOkMsg&) { return MsgType::kHelloOk; }
-    MsgType operator()(const LoadGraphMsg&) { return MsgType::kLoadGraph; }
-    MsgType operator()(const LoadOkMsg&) { return MsgType::kLoadOk; }
-    MsgType operator()(const StartSessionMsg&) {
-      return MsgType::kStartSession;
-    }
-    MsgType operator()(const SessionStartedMsg&) {
-      return MsgType::kSessionStarted;
-    }
-    MsgType operator()(const CancelSessionMsg&) {
-      return MsgType::kCancelSession;
-    }
-    MsgType operator()(const ResultBatchMsg&) { return MsgType::kResultBatch; }
-    MsgType operator()(const SessionDoneMsg&) { return MsgType::kSessionDone; }
-    MsgType operator()(const RejectedMsg&) { return MsgType::kRejected; }
-    MsgType operator()(const ErrorMsg&) { return MsgType::kError; }
-    MsgType operator()(const PingMsg&) { return MsgType::kPing; }
-    MsgType operator()(const PongMsg&) { return MsgType::kPong; }
-    MsgType operator()(const InfoRequestMsg&) { return MsgType::kInfoRequest; }
-    MsgType operator()(const ServerInfoMsg&) { return MsgType::kServerInfo; }
-    MsgType operator()(const ReloadGraphMsg&) { return MsgType::kReloadGraph; }
-  };
-  return std::visit(Visitor{}, message);
+  return static_cast<MsgType>(message.index() + 1);
 }
-
-namespace {
-
-/// Encode-side mirror of the decoder's structural bounds. A message that
-/// violates them must fail here, cleanly — encoding it anyway would
-/// produce a frame the peer rejects as corrupt, which the header promises
-/// never happens.
-util::Status ValidateLoadBody(const LoadGraphMsg& load) {
-  if (load.edge_left.size() != load.edge_right.size()) {
-    return util::Status::InvalidArgument(
-        "kLoadGraph: edge_left/edge_right size mismatch (" +
-        std::to_string(load.edge_left.size()) + " vs " +
-        std::to_string(load.edge_right.size()) + ")");
-  }
-  if (load.name.size() > kMaxNameBytes) {
-    return util::Status::InvalidArgument(
-        "kLoadGraph: name exceeds " + std::to_string(kMaxNameBytes) +
-        " bytes");
-  }
-  return util::Status::Ok();
-}
-
-util::Status ValidateForEncode(const Message& message) {
-  if (const auto* load = std::get_if<LoadGraphMsg>(&message)) {
-    PMBE_RETURN_IF_ERROR(ValidateLoadBody(*load));
-  } else if (const auto* reload = std::get_if<ReloadGraphMsg>(&message)) {
-    PMBE_RETURN_IF_ERROR(ValidateLoadBody(reload->load));
-  } else if (const auto* ok = std::get_if<LoadOkMsg>(&message)) {
-    if (ok->name.size() > kMaxNameBytes) {
-      return util::Status::InvalidArgument(
-          "kLoadOk: name exceeds " + std::to_string(kMaxNameBytes) +
-          " bytes");
-    }
-  } else if (const auto* start = std::get_if<StartSessionMsg>(&message)) {
-    if (start->graph.size() > kMaxNameBytes) {
-      return util::Status::InvalidArgument(
-          "kStartSession: graph name exceeds " +
-          std::to_string(kMaxNameBytes) + " bytes");
-    }
-  }
-  return util::Status::Ok();
-}
-
-}  // namespace
 
 util::Status EncodeMessage(const Message& message, std::vector<uint8_t>* out) {
   PMBE_CHECK(out != nullptr);
-  PMBE_RETURN_IF_ERROR(ValidateForEncode(message));
   std::vector<uint8_t> payload;
   Writer w(&payload);
-  std::visit([&w](const auto& m) { EncodePayload(m, w); }, message);
+  // Fields() takes the message by mutable reference so that one list
+  // serves both directions; the Writer only reads through it.
+  std::visit(
+      [&w](const auto& m) {
+        Fields(w, const_cast<std::remove_cvref_t<decltype(m)>&>(m));
+      },
+      message);
+  PMBE_RETURN_IF_ERROR(w.status());
   if (payload.size() > kMaxPayloadBytes) {
     return util::Status::InvalidArgument(
         "payload exceeds kMaxPayloadBytes (" +
@@ -534,14 +449,15 @@ util::StatusOr<Message> DecodeMessage(std::span<const uint8_t> frame) {
         std::to_string(frame_size));
   }
   const uint8_t type = frame[4];
-  Reader r(frame.subspan(kFrameHeaderBytes));
-  util::StatusOr<Message> decoded =
-      DecodePayload(static_cast<MsgType>(type), r);
-  PMBE_RETURN_IF_ERROR(decoded.status());
-  if (!r.AtEnd()) {
-    return util::Status::CorruptData("payload has trailing or missing bytes");
+  if (type == 0 || type > kDecoders.size()) {
+    return util::Status::InvalidArgument("unknown message type " +
+                                         std::to_string(type));
   }
-  return decoded;
+  Message message;
+  Reader r(frame.subspan(kFrameHeaderBytes));
+  kDecoders[type - 1](r, message);
+  PMBE_RETURN_IF_ERROR(r.status());
+  return message;
 }
 
 void FrameAssembler::Feed(std::span<const uint8_t> bytes) {

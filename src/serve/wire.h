@@ -23,6 +23,12 @@
 ///   uint8[] payload          (payload_length bytes)
 /// ```
 ///
+/// One field list per message (`Fields` in wire.cc) defines its payload
+/// layout: the encoder walks it with a writer and the decoder with a
+/// reader, so the two directions cannot disagree on field order or on a
+/// string bound. The type byte of a message is its `Message` alternative
+/// index + 1 (static_assert'ed there).
+///
 /// The codec is a pure byte-buffer transformation — no sockets, no
 /// threads — so it can be driven directly by the fuzz harness
 /// (tools/fuzz_wire.cc) and the round-trip tests. Decoding is total:
@@ -241,12 +247,13 @@ using Message =
                  PingMsg, PongMsg, InfoRequestMsg, ServerInfoMsg,
                  ReloadGraphMsg>;
 
-/// The frame type a message encodes as.
+/// The frame type a message encodes as: its alternative index + 1.
 MsgType TypeOf(const Message& message);
 
 /// Appends one complete frame (header + canonical payload) to `*out`.
 /// Fails (leaving `*out` untouched) when the payload would exceed
-/// kMaxPayloadBytes or a string field exceeds its bound.
+/// kMaxPayloadBytes, a string field exceeds its bound, or kLoadGraph's
+/// edge arrays differ in length — anything the decoder would refuse.
 util::Status EncodeMessage(const Message& message, std::vector<uint8_t>* out);
 
 /// Stream framing: inspects the start of `buffer`. Sets `*complete` to

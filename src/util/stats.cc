@@ -55,7 +55,7 @@ std::string FormatWithSuffix(double x, const char* suffix) {
 }  // namespace
 
 std::string HumanCount(double x) {
-  if (x < 0) return "-" + HumanCount(-x);
+  if (x < 0) return std::string("-").append(HumanCount(-x));
   if (x >= 1e9) return FormatWithSuffix(x / 1e9, "B");
   if (x >= 1e6) return FormatWithSuffix(x / 1e6, "M");
   if (x >= 1e3) return FormatWithSuffix(x / 1e3, "K");
@@ -77,7 +77,7 @@ std::string HumanBytes(uint64_t bytes) {
 }
 
 std::string HumanSeconds(double seconds) {
-  if (seconds < 0) return "-" + HumanSeconds(-seconds);
+  if (seconds < 0) return std::string("-").append(HumanSeconds(-seconds));
   if (seconds < 1e-6) return FormatWithSuffix(seconds * 1e9, "ns");
   if (seconds < 1e-3) return FormatWithSuffix(seconds * 1e6, "us");
   if (seconds < 1.0) return FormatWithSuffix(seconds * 1e3, "ms");

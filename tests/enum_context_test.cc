@@ -129,7 +129,9 @@ TEST(EnumContextTest, ReuseAcrossRunsKeepsCapacityFlat) {
     // held_bytes stabilizes after the first run: later runs reuse pooled
     // capacity instead of allocating.
     if (run == 1) settled = ctx.held_bytes();
-    if (run > 1) EXPECT_EQ(ctx.held_bytes(), settled) << "run=" << run;
+    if (run > 1) {
+      EXPECT_EQ(ctx.held_bytes(), settled) << "run=" << run;
+    }
   }
 }
 

@@ -2,7 +2,7 @@
 // `serve::Server` on a Unix-domain socket driven by a minimal blocking
 // wire client. Covers the handshake, graph upload, concurrent-session
 // digest identity, per-session cancel/deadline/budget containment,
-// admission rejection, drain, and protocol-error handling.
+// admission rejection and queueing, drain, and protocol-error handling.
 
 #include <gtest/gtest.h>
 
@@ -70,21 +70,14 @@ class TestClient {
   /// Blocking framed read; nullopt on EOF or a corrupt stream.
   std::optional<Message> Read() {
     for (;;) {
-      size_t frame_size = 0;
-      bool complete = false;
-      if (!PeekFrame(buffer_, &frame_size, &complete).ok()) return {};
-      if (complete) {
-        auto decoded =
-            DecodeMessage(std::span(buffer_.data(), frame_size));
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin() + static_cast<long>(frame_size));
-        if (!decoded.ok()) return {};
-        return std::move(decoded).value();
-      }
+      Message message;
+      const util::StatusOr<bool> next = assembler_.Next(&message);
+      if (!next.ok()) return {};
+      if (next.value()) return message;
       uint8_t chunk[4096];
       const ssize_t n = recv(fd_, chunk, sizeof(chunk), 0);
       if (n <= 0) return {};
-      buffer_.insert(buffer_.end(), chunk, chunk + n);
+      assembler_.Feed(std::span<const uint8_t>(chunk, static_cast<size_t>(n)));
     }
   }
 
@@ -119,7 +112,7 @@ class TestClient {
 
  private:
   int fd_ = -1;
-  std::vector<uint8_t> buffer_;
+  FrameAssembler assembler_;
 };
 
 /// A started server on a fresh Unix socket plus a connected, greeted
@@ -401,9 +394,9 @@ TEST(ServeTest, DeadlineAndBudgetTerminatePerSession) {
 
   std::map<uint64_t, uint8_t> terminations;
   int done_count = 0;
-  // SessionStarted order follows the per-connection send order only
-  // loosely (starter threads race for admission); classify by outcome
-  // instead: exactly one deadline, one memory-limit, one complete.
+  // The reader thread admits and starts each session in send order, but
+  // they end in whatever order their limits trip; classify by outcome:
+  // exactly one deadline, one memory-limit, one complete.
   while (done_count < 3) {
     std::optional<Message> message = h.client.Read();
     ASSERT_TRUE(message.has_value());
@@ -544,6 +537,184 @@ TEST(ServeTest, AdmissionLimitRejectsExcessSessions) {
   ASSERT_NE(second, 0u) << "slot never became available after release";
   ASSERT_TRUE(h.client.Send(CancelSessionMsg{second}));
   ASSERT_TRUE(h.client.ReadUntil(MsgType::kSessionDone).has_value());
+}
+
+/// One slot, two queue places: the admission shape the queue tests use.
+ServerOptions OneSlotTwoQueued() {
+  ServerOptions options;
+  options.max_active_sessions = 1;
+  options.max_queued_sessions = 2;
+  return options;
+}
+
+/// Live counters, read in order with the frames sent before: the reader
+/// handles each start's admission before it reads the next frame.
+ServerInfoMsg QueryInfo(TestClient& client) {
+  EXPECT_TRUE(client.Send(InfoRequestMsg{}));
+  std::optional<Message> reply = client.ReadUntil(MsgType::kServerInfo);
+  return reply.has_value() ? std::get<ServerInfoMsg>(*reply)
+                           : ServerInfoMsg{};
+}
+
+/// Starts the SlowStart blocker that holds the only slot; returns its id.
+uint64_t StartBlocker(TestClient& client) {
+  EXPECT_TRUE(client.Send(SlowStart("endless")));
+  std::optional<Message> started = client.ReadUntil(MsgType::kSessionStarted);
+  return started.has_value()
+             ? std::get<SessionStartedMsg>(*started).session_id
+             : 0;
+}
+
+TEST(ServeTest, QueuedSessionsStartInFifoOrderAsSlotsFree) {
+  auto small = SmallEngine();
+  uint64_t want_digest = 0, want_count = 0;
+  SoloReference(small, &want_digest, &want_count);
+
+  Harness h("fifo", OneSlotTwoQueued());
+  h.server->registry().Put("small", small);
+  h.server->registry().Put("endless", EndlessEngine());
+  h.StartAndConnect();
+
+  const uint64_t blocker = StartBlocker(h.client);
+  ASSERT_NE(blocker, 0u);
+  StartSessionMsg start;
+  start.graph = "small";
+  ASSERT_TRUE(h.client.Send(start));  // id blocker + 1: first in queue
+  ASSERT_TRUE(h.client.Send(start));  // id blocker + 2: second
+  ASSERT_TRUE(h.client.Send(start));  // queue full: rejected at once
+  std::optional<Message> rejected = h.client.ReadUntil(MsgType::kRejected);
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(std::get<RejectedMsg>(*rejected).reason,
+            static_cast<uint8_t>(RejectReason::kTooManySessions));
+  const ServerInfoMsg info = QueryInfo(h.client);
+  EXPECT_EQ(info.active_sessions, 1u);
+  EXPECT_EQ(info.queued_sessions, 2u);
+
+  // Freeing the slot starts the queued sessions one at a time, in the
+  // order they were queued: each starts only after the one ahead of it
+  // is done.
+  ASSERT_TRUE(h.client.Send(CancelSessionMsg{blocker}));
+  std::vector<std::pair<MsgType, uint64_t>> events;
+  std::map<uint64_t, FingerprintSink> folds;
+  std::map<uint64_t, SessionDoneMsg> dones;
+  while (dones.size() < 3) {
+    std::optional<Message> message = h.client.Read();
+    ASSERT_TRUE(message.has_value());
+    if (const auto* s = std::get_if<SessionStartedMsg>(&*message)) {
+      events.emplace_back(MsgType::kSessionStarted, s->session_id);
+    } else if (const auto* b = std::get_if<ResultBatchMsg>(&*message)) {
+      folds[b->session_id].EmitBatch(b->batch);
+    } else if (const auto* d = std::get_if<SessionDoneMsg>(&*message)) {
+      events.emplace_back(MsgType::kSessionDone, d->session_id);
+      dones[d->session_id] = *d;
+    }
+  }
+  const std::vector<std::pair<MsgType, uint64_t>> want = {
+      {MsgType::kSessionDone, blocker},
+      {MsgType::kSessionStarted, blocker + 1},
+      {MsgType::kSessionDone, blocker + 1},
+      {MsgType::kSessionStarted, blocker + 2},
+      {MsgType::kSessionDone, blocker + 2},
+  };
+  EXPECT_EQ(events, want);
+  EXPECT_EQ(dones[blocker].termination,
+            static_cast<uint8_t>(Termination::kCancelled));
+  for (uint64_t id : {blocker + 1, blocker + 2}) {
+    SCOPED_TRACE("session " + std::to_string(id));
+    EXPECT_EQ(dones[id].termination,
+              static_cast<uint8_t>(Termination::kComplete));
+    EXPECT_GT(dones[id].queue_wait_ns, 0u);
+    EXPECT_EQ(folds[id].Digest(), want_digest);
+    EXPECT_EQ(folds[id].count(), want_count);
+  }
+}
+
+TEST(ServeTest, DrainRejectsQueuedSessionsWhileRunningOneFinishes) {
+  Harness h("drainqueue", OneSlotTwoQueued());
+  h.server->registry().Put("small", SmallEngine());
+  h.server->registry().Put("endless", EndlessEngine());
+  h.StartAndConnect();
+
+  const uint64_t blocker = StartBlocker(h.client);
+  ASSERT_NE(blocker, 0u);
+  StartSessionMsg start;
+  start.graph = "small";
+  ASSERT_TRUE(h.client.Send(start));
+  ASSERT_TRUE(h.client.Send(start));
+  EXPECT_EQ(QueryInfo(h.client).queued_sessions, 2u);
+
+  h.server->BeginDrain();
+  // Both queued sessions are refused without ever starting.
+  for (int i = 0; i < 2; ++i) {
+    std::optional<Message> message = h.client.Read();
+    ASSERT_TRUE(message.has_value());
+    ASSERT_TRUE(std::holds_alternative<RejectedMsg>(*message))
+        << "frame type " << static_cast<int>(TypeOf(*message));
+    EXPECT_EQ(std::get<RejectedMsg>(*message).reason,
+              static_cast<uint8_t>(RejectReason::kDraining));
+  }
+  // The running session keeps its slot through the drain...
+  const ServerInfoMsg info = QueryInfo(h.client);
+  EXPECT_EQ(info.draining, 1);
+  EXPECT_EQ(info.active_sessions, 1u);
+  EXPECT_EQ(info.queued_sessions, 0u);
+  EXPECT_FALSE(h.server->idle());
+
+  // ...and ends with its own kSessionDone, after which the server is idle.
+  ASSERT_TRUE(h.client.Send(CancelSessionMsg{blocker}));
+  std::optional<Message> done = h.client.Read();
+  ASSERT_TRUE(done.has_value());
+  ASSERT_TRUE(std::holds_alternative<SessionDoneMsg>(*done));
+  EXPECT_EQ(std::get<SessionDoneMsg>(*done).session_id, blocker);
+  for (int i = 0; i < 2000 && !h.server->idle(); ++i) usleep(10000);
+  EXPECT_TRUE(h.server->idle());
+}
+
+TEST(ServeTest, SessionCancelledWhileQueuedEndsOnce) {
+  Harness h("cancelqueued", OneSlotTwoQueued());
+  h.server->registry().Put("small", SmallEngine());
+  h.server->registry().Put("endless", EndlessEngine());
+  h.StartAndConnect();
+
+  const uint64_t blocker = StartBlocker(h.client);
+  ASSERT_NE(blocker, 0u);
+  StartSessionMsg start;
+  start.graph = "small";
+  ASSERT_TRUE(h.client.Send(start));
+  const uint64_t queued = blocker + 1;
+  EXPECT_EQ(QueryInfo(h.client).queued_sessions, 1u);
+  ASSERT_TRUE(h.client.Send(CancelSessionMsg{queued}));
+  ASSERT_TRUE(h.client.Send(CancelSessionMsg{blocker}));
+
+  std::map<uint64_t, std::vector<uint8_t>> terminations;
+  int rejected = 0;
+  auto read_one = [&]() -> std::optional<Message> {
+    std::optional<Message> message = h.client.Read();
+    if (!message.has_value()) return message;
+    if (const auto* d = std::get_if<SessionDoneMsg>(&*message)) {
+      terminations[d->session_id].push_back(d->termination);
+    } else if (std::holds_alternative<RejectedMsg>(*message)) {
+      ++rejected;
+    }
+    return message;
+  };
+  while (terminations.size() < 2) ASSERT_TRUE(read_one().has_value());
+  // A session's kSessionDone is queued before its slot is released, so
+  // once the server is idle every frame is queued toward the client, and
+  // the Pong answering a later Ping closes the stream.
+  for (int i = 0; i < 2000 && !h.server->idle(); ++i) usleep(10000);
+  ASSERT_TRUE(h.server->idle());
+  ASSERT_TRUE(h.client.Send(PingMsg{7}));
+  for (;;) {
+    std::optional<Message> message = read_one();
+    ASSERT_TRUE(message.has_value());
+    if (std::holds_alternative<PongMsg>(*message)) break;
+  }
+  EXPECT_EQ(rejected, 0);
+  const std::vector<uint8_t> cancelled = {
+      static_cast<uint8_t>(Termination::kCancelled)};
+  EXPECT_EQ(terminations[queued], cancelled);
+  EXPECT_EQ(terminations[blocker], cancelled);
 }
 
 TEST(ServeTest, DrainRejectsNewSessionsThenGoesIdle) {

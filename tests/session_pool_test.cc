@@ -293,7 +293,7 @@ BipartiteGraph GraphOfShape(SeedShape shape) {
 std::string SchedulingCaseName(
     const ::testing::TestParamInfo<std::tuple<unsigned, SeedShape>>& info) {
   static const char* const kShapes[] = {"Uniform", "Skewed", "Edgeless"};
-  return "T" + std::to_string(std::get<0>(info.param)) + "_" +
+  return std::string("T").append(std::to_string(std::get<0>(info.param))) + "_" +
          kShapes[static_cast<int>(std::get<1>(info.param))];
 }
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "serve/wire.h"
@@ -50,6 +52,152 @@ LoadGraphMsg MakeLoadGraph() {
   m.min_right = 3;
   m.seed = 0xdeadbeefcafe;
   return m;
+}
+
+/// One fixed instance of every message type, in MsgType order, with its
+/// exact protocol-v2 frame as hex. Every field holds a distinct value, so
+/// an encoder and decoder that reorder fields together — which round-trip
+/// tests cannot see — still fail here. These bytes are the protocol: edit
+/// them only together with kProtocolVersion.
+struct GoldenFrame {
+  Message message;
+  const char* hex;
+};
+
+std::vector<GoldenFrame> GoldenFrames() {
+  LoadGraphMsg load;
+  load.name = "g";
+  load.num_left = 3;
+  load.num_right = 2;
+  load.edge_left = {0, 2};
+  load.edge_right = {1, 0};
+  load.order = 2;
+  load.hub_first_left = false;
+  load.auto_swap_sides = true;
+  load.core_reduce = false;
+  load.min_left = 4;
+  load.min_right = 5;
+  load.seed = 0x0102030405060708;
+  LoadOkMsg ok;
+  ok.name = "ok";
+  ok.num_left = 6;
+  ok.num_right = 7;
+  ok.num_edges = 8;
+  ok.epoch = 9;
+  ok.build_seconds = 0.5;
+  StartSessionMsg start;
+  start.graph = "s";
+  start.algorithm = 3;
+  start.min_left = 10;
+  start.min_right = 11;
+  start.max_results = 12;
+  start.max_nodes_expanded = 13;
+  start.deadline_seconds = 1.5;
+  start.max_memory_bytes = 14;
+  start.batch_results = 15;
+  ResultBatchMsg batch;
+  batch.session_id = 16;
+  const VertexId l0[] = {1, 2};
+  const VertexId r0[] = {3};
+  batch.batch.Append(l0, r0);
+  const VertexId l1[] = {4};
+  const VertexId r1[] = {5, 6, 7};
+  batch.batch.Append(l1, r1);
+  SessionDoneMsg done;
+  done.session_id = 17;
+  done.termination = 2;
+  done.results_emitted = 18;
+  done.maximal = 19;
+  done.nodes_expanded = 20;
+  done.peak_charged_bytes = 21;
+  done.queue_wait_ns = 22;
+  done.seconds = 2.5;
+  done.digest = 0x1112131415161718;
+  done.message = "m";
+  ServerInfoMsg info;
+  info.pool_threads = 23;
+  info.active_sessions = 24;
+  info.queued_sessions = 25;
+  info.graphs = 26;
+  info.sessions_started = 27;
+  info.sessions_completed = 28;
+  info.reloads = 29;
+  info.heartbeats = 30;
+  info.idle_disconnects = 31;
+  info.connections_accepted = 32;
+  info.draining = 1;
+  LoadGraphMsg reload = load;
+  reload.name = "r";
+  return {
+      {HelloMsg{2}, "040000000102000000"},
+      {HelloOkMsg{2, 1024, 4}, "0c00000002020000000004000004000000"},
+      {load,
+       "39000000030100000067030000000200000002000100040000000500"
+       "00000807060504030201020000000000000000000000020000000100"
+       "000000000000"},
+      {ok,
+       "2600000004020000006f6b0600000007000000080000000000000009"
+       "00000000000000000000000000e03f"},
+      {start,
+       "32000000050100000073030a0000000b0000000c000000000000000d"
+       "00000000000000000000000000f83f0e000000000000000f000000"},
+      {SessionStartedMsg{33}, "08000000062100000000000000"},
+      {CancelSessionMsg{34}, "08000000072200000000000000"},
+      {batch,
+       "38000000081000000000000000020000000200000001000000010000"
+       "00020000000300000001000000030000000400000005000000060000"
+       "0007000000"},
+      {done,
+       "46000000091100000000000000021200000000000000130000000000"
+       "00001400000000000000150000000000000016000000000000000000"
+       "0000000004401817161514131211010000006d"},
+      {RejectedMsg{1, "busy"}, "090000000a010400000062757379"},
+      {ErrorMsg{"bad"}, "070000000b03000000626164"},
+      {PingMsg{0x2122232425262728}, "080000000c2827262524232221"},
+      {PongMsg{0x3132333435363738}, "080000000d3837363534333231"},
+      {InfoRequestMsg{}, "000000000e"},
+      {info,
+       "410000000f1700000018000000190000001a0000001b000000000000"
+       "001c000000000000001d000000000000001e000000000000001f0000"
+       "0000000000200000000000000001"},
+      {ReloadGraphMsg{reload},
+       "39000000100100000072030000000200000002000100040000000500"
+       "00000807060504030201020000000000000000000000020000000100"
+       "000000000000"},
+  };
+}
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t b : bytes) {
+    hex.push_back(kDigits[b >> 4]);
+    hex.push_back(kDigits[b & 0xf]);
+  }
+  return hex;
+}
+
+std::vector<uint8_t> Unhex(const std::string& hex) {
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(WireTest, GoldenFramesPinProtocolV2) {
+  EXPECT_EQ(kProtocolVersion, 2u);
+  const std::vector<GoldenFrame> golden = GoldenFrames();
+  ASSERT_EQ(golden.size(), std::variant_size_v<Message>);
+  for (size_t i = 0; i < golden.size(); ++i) {
+    SCOPED_TRACE("message type " + std::to_string(i + 1));
+    EXPECT_EQ(static_cast<size_t>(TypeOf(golden[i].message)), i + 1);
+    EXPECT_EQ(Hex(Encode(golden[i].message)), golden[i].hex);
+    util::StatusOr<Message> decoded = DecodeMessage(Unhex(golden[i].hex));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(Hex(Encode(decoded.value())), golden[i].hex);
+  }
 }
 
 TEST(WireTest, HelloRoundTrip) {
@@ -229,10 +377,17 @@ TEST(WireTest, PeekFrameRejectsOversizedLengthClaim) {
 }
 
 TEST(WireTest, DecodeRejectsEveryTruncation) {
-  const std::vector<uint8_t> frame = Encode(MakeLoadGraph());
-  for (size_t n = 0; n < frame.size(); ++n) {
-    EXPECT_FALSE(DecodeMessage(std::span(frame.data(), n)).ok())
-        << "prefix of " << n << " bytes decoded";
+  std::vector<Message> samples = {MakeLoadGraph()};
+  for (const GoldenFrame& golden : GoldenFrames()) {
+    samples.push_back(golden.message);
+  }
+  for (const Message& message : samples) {
+    const std::vector<uint8_t> frame = Encode(message);
+    for (size_t n = 0; n < frame.size(); ++n) {
+      EXPECT_FALSE(DecodeMessage(std::span(frame.data(), n)).ok())
+          << "type " << static_cast<int>(TypeOf(message)) << ": prefix of "
+          << n << " bytes decoded";
+    }
   }
 }
 

@@ -15,7 +15,12 @@
 //
 //   pmbe_serve --unix=/tmp/pmbe.sock --max-active=64 &
 //   pmbe_load --unix=/tmp/pmbe.sock --sessions=128 --concurrent=64
-//       --out=bench/BENCH_serve.json
+//       --out=/tmp/pmbe_load.json
+//
+// --out records one ad-hoc run. The serving performance baseline is the
+// `serve_mixed` workload of mbebench (mbebench/run.py): a pmbe_serve child
+// under a mixed full-session / preview / reload load, measured on the host
+// that runs it.
 //
 // Chaos-run extras: --reload-upload uploads via kReloadGraph (idempotent
 // swap, safe to re-issue when fault injection kills the upload mid-way);
