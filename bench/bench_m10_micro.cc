@@ -2,7 +2,7 @@
 // enumerators: sorted-set intersection (merge vs gallop regimes), mask
 // probes, trie build, and trie classification vs direct scans at varying
 // prefix-sharing levels. The SIMD-sensitive benches carry the kernel
-// dispatch level as their last argument (0 scalar, 1 sse4.2, 2 avx2) so
+// dispatch level as their last argument (0 scalar, 2 avx2) so
 // one run produces the per-ISA columns bench/BENCH_setops.json records;
 // levels the host cannot run are reported as skipped, not as zeros.
 
@@ -26,7 +26,9 @@ using mbe::MembershipMask;
 using mbe::NeighborhoodTrie;
 using mbe::VertexId;
 
-const std::vector<int64_t> kDispatchLevels = {0, 1, 2};
+const std::vector<int64_t> kDispatchLevels = {
+    static_cast<int64_t>(mbe::simd::DispatchLevel::kScalar),
+    static_cast<int64_t>(mbe::simd::DispatchLevel::kAVX2)};
 
 // Restores the ambient dispatch level when a pinned bench finishes, so
 // later benches (and the trailing trie suite) run at the default level.

@@ -1,4 +1,4 @@
-// T8 — memory table: peak tracked working set of MBET (stored locals +
+// T8 — memory table: peak charged working set of MBET (stored locals +
 // trie) vs MBETM (recompute mode) vs a naive bound (what pre-allocating
 // per-node copies would take: depth x (|L|+|R|+|C|) ints). Expected shape:
 // MBETM an order of magnitude below MBET; both far below the naive bound.
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
         (gs.max_right_degree + 2ull * gs.max_right_two_hop) * sizeof(VertexId);
 
     table.AddRow({name, util::HumanBytes(graph.MemoryBytes()),
-                  util::HumanBytes(r_mbet.peak_bytes),
-                  util::HumanBytes(r_mbetm.peak_bytes),
+                  util::HumanBytes(r_mbet.stats.peak_charged_bytes),
+                  util::HumanBytes(r_mbetm.stats.peak_charged_bytes),
                   util::HumanBytes(naive), bench::TimeCell(r_mbet, budget),
                   bench::TimeCell(r_mbetm, budget)});
   }

@@ -116,11 +116,6 @@ RunOutcome TimedRun(const BipartiteGraph& graph,
 
   RunOptions run_options = options;
   run_options.control.deadline_seconds = budget_seconds;
-  util::MemoryTracker tracker;
-  if (options.algorithm == Algorithm::kMbet ||
-      options.algorithm == Algorithm::kMbetM) {
-    run_options.mbet.memory = &tracker;
-  }
 
   RunResult run;
   // Bench configs are static and valid; a failure here is a harness bug.
@@ -132,7 +127,6 @@ RunOutcome TimedRun(const BipartiteGraph& graph,
   outcome.seconds = run.seconds;
   outcome.bicliques = counter.count();
   outcome.stats = run.stats;
-  outcome.peak_bytes = tracker.peak();
   return outcome;
 }
 

@@ -25,7 +25,7 @@ namespace mbe::bench {
 struct HostInfo {
   unsigned num_cpus = 0;      ///< std::thread::hardware_concurrency()
   std::string cpu_model;      ///< /proc/cpuinfo "model name" ("unknown" off-Linux)
-  std::string simd_level;     ///< active kernel dispatch level (scalar/sse42/avx2)
+  std::string simd_level;     ///< active kernel dispatch level (scalar/avx2)
   std::string build_type;     ///< "release" (NDEBUG) or "debug"
 };
 
@@ -58,8 +58,7 @@ struct RunOutcome {
   bool completed = false;  ///< false when the time/result budget was hit
   double seconds = 0.0;    ///< enumeration wall time
   uint64_t bicliques = 0;  ///< bicliques emitted (possibly truncated)
-  EnumStats stats;
-  uint64_t peak_bytes = 0;  ///< peak tracked working set (MBET family only)
+  EnumStats stats;  ///< stats.peak_charged_bytes: the run's peak working set
 };
 
 /// Runs `options` on `graph` counting results, stopping at

@@ -11,7 +11,8 @@
 # cancellation terminates promptly and cleanly under the sanitizers. Then
 # the configuration matrices: the set-representation legs
 # (PMBE_FORCE_BITMAP on/off), the kernel-dispatch legs (scalar pin via
-# PMBE_FORCE_SCALAR=1, AVX2 compiled out via -DPMBE_ENABLE_AVX2=OFF), the
+# PMBE_FORCE_SCALAR=1, AVX2 TU left out by presetting the compiler check
+# -DPMBE_COMPILER_HAS_AVX2=OFF), the
 # tuner legs (default / --tune) and the engine legs (mbet/imbea/bbk), all
 # required to enumerate identical
 # bicliques; the fault-injection matrix
@@ -136,11 +137,11 @@ echo "bitmap matrix OK: ${matrix_count[ON]} bicliques in both legs"
 
 echo "=== kernel-dispatch matrix: scalar pin + AVX2 compiled out ==="
 # The vectorized kernel layer (util/simd.h) must be behaviorally invisible:
-# the same bicliques whether kernels dispatch to the widest ISA, are pinned
-# to the scalar table via the environment, or have the AVX2 TU compiled out
-# entirely. Leg 1 re-runs the kernel-heavy suites of the sanitizer build
-# with the scalar pin (the SIMD differential fuzzer already ran under
-# ASan/UBSan in the ctest pass above, on the widest table the host has).
+# the same bicliques whether kernels dispatch to AVX2, are pinned to the
+# scalar table via the environment, or have the AVX2 TU left out of the
+# build entirely. Leg 1 re-runs the kernel-heavy suites of the sanitizer
+# build with the scalar pin (the SIMD differential fuzzer already ran under
+# ASan/UBSan in the ctest pass above, on both tables the host has).
 echo "--- leg PMBE_FORCE_SCALAR=1 ($BUILD_DIR) ---"
 PMBE_FORCE_SCALAR=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --no-tests=error -j "$(nproc)" \
@@ -154,15 +155,21 @@ echo "$scalar_out" | grep -q 'kernel dispatch: scalar' || {
 }
 scalar_count=$(echo "$scalar_out" | grep -o '[0-9]* bicliques' | grep -o '[0-9]*')
 
-echo "--- leg -DPMBE_ENABLE_AVX2=OFF ($BUILD_DIR-noavx2) ---"
+echo "--- leg -DPMBE_COMPILER_HAS_AVX2=OFF ($BUILD_DIR-noavx2) ---"
+# A preset cache entry skips check_cxx_compiler_flag(-mavx2), so the AVX2
+# TU drops out and only the scalar table is linked.
 NOAVX2_DIR="$BUILD_DIR-noavx2"
 cmake -B "$NOAVX2_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Release \
-  -DPMBE_ENABLE_AVX2=OFF
+  -DPMBE_COMPILER_HAS_AVX2=OFF
 cmake --build "$NOAVX2_DIR" -j "$(nproc)"
 ctest --test-dir "$NOAVX2_DIR" --output-on-failure -j "$(nproc)"
 noavx2_out=$("$NOAVX2_DIR/tools/pmbe_selfcheck" --rounds 25 --seed 7)
 echo "$noavx2_out" | sed 's/^/  /'
+echo "$noavx2_out" | grep -q 'kernel dispatch: scalar' || {
+  echo "FAIL: the noavx2 build still dispatched to an AVX2 table" >&2
+  exit 1
+}
 noavx2_count=$(echo "$noavx2_out" | grep -o '[0-9]* bicliques' | grep -o '[0-9]*')
 
 # Same --rounds/--seed as the bitmap legs above, so all four leg counts

@@ -239,8 +239,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   // the cap and pressure thresholds stay off and only the (cheap)
   // accounting runs, so results are identical.
   budget_.BeginRun(options_.max_memory_bytes);
-  degradations_before_ = budget_.degradations();
-  faults_before_ = util::FaultRegistry::Global().faults_injected();
 
   translator_ = std::make_unique<TranslatingSink>(
       sink, engine_->left_map(), engine_->right_map(), engine_->swapped());
@@ -363,13 +361,11 @@ void Session::Finish(RunResult* result) {
   out.stats.kernel_dispatch = static_cast<uint64_t>(simd::ActiveLevel());
 
   // Robustness counters: read the budget's peak before EndRun re-baselines
-  // it. Degradations diff against this session's budget — per-session by
-  // construction; faults diff the process-wide registry (documented bleed
-  // under concurrent injection, diagnostics only).
+  // it. Degradations and faults count into this session's budget from
+  // every thread it binds — per-session by construction.
   out.stats.peak_charged_bytes = budget_.peak();
-  out.stats.degradations = budget_.degradations() - degradations_before_;
-  out.stats.faults_injected =
-      util::FaultRegistry::Global().faults_injected() - faults_before_;
+  out.stats.degradations = budget_.degradations();
+  out.stats.faults_injected = budget_.faults();
   if (controller_.has_value()) {
     // The memory latch may have tripped after the last worker checkpoint;
     // fold it in so short runs still report kMemoryLimit.

@@ -241,10 +241,6 @@ class Session {
   /// options), so a resumed checkpoint re-derives the same engine.
   Algorithm effective_algorithm_ = Algorithm::kMbet;
 
-  /// Accounting snapshots taken in Prepare, diffed in Finish.
-  uint64_t degradations_before_ = 0;
-  uint64_t faults_before_ = 0;
-
   /// Durable runs only: the frontier and its live tasks' seed vertices,
   /// ascending (the pool's claim order).
   std::unique_ptr<snapshot::TaskFrontier> frontier_;

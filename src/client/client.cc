@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -275,96 +276,81 @@ util::StatusOr<serve::Message> Client::RecvMessage() {
   }
 }
 
-util::Status Client::Ping() {
-  const uint64_t token = backoff_rng_.Next();
-  for (uint32_t attempt = 0;; ++attempt) {
+util::Status Client::Retry(
+    const std::function<util::Status(bool* may_retry)>& attempt) {
+  for (uint32_t n = 0;; ++n) {
     util::Status status = EnsureConnected();
+    bool may_retry = true;
     if (status.ok()) {
-      status = SendFrame(serve::PingMsg{token});
+      status = attempt(&may_retry);
       if (status.ok()) {
-        util::StatusOr<serve::Message> reply = RecvMessage();
-        if (reply.ok()) {
-          const auto* pong = std::get_if<serve::PongMsg>(&reply.value());
-          if (pong == nullptr) {
-            return Fail(ErrorKind::kProtocol, "expected kPong after kPing");
-          }
-          if (pong->token != token) {
-            return Fail(ErrorKind::kProtocol, "kPong echoed a wrong token");
-          }
-          last_error_ = ErrorKind::kNone;
-          return util::Status::Ok();
-        }
-        status = reply.status();
+        last_error_ = ErrorKind::kNone;
+        return status;
       }
     }
-    if (!IsRetryable(last_error_) || attempt >= options_.max_retries) {
+    if (!may_retry || !IsRetryable(last_error_) || n >= options_.max_retries) {
       return status;
     }
     ++retries_;
-    Backoff(attempt);
+    Backoff(n);
   }
 }
 
+util::Status Client::Ping() {
+  const uint64_t token = backoff_rng_.Next();
+  return Retry([&](bool*) -> util::Status {
+    PMBE_RETURN_IF_ERROR(SendFrame(serve::PingMsg{token}));
+    util::StatusOr<serve::Message> reply = RecvMessage();
+    PMBE_RETURN_IF_ERROR(reply.status());
+    const auto* pong = std::get_if<serve::PongMsg>(&reply.value());
+    if (pong == nullptr) {
+      return Fail(ErrorKind::kProtocol, "expected kPong after kPing");
+    }
+    if (pong->token != token) {
+      return Fail(ErrorKind::kProtocol, "kPong echoed a wrong token");
+    }
+    return util::Status::Ok();
+  });
+}
+
 util::StatusOr<serve::ServerInfoMsg> Client::GetServerInfo() {
-  for (uint32_t attempt = 0;; ++attempt) {
-    util::Status status = EnsureConnected();
-    if (status.ok()) {
-      status = SendFrame(serve::InfoRequestMsg{});
-      if (status.ok()) {
-        util::StatusOr<serve::Message> reply = RecvMessage();
-        if (reply.ok()) {
-          const auto* info = std::get_if<serve::ServerInfoMsg>(&reply.value());
-          if (info == nullptr) {
-            return Fail(ErrorKind::kProtocol,
-                        "expected kServerInfo after kInfoRequest");
-          }
-          last_error_ = ErrorKind::kNone;
-          return *info;
-        }
-        status = reply.status();
-      }
+  serve::ServerInfoMsg info;
+  PMBE_RETURN_IF_ERROR(Retry([&](bool*) -> util::Status {
+    PMBE_RETURN_IF_ERROR(SendFrame(serve::InfoRequestMsg{}));
+    util::StatusOr<serve::Message> reply = RecvMessage();
+    PMBE_RETURN_IF_ERROR(reply.status());
+    const auto* got = std::get_if<serve::ServerInfoMsg>(&reply.value());
+    if (got == nullptr) {
+      return Fail(ErrorKind::kProtocol,
+                  "expected kServerInfo after kInfoRequest");
     }
-    if (!IsRetryable(last_error_) || attempt >= options_.max_retries) {
-      return status;
-    }
-    ++retries_;
-    Backoff(attempt);
-  }
+    info = *got;
+    return util::Status::Ok();
+  }));
+  return info;
 }
 
 util::StatusOr<serve::LoadOkMsg> Client::LoadLike(
     const serve::LoadGraphMsg& msg, bool swap) {
-  for (uint32_t attempt = 0;; ++attempt) {
-    util::Status status = EnsureConnected();
-    if (status.ok()) {
-      status = swap ? SendFrame(serve::ReloadGraphMsg{msg})
-                    : SendFrame(serve::Message{msg});
-      if (status.ok()) {
-        util::StatusOr<serve::Message> reply = RecvMessage();
-        if (reply.ok()) {
-          if (const auto* err = std::get_if<serve::ErrorMsg>(&reply.value())) {
-            return Fail(ErrorKind::kServerError, err->detail);
-          }
-          const auto* ok = std::get_if<serve::LoadOkMsg>(&reply.value());
-          if (ok == nullptr) {
-            return Fail(ErrorKind::kProtocol, "expected kLoadOk");
-          }
-          last_error_ = ErrorKind::kNone;
-          return *ok;
-        }
-        status = reply.status();
-      }
-      // First-wins loads are not idempotent: once the request may have
-      // reached the wire, a blind re-send could hit "already registered"
-      // against our own half-applied load. Surface the failure instead.
-      if (!swap && !status.ok()) return status;
+  serve::LoadOkMsg loaded;
+  PMBE_RETURN_IF_ERROR(Retry([&](bool* may_retry) -> util::Status {
+    // First-wins loads are not idempotent: once the request may have
+    // reached the wire, a blind re-send could hit "already registered"
+    // against our own half-applied load. Surface the failure instead.
+    *may_retry = swap;
+    PMBE_RETURN_IF_ERROR(swap ? SendFrame(serve::ReloadGraphMsg{msg})
+                              : SendFrame(serve::Message{msg}));
+    util::StatusOr<serve::Message> reply = RecvMessage();
+    PMBE_RETURN_IF_ERROR(reply.status());
+    if (const auto* err = std::get_if<serve::ErrorMsg>(&reply.value())) {
+      return Fail(ErrorKind::kServerError, err->detail);
     }
-    if (!IsRetryable(last_error_) || attempt >= options_.max_retries) {
-      return status;
-    }
-    ++retries_;
-    Backoff(attempt);
-  }
+    const auto* ok = std::get_if<serve::LoadOkMsg>(&reply.value());
+    if (ok == nullptr) return Fail(ErrorKind::kProtocol, "expected kLoadOk");
+    loaded = *ok;
+    return util::Status::Ok();
+  }));
+  return loaded;
 }
 
 util::StatusOr<serve::LoadOkMsg> Client::LoadGraph(
@@ -461,37 +447,31 @@ util::StatusOr<EnumerateOutcome> Client::EnumerateOnce(
 
 util::StatusOr<EnumerateOutcome> Client::Enumerate(
     const serve::StartSessionMsg& msg, ResultSink* sink) {
+  EnumerateOutcome result;
   uint32_t attempts = 0;
-  for (uint32_t attempt = 0;; ++attempt) {
-    util::Status status = EnsureConnected();
-    if (status.ok()) {
-      ++attempts;
-      util::StatusOr<EnumerateOutcome> outcome = EnumerateOnce(msg, sink);
-      if (outcome.ok()) {
-        EnumerateOutcome result = std::move(outcome).value();
-        result.attempts = attempts;
-        return result;
-      }
-      status = outcome.status();
-      // A connection that died mid-stream truncated the attempt. In
-      // buffered mode nothing reached the caller's sink, so the re-issue
-      // below is safe; in streaming mode a partial prefix already
-      // escaped — surface the typed truncation instead of merging
-      // streams.
-      if ((last_error_ == ErrorKind::kTimeout ||
-           last_error_ == ErrorKind::kConnectionLost) &&
-          !options_.buffer_results) {
-        last_error_ = ErrorKind::kTruncatedStream;
-        return util::Status::IoError(
-            std::string("client truncated-stream: ") + status.ToString());
-      }
+  PMBE_RETURN_IF_ERROR(Retry([&](bool* may_retry) -> util::Status {
+    ++attempts;
+    util::StatusOr<EnumerateOutcome> outcome = EnumerateOnce(msg, sink);
+    if (outcome.ok()) {
+      result = std::move(outcome).value();
+      return util::Status::Ok();
     }
-    if (!IsRetryable(last_error_) || attempt >= options_.max_retries) {
-      return status;
+    // A connection that died mid-stream truncated the attempt. In
+    // buffered mode nothing reached the caller's sink, so a re-issue is
+    // safe; in streaming mode a partial prefix already escaped — surface
+    // the typed truncation instead of merging streams.
+    if ((last_error_ == ErrorKind::kTimeout ||
+         last_error_ == ErrorKind::kConnectionLost) &&
+        !options_.buffer_results) {
+      *may_retry = false;
+      last_error_ = ErrorKind::kTruncatedStream;
+      return util::Status::IoError(std::string("client truncated-stream: ") +
+                                   outcome.status().ToString());
     }
-    ++retries_;
-    Backoff(attempt);
-  }
+    return outcome.status();
+  }));
+  result.attempts = attempts;
+  return result;
 }
 
 }  // namespace mbe::client

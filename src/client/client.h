@@ -2,6 +2,7 @@
 #define PMBE_CLIENT_CLIENT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/sink.h"
@@ -163,6 +164,15 @@ class Client {
 
   /// Sleeps the backoff for `attempt` (0-based) with deterministic jitter.
   void Backoff(uint32_t attempt);
+
+  /// The one retry loop of every operation: connect on demand, run
+  /// `attempt` over the live connection, and on a retryable failure back
+  /// off and go again, up to `max_retries` times. `attempt` clears
+  /// `*may_retry` to make its failure terminal whatever its kind (a
+  /// first-wins load that may have reached the wire; a truncated stream
+  /// in streaming mode).
+  util::Status Retry(
+      const std::function<util::Status(bool* may_retry)>& attempt);
 
   /// Builds a status for `kind`, records it, and closes the connection
   /// when the failure implies the stream state is unknown.

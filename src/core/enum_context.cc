@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "util/fault.h"
+#include "util/memory.h"
 
 namespace mbe {
 
@@ -21,15 +22,11 @@ void EnumContext::SetParanoidForTesting(bool on) {
   g_paranoid_for_testing.store(on, std::memory_order_relaxed);
 }
 
-EnumContext::EnumContext(util::MemoryTracker* tracker, bool paranoid)
-    : tracker_(tracker != nullptr ? tracker : &util::GlobalMemoryTracker()),
-      paranoid_(paranoid ||
+EnumContext::EnumContext(bool paranoid)
+    : paranoid_(paranoid ||
                 g_paranoid_for_testing.load(std::memory_order_relaxed)) {}
 
-EnumContext::~EnumContext() {
-  if (held_bytes_ > 0) tracker_->Sub(held_bytes_);
-  ReleaseBudget(budget_charged_);
-}
+EnumContext::~EnumContext() { ReleaseBudget(budget_charged_); }
 
 void EnumContext::ReleaseBudget(uint64_t freed) {
   const uint64_t r = freed < budget_charged_ ? freed : budget_charged_;
@@ -67,7 +64,6 @@ void EnumContext::RewindPool(Pool<T>* pool, size_t to) {
     if (now > before) {
       const uint64_t delta = now - before;
       held_bytes_ += delta;
-      tracker_->Add(delta);
       // "arena.grow" models this growth allocation failing: the budget
       // latches exhaustion exactly as if the charge had been declined.
       if (PMBE_FAULT("arena.grow")) {
@@ -88,7 +84,6 @@ void EnumContext::RewindPool(Pool<T>* pool, size_t to) {
     pool->bufs.resize(to);
     pool->bytes.resize(to);
     held_bytes_ -= freed;
-    if (freed > 0) tracker_->Sub(freed);
     ReleaseBudget(freed);
   }
   pool->top = to;
@@ -106,7 +101,6 @@ void EnumContext::TrimPool(Pool<T>* pool) {
   pool->bufs.clear();
   pool->bytes.clear();
   held_bytes_ -= freed;
-  if (freed > 0) tracker_->Sub(freed);
   ReleaseBudget(freed);
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/common.h"
-#include "util/memory.h"
 
 /// \file
 /// Per-thread scratch pooling for the enumeration engines.
@@ -47,11 +46,10 @@ class EnumContext {
   /// Buffers currently handed out (0 when all frames have unwound).
   size_t live_buffers() const { return ids_.top + words_.top; }
 
-  /// `tracker` receives the pool's byte accounting (capacity held);
-  /// defaults to the process-wide tracker. `paranoid` frees buffers on
-  /// rewind (see file comment) — test-only, pooling wins disappear.
-  explicit EnumContext(util::MemoryTracker* tracker = nullptr,
-                       bool paranoid = false);
+  /// The pool's capacity growth is charged to the calling thread's bound
+  /// MemoryBudget. `paranoid` frees buffers on rewind (see file comment) —
+  /// test-only, pooling wins disappear.
+  explicit EnumContext(bool paranoid = false);
   ~EnumContext();
 
   EnumContext(const EnumContext&) = delete;
@@ -121,7 +119,7 @@ class EnumContext {
   template <typename T>
   void TrimPool(Pool<T>* pool);
 
-  /// Returns up to `freed` bytes to the global MemoryBudget, bounded by
+  /// Returns up to `freed` bytes to the bound MemoryBudget, bounded by
   /// what this context successfully charged (declined charges are not
   /// recorded, so releases stay balanced).
   void ReleaseBudget(uint64_t freed);
@@ -129,11 +127,10 @@ class EnumContext {
   Pool<VertexId> ids_;
   Pool<uint64_t> words_;
 
-  util::MemoryTracker* tracker_;
   bool paranoid_;
   uint64_t held_bytes_ = 0;
   uint64_t peak_bytes_ = 0;
-  /// Bytes this context successfully charged to the global MemoryBudget.
+  /// Bytes this context successfully charged to the bound MemoryBudget.
   uint64_t budget_charged_ = 0;
 };
 

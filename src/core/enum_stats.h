@@ -47,9 +47,8 @@ struct EnumStats {
   /// Stays until a benchmark change stops reading it.
   uint64_t batch_candidates_classified = 0;
   /// Instruction-set level of the vectorized kernel table the run
-  /// dispatched to (numeric simd::DispatchLevel: 0 scalar, 1 sse4.2,
-  /// 2 avx2). NOT additive: merged via max (workers share one process-wide
-  /// dispatch).
+  /// dispatched to (numeric simd::DispatchLevel: 0 scalar, 2 avx2). NOT
+  /// additive: merged via max (workers share one process-wide dispatch).
   uint64_t kernel_dispatch = 0;
   /// Calls dispatched through the vectorized kernel table, by family
   /// (util/simd.h KernelOp), by this run's own workers: each worker diffs
@@ -87,8 +86,9 @@ struct EnumStats {
   /// load-balance figure of merit. 0 on a shared pool, whose workers are
   /// not one run's.
   uint64_t idle_ns = 0;
-  /// Faults fired by the injection framework during the run (0 unless the
-  /// build defines PMBE_FAULT_INJECTION and a point is armed).
+  /// Faults fired by the injection framework on this run's threads,
+  /// counted into its own MemoryBudget (0 unless the build defines
+  /// PMBE_FAULT_INJECTION and a point is armed).
   uint64_t faults_injected = 0;
   /// Times a consumer shed a memory-hungry acceleration because the
   /// memory budget was under pressure (declined bitmap, skipped trie,

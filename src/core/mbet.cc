@@ -15,8 +15,7 @@ MbetEnumerator::MbetEnumerator(const BipartiteGraph& graph,
     : graph_(graph),
       options_(options),
       builder_(graph),
-      lp_mask_(graph.num_left()),
-      ctx_(options.memory) {
+      lp_mask_(graph.num_left()) {
   // MBETM stores no local lists, so there is nothing to build a trie over,
   // and its recomputation intersects global adjacency lists, so the local
   // renumbering (and with it the bitmap path) does not apply.
@@ -39,7 +38,7 @@ void MbetEnumerator::EnumerateAll(ResultSink* sink) {
     if (Stopped(sink)) return;
     EnumerateSubtree(v, sink);
   }
-  ctx_.Trim();  // release pooled scratch so trackers balance to zero
+  ctx_.Trim();  // release pooled scratch so the budget balances to zero
 }
 
 void MbetEnumerator::EmitBiclique(std::span<const VertexId> l,
@@ -430,12 +429,12 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
     }
   }
 
-  // Charge this node's level state (groups, locals, trie) to both the
-  // tracker and the hard memory budget for the duration of its subtree.
-  // RAII: an exception unwinding through the subtree (throwing sink,
-  // injected fault) must return the charge too.
+  // Charge this node's level state (groups, locals, trie) to the memory
+  // budget for the duration of its subtree. RAII: an exception unwinding
+  // through the subtree (throwing sink, injected fault) must return the
+  // charge too.
   const util::ScopedCharge node_charge(util::CurrentMemoryBudget(),
-                                       options_.memory, LevelBytes(lvl));
+                                       LevelBytes(lvl));
 
   // Candidate traversal order: ascending local size (small locals first is
   // the classic choice: their subtrees are shallow and they turn into

@@ -12,7 +12,6 @@
 #include "core/sink.h"
 #include "core/subtree.h"
 #include "graph/bipartite_graph.h"
-#include "util/memory.h"
 
 /// \file
 /// MBET — the prefix-tree based maximal biclique enumerator (the core
@@ -91,8 +90,6 @@ struct MbetOptions {
   /// arrive (see core/maximum_biclique.h). Pruned subtrees may contain
   /// maximal bicliques, so this must stay null for full enumeration.
   const uint64_t* best_edges = nullptr;
-  /// Optional working-set accounting for the memory experiments.
-  util::MemoryTracker* memory = nullptr;
 };
 
 /// The prefix-tree based enumerator.

@@ -62,7 +62,7 @@ inline constexpr size_t kAndCountDispatchWords = 2;
 /// |a ∩ b| for two bitmaps over the same universe: AND + popcount, no
 /// materialization. The O(m/64) kernel the dense classification path uses.
 /// Dispatched from two words up: the baseline x86-64 build has no popcnt
-/// instruction, so even the SSE4.2 table's scalar body wins here.
+/// instruction, and the AVX2 TU's kernel does.
 inline size_t AndCountBits(std::span<const uint64_t> a,
                            std::span<const uint64_t> b) {
   PMBE_DCHECK(a.size() == b.size());

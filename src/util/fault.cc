@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/memory.h"
+
 namespace mbe::util {
 
 namespace {
@@ -68,7 +70,7 @@ bool FaultRegistry::Check(const char* point) {
       fire = Draw(probability_, prob_seed_, prob_counter_++);
     }
   }
-  if (fire) injected_.fetch_add(1, std::memory_order_relaxed);
+  if (fire) CurrentMemoryBudget().NoteFault();
   return fire;
 }
 

@@ -90,7 +90,8 @@ class FaultRegistry {
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
   /// Site-side check: returns true when `point` should fail now. Counts
-  /// hits and injections while armed.
+  /// hits while armed; a firing counts into the calling thread's bound
+  /// MemoryBudget (`NoteFault`), i.e. into the session it fails.
   bool Check(const char* point);
 
   /// Fires `point` once, at its `nth` execution from now (nth >= 1).
@@ -117,20 +118,15 @@ class FaultRegistry {
   /// are InvalidArgument, so typos fail loudly.
   Status ArmSpec(const std::string& spec);
 
-  /// Clears every schedule (hit/injection counters are kept).
+  /// Clears every schedule (hit counters are kept).
   void Disarm();
-
-  /// Faults injected since process start (across all points).
-  uint64_t faults_injected() const {
-    return injected_.load(std::memory_order_relaxed);
-  }
 
   /// Executions of `point` observed while the registry was armed. Lets a
   /// sweep size its countdown range: arm an unreachable countdown, run
   /// once, and read how often the site fired.
   uint64_t hits(const std::string& point) const;
 
-  /// Clears the per-point hit counters (not the injection total).
+  /// Clears the per-point hit counters.
   void ResetHits();
 
  private:
@@ -145,7 +141,6 @@ class FaultRegistry {
   };
 
   std::atomic<bool> armed_{false};
-  std::atomic<uint64_t> injected_{0};
 
   mutable std::mutex mu_;
   std::map<std::string, PointState> points_;

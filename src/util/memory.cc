@@ -11,11 +11,6 @@ thread_local MemoryBudget* t_bound_budget = nullptr;
 
 }  // namespace
 
-MemoryTracker& GlobalMemoryTracker() {
-  static MemoryTracker* tracker = new MemoryTracker();
-  return *tracker;
-}
-
 MemoryBudget& ProcessMemoryBudget() {
   static MemoryBudget* budget = new MemoryBudget();
   return *budget;

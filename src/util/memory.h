@@ -5,48 +5,13 @@
 #include <cstdint>
 
 /// \file
-/// Lightweight working-set accounting. The enumerators report the bytes
-/// held by their node stacks, candidate arrays, and trie arenas through
-/// this tracker so the memory experiments (T8) can compare peak usage
-/// without OS-level instrumentation.
+/// Per-run memory accounting and the hard memory budget. The enumerators
+/// charge the bytes held by their node stacks, candidate arrays, trie
+/// arenas and sink buffers here; the run's peak is the one memory ledger
+/// every report reads (`EnumStats::peak_charged_bytes`, the T8 memory
+/// experiment).
 
 namespace mbe::util {
-
-/// Tracks a current and peak byte count. Thread-safe; parallel enumeration
-/// workers account into one shared tracker.
-class MemoryTracker {
- public:
-  /// Records `bytes` newly held.
-  void Add(uint64_t bytes) {
-    uint64_t now = current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    // Lock-free peak update.
-    uint64_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
-    }
-  }
-
-  /// Records `bytes` released.
-  void Sub(uint64_t bytes) {
-    current_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
-  uint64_t current() const { return current_.load(std::memory_order_relaxed); }
-  uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
-
-  /// Clears both counters.
-  void Reset() {
-    current_.store(0, std::memory_order_relaxed);
-    peak_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> current_{0};
-  std::atomic<uint64_t> peak_{0};
-};
-
-/// Process-wide tracker used when an enumerator is not given its own.
-MemoryTracker& GlobalMemoryTracker();
 
 /// A hard memory budget with graceful degradation (docs/ROBUSTNESS.md).
 ///
@@ -78,7 +43,8 @@ MemoryTracker& GlobalMemoryTracker();
 /// reach the binding through `CurrentMemoryBudget()`. Attribution is
 /// therefore per run: one session exhausting its cap degrades and stops
 /// only itself, while a neighbor session's budget — a different instance —
-/// is untouched. Threads with no binding fall back to the process-wide
+/// is untouched. Degradations and fired fault points count into the bound
+/// budget the same way. Threads with no binding fall back to the process-wide
 /// instance (`ProcessMemoryBudget()`), preserving the old behavior for
 /// code outside any session.
 class MemoryBudget {
@@ -154,6 +120,12 @@ class MemoryBudget {
     return degradations_.load(std::memory_order_relaxed);
   }
 
+  /// Fault accounting (EnumStats::faults_injected): every fault point
+  /// that fires counts into the budget bound to the firing thread, so a
+  /// session's count holds only its own faults.
+  void NoteFault() { faults_.fetch_add(1, std::memory_order_relaxed); }
+  uint64_t faults() const { return faults_.load(std::memory_order_relaxed); }
+
   uint64_t hard_cap() const {
     return hard_cap_.load(std::memory_order_relaxed);
   }
@@ -178,6 +150,7 @@ class MemoryBudget {
   std::atomic<uint64_t> peak_{0};
   std::atomic<bool> exhausted_{false};
   std::atomic<uint64_t> degradations_{0};
+  std::atomic<uint64_t> faults_{0};
   std::atomic<uint64_t> session_id_{0};
 };
 
@@ -212,22 +185,16 @@ class ScopedBudgetBinding {
   MemoryBudget* previous_;
 };
 
-/// RAII charge: charges `bytes` to `budget` (and `tracker`, if given) on
-/// construction and returns them on destruction. The release must be
+/// RAII charge: charges `bytes` to `budget` on construction and returns
+/// them on destruction. The release must be
 /// exception-safe — an exception unwinding through an enumeration node
 /// (throwing sink, injected fault) would otherwise leak the charge into
 /// the process-wide budget and poison every later run's accounting.
 class ScopedCharge {
  public:
-  ScopedCharge(MemoryBudget& budget, MemoryTracker* tracker, uint64_t bytes)
-      : budget_(budget),
-        tracker_(tracker),
-        bytes_(bytes),
-        charged_(budget.TryCharge(bytes)) {
-    if (tracker_ != nullptr) tracker_->Add(bytes_);
-  }
+  ScopedCharge(MemoryBudget& budget, uint64_t bytes)
+      : budget_(budget), bytes_(bytes), charged_(budget.TryCharge(bytes)) {}
   ~ScopedCharge() {
-    if (tracker_ != nullptr) tracker_->Sub(bytes_);
     if (charged_) budget_.Release(bytes_);
   }
   ScopedCharge(const ScopedCharge&) = delete;
@@ -238,7 +205,6 @@ class ScopedCharge {
 
  private:
   MemoryBudget& budget_;
-  MemoryTracker* tracker_;
   uint64_t bytes_;
   bool charged_;
 };

@@ -7,9 +7,8 @@
 namespace mbe::simd {
 
 namespace internal {
-// Defined by the per-ISA translation units when CMake compiles them in
-// (PMBE_HAVE_SSE42_KERNELS / PMBE_HAVE_AVX2_KERNELS).
-const KernelTable& Sse42KernelTable();
+// Defined by the AVX2 translation unit when CMake compiles it in
+// (PMBE_HAVE_AVX2_KERNELS).
 const KernelTable& Avx2KernelTable();
 }  // namespace internal
 
@@ -28,10 +27,6 @@ const KernelTable& TableFor(DispatchLevel level) {
     case DispatchLevel::kAVX2:
       return internal::Avx2KernelTable();
 #endif
-#if defined(PMBE_HAVE_SSE42_KERNELS)
-    case DispatchLevel::kSSE42:
-      return internal::Sse42KernelTable();
-#endif
     default:
       return kScalarTable;
   }
@@ -41,9 +36,6 @@ DispatchLevel DetectMaxSupportedLevel() {
 #if defined(__x86_64__) || defined(__i386__)
 #if defined(PMBE_HAVE_AVX2_KERNELS)
   if (__builtin_cpu_supports("avx2")) return DispatchLevel::kAVX2;
-#endif
-#if defined(PMBE_HAVE_SSE42_KERNELS)
-  if (__builtin_cpu_supports("sse4.2")) return DispatchLevel::kSSE42;
 #endif
 #endif
   return DispatchLevel::kScalar;
@@ -60,12 +52,8 @@ struct Dispatch {
 };
 
 Dispatch ResolveDispatch() {
-  DispatchLevel level = DetectMaxSupportedLevel();
-#if defined(PMBE_FORCE_SCALAR_BUILD)
-  level = DispatchLevel::kScalar;
-#else
-  if (ScalarForcedByEnv()) level = DispatchLevel::kScalar;
-#endif
+  const DispatchLevel level =
+      ScalarForcedByEnv() ? DispatchLevel::kScalar : DetectMaxSupportedLevel();
   return {&TableFor(level), level};
 }
 
@@ -80,8 +68,6 @@ const char* DispatchLevelName(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return "scalar";
-    case DispatchLevel::kSSE42:
-      return "sse4.2";
     case DispatchLevel::kAVX2:
       return "avx2";
   }
@@ -98,10 +84,12 @@ DispatchLevel MaxSupportedLevel() {
 }
 
 DispatchLevel ForceLevel(DispatchLevel want) {
-  DispatchLevel level = want;
-  if (static_cast<uint8_t>(level) > static_cast<uint8_t>(MaxSupportedLevel())) {
-    level = MaxSupportedLevel();
-  }
+  // Two tiers: AVX2 when asked for and supported, scalar otherwise — also
+  // for a value outside the enum, so the recorded level always names the
+  // table installed.
+  const DispatchLevel level = want == DispatchLevel::kAVX2
+                                  ? MaxSupportedLevel()
+                                  : DispatchLevel::kScalar;
   Dispatch& d = ActiveDispatch();
   d.table = &TableFor(level);
   d.level = level;

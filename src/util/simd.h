@@ -12,28 +12,27 @@
 ///
 /// Every sorted-list, membership-mask, and bitmap-word kernel underneath
 /// the enumerators routes through one function-pointer table selected once
-/// per process: AVX2 when the CPU and the build provide it, SSE4.2 next,
-/// scalar always. The SIMD translation units are compiled with per-file
-/// `-mavx2` / `-msse4.2` flags (CMake options `PMBE_ENABLE_AVX2` /
-/// `PMBE_ENABLE_SSE42`), so the rest of the build stays portable to the
-/// baseline x86-64 ISA and to non-x86 targets, where only the scalar table
-/// exists.
+/// per process: AVX2 when the CPU and the build provide it, scalar
+/// otherwise. The AVX2 translation unit is compiled with a per-file
+/// `-mavx2` flag whenever the compiler accepts it, so the rest of the build
+/// stays portable to the baseline x86-64 ISA and to non-x86 targets, where
+/// only the scalar table exists.
 ///
 /// Pinning for CI and benchmarking:
 ///  * `PMBE_FORCE_SCALAR=1` in the environment pins the scalar table at
 ///    first use (the `scripts/check.sh` scalar leg);
-///  * `-DPMBE_FORCE_SCALAR=ON` at configure time compiles the pin in;
 ///  * `ForceLevel()` re-points the table at runtime (benchmarks and the
 ///    differential fuzzer; not thread-safe, single-threaded use only).
 
 namespace mbe::simd {
 
 /// Instruction-set level of the active kernel table, in increasing order
-/// of capability. Numeric values are stable: they are stored in
-/// `EnumStats::kernel_dispatch` and printed by `pmbe --stats`.
-enum class DispatchLevel : uint8_t { kScalar = 0, kSSE42 = 1, kAVX2 = 2 };
+/// of capability. Numeric values are stable — they are stored in
+/// `EnumStats::kernel_dispatch` and printed by `pmbe --stats` — so 1, an
+/// earlier SSE4.2 level, stays unassigned.
+enum class DispatchLevel : uint8_t { kScalar = 0, kAVX2 = 2 };
 
-/// Human-readable name ("scalar", "sse4.2", "avx2").
+/// Human-readable name ("scalar", "avx2").
 const char* DispatchLevelName(DispatchLevel level);
 
 /// Materializing kernels may store one full vector past the last written
@@ -77,8 +76,9 @@ DispatchLevel ActiveLevel();
 /// Highest level the build + CPU support, ignoring the scalar pins.
 DispatchLevel MaxSupportedLevel();
 
-/// Re-points the dispatch at `want`, clamped to MaxSupportedLevel();
-/// returns the level actually installed. Overrides the environment pin
+/// Re-points the dispatch at `want`, clamped to MaxSupportedLevel() (any
+/// value other than kAVX2 installs scalar); returns the level actually
+/// installed. Overrides the environment pin
 /// (explicit API beats ambient configuration). NOT thread-safe: call only
 /// from single-threaded benchmark/test setup code.
 DispatchLevel ForceLevel(DispatchLevel want);

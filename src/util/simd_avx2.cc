@@ -1,10 +1,10 @@
 // AVX2 kernel table (util/simd.h). Compiled with -mavx2 only for this
 // translation unit; referenced by the dispatcher when the host CPU reports
-// avx2 support. Same block-intersection scheme as the SSE4.2 TU but 8x8:
-// compare an 8-lane block of `a` against all 7 rotations of an 8-lane
-// block of `b`, compact matches through a 256-entry permutation LUT, and
-// advance whichever block's maximum is smaller. Mask probes use vpgatherdd
-// on the dword view of the packed mask plus a per-lane variable shift.
+// avx2 support. Block intersection, 8x8: compare an 8-lane block of `a`
+// against all 7 rotations of an 8-lane block of `b`, compact matches
+// through a 256-entry permutation LUT, and advance whichever block's
+// maximum is smaller. Mask probes use vpgatherdd on the dword view of the
+// packed mask plus a per-lane variable shift.
 
 #include "util/simd.h"
 

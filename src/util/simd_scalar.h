@@ -9,12 +9,11 @@
 
 /// \file
 /// Portable scalar bodies of every kernel in the dispatch table
-/// (util/simd.h). Header-only so the SSE4.2 and AVX2 translation units can
-/// reuse them for block tails: a tail compiled in those TUs runs the exact
-/// same algorithm, which keeps the differential fuzzer's "every level
-/// byte-matches scalar" property trivial. Each SIMD TU also gets these
-/// bodies compiled under its own -m flags, so e.g. the SSE4.2 tail uses
-/// hardware popcount.
+/// (util/simd.h). Header-only so the AVX2 translation unit can reuse them
+/// for block tails: a tail compiled in that TU runs the exact same
+/// algorithm, which keeps the differential fuzzer's "AVX2 byte-matches
+/// scalar" property trivial. The AVX2 TU also gets these bodies compiled
+/// under its -mavx2 flag, so its tails use hardware popcount.
 
 namespace mbe::simd::internal {
 

@@ -75,9 +75,10 @@ TEST(EnumContextTest, NestedDepthsDoNotDisturbOuterFrames) {
 }
 
 TEST(EnumContextTest, RewindAfterGrowthSettlesAccounting) {
-  util::MemoryTracker tracker;
+  util::MemoryBudget budget;
+  util::ScopedBudgetBinding binding(&budget);
   {
-    EnumContext ctx(&tracker);
+    EnumContext ctx;
     EXPECT_EQ(ctx.held_bytes(), 0u);
     uint64_t cap1 = 0;
     {
@@ -87,7 +88,7 @@ TEST(EnumContextTest, RewindAfterGrowthSettlesAccounting) {
       cap1 = ids->capacity() * sizeof(VertexId);
     }
     EXPECT_EQ(ctx.held_bytes(), cap1);
-    EXPECT_EQ(tracker.current(), cap1);
+    EXPECT_EQ(budget.charged(), cap1);
     EXPECT_EQ(ctx.peak_bytes(), cap1);
     // Grow the same pooled buffer further on a second use: only the delta
     // is added.
@@ -99,20 +100,20 @@ TEST(EnumContextTest, RewindAfterGrowthSettlesAccounting) {
       cap2 = ids->capacity() * sizeof(VertexId);
     }
     EXPECT_EQ(ctx.held_bytes(), cap2);
-    EXPECT_EQ(tracker.current(), cap2);
+    EXPECT_EQ(budget.charged(), cap2);
     EXPECT_GE(ctx.peak_bytes(), cap2);
     // Trim releases everything; peak accounting is kept.
     ctx.Trim();
     EXPECT_EQ(ctx.held_bytes(), 0u);
-    EXPECT_EQ(tracker.current(), 0u);
+    EXPECT_EQ(budget.charged(), 0u);
     EXPECT_GE(ctx.peak_bytes(), cap2);
     // The pool stays usable after a trim.
     EnumContext::Frame frame(&ctx);
     std::vector<VertexId>* ids = frame.AcquireIds();
     ids->push_back(1);
   }
-  // Destruction balances the tracker even without an explicit Trim.
-  EXPECT_EQ(tracker.current(), 0u);
+  // Destruction balances the budget even without an explicit Trim.
+  EXPECT_EQ(budget.charged(), 0u);
 }
 
 TEST(EnumContextTest, ReuseAcrossRunsKeepsCapacityFlat) {
@@ -136,8 +137,9 @@ TEST(EnumContextTest, ReuseAcrossRunsKeepsCapacityFlat) {
 }
 
 TEST(EnumContextTest, ParanoidModeFreesOnRewind) {
-  util::MemoryTracker tracker;
-  EnumContext ctx(&tracker, /*paranoid=*/true);
+  util::MemoryBudget budget;
+  util::ScopedBudgetBinding binding(&budget);
+  EnumContext ctx(/*paranoid=*/true);
   {
     EnumContext::Frame frame(&ctx);
     frame.AcquireIds()->resize(512);
@@ -145,7 +147,7 @@ TEST(EnumContextTest, ParanoidModeFreesOnRewind) {
   }
   // Nothing pooled: the rewind freed the allocations outright.
   EXPECT_EQ(ctx.held_bytes(), 0u);
-  EXPECT_EQ(tracker.current(), 0u);
+  EXPECT_EQ(budget.charged(), 0u);
   EXPECT_GT(ctx.peak_bytes(), 0u);
   EXPECT_EQ(ctx.live_buffers(), 0u);
   // Outer-frame buffers survive an inner paranoid rewind untouched.

@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <span>
 #include <vector>
 
 #include "api/mbe.h"
+#include "api/session_pool.h"
 #include "core/verify.h"
 #include "gen/generators.h"
 #include "graph/graph_io.h"
@@ -411,6 +413,39 @@ TEST(FaultInjectionTest, AllocationFaultYieldsMemoryLimit) {
       << TerminationName(run.termination);
   EXPECT_GE(run.stats.faults_injected, 1u);
   ExpectAllMaximal(graph, sink);
+}
+
+// Fault counts are per session: a fault that fires on a pool worker counts
+// into the budget of the session whose task it broke, not into every
+// session that happens to be running. Two prepared sessions share one
+// worker; the armed worker.task fault hits the first session's first task.
+TEST(FaultInjectionTest, FaultCountsStayWithTheFailedSession) {
+  DisarmGuard guard;
+  const BipartiteGraph graph = MediumGraph();
+  const uint64_t solo_digest = ReferenceDigest(graph);
+  auto engine = Engine::Build(graph, GraphOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto failed = std::make_shared<Session>(engine.value(), RunOptions());
+  auto neighbor = std::make_shared<Session>(engine.value(), RunOptions());
+  util::FaultRegistry::Global().ArmCountdown("worker.task", 1);
+  CountSink failed_sink;
+  FingerprintSink neighbor_sink;
+  ASSERT_TRUE(failed->Prepare(&failed_sink).ok());
+  ASSERT_TRUE(neighbor->Prepare(&neighbor_sink).ok());
+  RunResult failed_run, neighbor_run;
+  {
+    SessionPool pool(1);
+    pool.Submit(failed, [&](const RunResult& r) { failed_run = r; });
+    pool.Submit(neighbor, [&](const RunResult& r) { neighbor_run = r; });
+    pool.Shutdown();
+  }
+  EXPECT_EQ(failed_run.termination, Termination::kInternal)
+      << TerminationName(failed_run.termination);
+  EXPECT_EQ(failed_run.stats.faults_injected, 1u);
+  EXPECT_EQ(neighbor_run.termination, Termination::kComplete)
+      << TerminationName(neighbor_run.termination);
+  EXPECT_EQ(neighbor_run.stats.faults_injected, 0u);
+  EXPECT_EQ(neighbor_sink.Digest(), solo_digest);
 }
 
 TEST(FaultInjectionTest, SinkFlushFaultYieldsInternal) {

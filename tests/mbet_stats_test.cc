@@ -1,12 +1,13 @@
 // Structural tests of MBET's counters and resource accounting: the
 // ablation switches must move the counters in the documented direction,
-// and the memory tracker must balance to zero.
+// and the memory budget must balance to zero.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "api/mbe.h"
 #include "core/mbet.h"
 #include "core/verify.h"
 #include "gen/generators.h"
@@ -109,37 +110,35 @@ TEST(MbetStatsTest, QPruningOnlyAffectsWork) {
   EXPECT_GE(a.stats().local_scan_size, b.stats().local_scan_size);
 }
 
-TEST(MbetStatsTest, MemoryTrackerBalancesToZero) {
+TEST(MbetStatsTest, MemoryBudgetBalancesToZero) {
   BipartiteGraph graph = Workload(53);
-  util::MemoryTracker tracker;
-  MbetOptions options;
-  options.memory = &tracker;
+  util::MemoryBudget budget;
+  util::ScopedBudgetBinding binding(&budget);
   CountSink sink;
-  MbetEnumerator engine(graph, options);
+  MbetEnumerator engine(graph, MbetOptions{});
   engine.EnumerateAll(&sink);
-  EXPECT_EQ(tracker.current(), 0u) << "level accounting leaked";
-  EXPECT_GT(tracker.peak(), 0u);
+  EXPECT_EQ(budget.charged(), 0u) << "level accounting leaked";
+  EXPECT_GT(budget.peak(), 0u);
 }
 
+// MBETM recomputes locals instead of storing them: its peak charged
+// working set, as the run reports it, stays below MBET's.
 TEST(MbetStatsTest, MbetmPeakBelowMbetPeak) {
   BipartiteGraph graph = Workload(54);
-  util::MemoryTracker full_tracker, slim_tracker;
-
-  MbetOptions full;
-  full.memory = &full_tracker;
-  CountSink s1;
-  MbetEnumerator a(graph, full);
-  a.EnumerateAll(&s1);
-
-  MbetOptions slim;
-  slim.recompute_locals = true;
-  slim.memory = &slim_tracker;
-  CountSink s2;
-  MbetEnumerator b(graph, slim);
-  b.EnumerateAll(&s2);
-
-  EXPECT_EQ(s1.count(), s2.count());
-  EXPECT_LT(slim_tracker.peak(), full_tracker.peak());
+  auto run = [&graph](Algorithm algorithm) {
+    RunOptions options;
+    options.algorithm = algorithm;
+    CountSink sink;
+    RunResult result;
+    EXPECT_TRUE(
+        Enumerate(graph, GraphOptions(), options, &sink, &result).ok());
+    EXPECT_EQ(result.stats.maximal, sink.count());
+    return result.stats;
+  };
+  const EnumStats full = run(Algorithm::kMbet);
+  const EnumStats slim = run(Algorithm::kMbetM);
+  EXPECT_EQ(full.maximal, slim.maximal);
+  EXPECT_LT(slim.peak_charged_bytes, full.peak_charged_bytes);
 }
 
 TEST(MbetStatsTest, ResetStatsClears) {

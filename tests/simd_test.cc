@@ -2,7 +2,8 @@
 // kernel table the build carries must byte-match the scalar bodies on
 // randomized inputs spanning densities, overlaps, lopsided size ratios,
 // and word-boundary shapes, and whole-engine enumeration must be
-// digest-identical at every dispatch level. Run under ASan/UBSan by
+// digest-identical at both dispatch levels (scalar and, where the build
+// and CPU have it, AVX2). Run under ASan/UBSan by
 // scripts/check.sh, this doubles as the fuzzer for the out-of-bounds
 // hazards SIMD tails and overrunning stores invite.
 
@@ -47,10 +48,8 @@ class ScopedDispatch {
 
 std::vector<DispatchLevel> AvailableLevels() {
   std::vector<DispatchLevel> levels = {DispatchLevel::kScalar};
-  for (DispatchLevel lvl : {DispatchLevel::kSSE42, DispatchLevel::kAVX2}) {
-    ScopedDispatch forced(lvl);
-    if (forced.installed()) levels.push_back(lvl);
-  }
+  ScopedDispatch forced(DispatchLevel::kAVX2);
+  if (forced.installed()) levels.push_back(DispatchLevel::kAVX2);
   return levels;
 }
 
@@ -66,8 +65,8 @@ std::vector<VertexId> RandomSorted(size_t max_len, size_t universe,
 
 // A pair whose shape cycles through the regimes the kernels special-case:
 // balanced dense, balanced sparse, lopsided (gallop territory), shared
-// prefixes (high overlap), and near-boundary lengths around the 4/8-lane
-// block sizes and the 16-element small-operand cutoff.
+// prefixes (high overlap), and near-boundary lengths around the 8-lane
+// block size and the 16-element small-operand cutoff.
 struct Pair {
   std::vector<VertexId> a, b;
 };
@@ -278,6 +277,10 @@ TEST(SimdDispatchTest, ForceLevelClampsAndRestores) {
     EXPECT_EQ(simd::ActiveLevel(), DispatchLevel::kScalar);
     // Asking for more than the platform has clamps to the platform max.
     EXPECT_EQ(simd::ForceLevel(DispatchLevel::kAVX2), max);
+    // A value naming no tier (1 was SSE4.2) installs, and reports, scalar.
+    EXPECT_EQ(simd::ForceLevel(static_cast<DispatchLevel>(1)),
+              DispatchLevel::kScalar);
+    EXPECT_EQ(simd::ActiveLevel(), DispatchLevel::kScalar);
     simd::ForceLevel(DispatchLevel::kScalar);
   }
   EXPECT_EQ(simd::ActiveLevel(), ambient);

@@ -226,39 +226,42 @@ TEST(FlagParserDeathTest, MissingValueAborts) {
   EXPECT_DEATH(flags.Parse(2, const_cast<char**>(argv)), "missing a value");
 }
 
-// --- MemoryTracker --------------------------------------------------------------
+// --- MemoryBudget accounting ------------------------------------------------
 
-TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
-  MemoryTracker t;
-  t.Add(100);
-  t.Add(50);
-  EXPECT_EQ(t.current(), 150u);
-  EXPECT_EQ(t.peak(), 150u);
-  t.Sub(120);
-  EXPECT_EQ(t.current(), 30u);
-  EXPECT_EQ(t.peak(), 150u);
-  t.Add(10);
-  EXPECT_EQ(t.peak(), 150u);
-  t.Reset();
-  EXPECT_EQ(t.current(), 0u);
-  EXPECT_EQ(t.peak(), 0u);
+TEST(MemoryBudgetTest, BeginRunRebaselinesPeakToCharged) {
+  MemoryBudget budget;
+  ASSERT_TRUE(budget.TryCharge(100));
+  ASSERT_TRUE(budget.TryCharge(50));
+  EXPECT_EQ(budget.charged(), 150u);
+  EXPECT_EQ(budget.peak(), 150u);
+  budget.Release(120);
+  EXPECT_EQ(budget.charged(), 30u);
+  EXPECT_EQ(budget.peak(), 150u);
+  // A new run's peak starts from what is still held, not from zero and
+  // not from the previous run's high-water mark.
+  budget.BeginRun(0);
+  EXPECT_EQ(budget.peak(), 30u);
+  ASSERT_TRUE(budget.TryCharge(10));
+  EXPECT_EQ(budget.peak(), 40u);
+  budget.Release(40);
+  EXPECT_EQ(budget.charged(), 0u);
 }
 
-TEST(MemoryTrackerTest, PeakIsRaceFreeUnderContention) {
-  MemoryTracker t;
+TEST(MemoryBudgetTest, PeakIsRaceFreeUnderContention) {
+  MemoryBudget budget;
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&t]() {
+    threads.emplace_back([&budget]() {
       for (int j = 0; j < 10000; ++j) {
-        t.Add(3);
-        t.Sub(3);
+        ASSERT_TRUE(budget.TryCharge(3));
+        budget.Release(3);
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(t.current(), 0u);
-  EXPECT_LE(t.peak(), 12u);
-  EXPECT_GE(t.peak(), 3u);
+  EXPECT_EQ(budget.charged(), 0u);
+  EXPECT_LE(budget.peak(), 12u);
+  EXPECT_GE(budget.peak(), 3u);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {
