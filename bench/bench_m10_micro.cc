@@ -16,7 +16,6 @@
 
 #include "core/neighborhood_trie.h"
 #include "core/set_ops.h"
-#include "util/bitset.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -97,9 +96,8 @@ BENCHMARK(BM_IntersectLopsided)->Range(1 << 10, 1 << 16);
 
 // --- IntersectInto strategy sweep ---------------------------------------
 // Two random sets over a fixed universe whose size is `density`% of the
-// universe; compares the merge loop, galloping search, and the 64-bit word
-// count kernel on identical inputs. The crossover these curves show is what
-// MBET's bitmap_density threshold encodes (docs/SET_REPRESENTATION.md).
+// universe; compares the merge loop and galloping search on identical
+// inputs (IntersectStrategy::kAuto picks between them by size ratio).
 
 constexpr size_t kSweepUniverse = 1 << 13;
 
@@ -140,26 +138,6 @@ void BM_SetOpsGallop(benchmark::State& state) {
                           static_cast<int64_t>(a.size() + b.size()));
 }
 BENCHMARK(BM_SetOpsGallop)->Arg(1)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(90);
-
-// The word kernel: AND + popcount, the exact operation the bitmap
-// classification path in MbetEnumerator::Classify issues per group.
-void BM_SetOpsBitmapCount(benchmark::State& state) {
-  DispatchGuard guard;
-  if (!PinDispatch(state, 1)) return;
-  auto [a, b] = MakeDensityPair(state);
-  const size_t words = mbe::util::WordsFor(kSweepUniverse);
-  std::vector<uint64_t> wa(words, 0), wb(words, 0);
-  mbe::util::SetBits(a, wa);
-  mbe::util::SetBits(b, wb);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mbe::IntersectSize(wa, wb));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size() + b.size()));
-}
-BENCHMARK(BM_SetOpsBitmapCount)
-    ->ArgsProduct({kDensities, kDispatchLevels})
-    ->ArgNames({"density", "isa"});
 
 void BM_MaskProbe(benchmark::State& state) {
   DispatchGuard guard;

@@ -9,8 +9,7 @@
 # a budget-truncation check every round), and drives the CLI against a
 # worst-case graph with --timeout_s 1 to prove that cooperative
 # cancellation terminates promptly and cleanly under the sanitizers. Then
-# the configuration matrices: the set-representation legs
-# (PMBE_FORCE_BITMAP on/off), the kernel-dispatch legs (scalar pin via
+# the configuration matrices: the kernel-dispatch legs (scalar pin via
 # PMBE_FORCE_SCALAR=1, AVX2 TU left out by presetting the compiler check
 # -DPMBE_COMPILER_HAS_AVX2=OFF), the
 # tuner legs (default / --tune) and the engine legs (mbet/imbea/bbk), all
@@ -110,38 +109,19 @@ for threads in 1 4; do
 done
 rm -f "$CROWN_FILE"
 
-echo "=== set-representation matrix: PMBE_FORCE_BITMAP=ON / OFF ==="
-# Build the suite with the bitmap representation force-enabled and with the
-# adaptive default, run the full test suite both ways, and require the
-# differential fuzzer to cross-check the exact same number of bicliques in
-# both legs: the set representation must never change the enumerated set.
-declare -A matrix_count
-for force in ON OFF; do
-  dir="$BUILD_DIR-bitmap-$(echo "$force" | tr '[:upper:]' '[:lower:]')"
-  echo "--- leg PMBE_FORCE_BITMAP=$force ($dir) ---"
-  cmake -B "$dir" -S . \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPMBE_FORCE_BITMAP="$force"
-  cmake --build "$dir" -j "$(nproc)"
-  ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
-  leg_out=$("$dir/tools/pmbe_selfcheck" --rounds 25 --seed 7)
-  echo "$leg_out" | sed 's/^/  /'
-  matrix_count[$force]=$(echo "$leg_out" | grep -o '[0-9]* bicliques' | grep -o '[0-9]*')
-done
-if [[ "${matrix_count[ON]}" != "${matrix_count[OFF]}" ]]; then
-  echo "FAIL: selfcheck biclique counts diverge between bitmap legs:" \
-       "ON=${matrix_count[ON]} OFF=${matrix_count[OFF]}" >&2
-  exit 1
-fi
-echo "bitmap matrix OK: ${matrix_count[ON]} bicliques in both legs"
-
 echo "=== kernel-dispatch matrix: scalar pin + AVX2 compiled out ==="
 # The vectorized kernel layer (util/simd.h) must be behaviorally invisible:
 # the same bicliques whether kernels dispatch to AVX2, are pinned to the
 # scalar table via the environment, or have the AVX2 TU left out of the
 # build entirely. Leg 1 re-runs the kernel-heavy suites of the sanitizer
 # build with the scalar pin (the SIMD differential fuzzer already ran under
-# ASan/UBSan in the ctest pass above, on both tables the host has).
+# ASan/UBSan in the ctest pass above, on both tables the host has). The
+# reference count is one selfcheck run of the sanitized build on its
+# default dispatch, with the --rounds/--seed both legs use.
+ref_out=$("$BUILD_DIR/tools/pmbe_selfcheck" --rounds 25 --seed 7)
+echo "$ref_out" | sed 's/^/  [reference] /'
+ref_count=$(echo "$ref_out" | grep -o '[0-9]* bicliques' | grep -o '[0-9]*')
+
 echo "--- leg PMBE_FORCE_SCALAR=1 ($BUILD_DIR) ---"
 PMBE_FORCE_SCALAR=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --no-tests=error -j "$(nproc)" \
@@ -172,13 +152,12 @@ echo "$noavx2_out" | grep -q 'kernel dispatch: scalar' || {
 }
 noavx2_count=$(echo "$noavx2_out" | grep -o '[0-9]* bicliques' | grep -o '[0-9]*')
 
-# Same --rounds/--seed as the bitmap legs above, so all four leg counts
-# must agree exactly.
-if [[ "$scalar_count" != "${matrix_count[OFF]}" || \
-      "$noavx2_count" != "${matrix_count[OFF]}" ]]; then
+# Same --rounds/--seed as the reference run, so all three counts must
+# agree exactly.
+if [[ -z "$ref_count" || "$scalar_count" != "$ref_count" || \
+      "$noavx2_count" != "$ref_count" ]]; then
   echo "FAIL: selfcheck biclique counts diverge across dispatch legs:" \
-       "scalar=$scalar_count noavx2=$noavx2_count" \
-       "default=${matrix_count[OFF]}" >&2
+       "scalar=$scalar_count noavx2=$noavx2_count reference=$ref_count" >&2
   exit 1
 fi
 echo "kernel-dispatch matrix OK: $scalar_count bicliques in every leg"
@@ -186,7 +165,7 @@ echo "kernel-dispatch matrix OK: $scalar_count bicliques in every leg"
 echo "=== tuner matrix: default + --tune, every leg count-identical ==="
 # The workload-adaptive tuner (docs/TUNING.md) must be behaviorally
 # invisible: the same bicliques with the default knobs and with the tuner
-# choosing the engine and bitmap density (--tune) — under
+# choosing the engine (--tune) — under
 # the sanitizers, on the scalar-pinned table, and in the AVX2-compiled-out
 # build. Reuses the builds from the legs above. The two sanitized legs run
 # on the session pool at 4 threads, the Release noavx2 leg serially, so

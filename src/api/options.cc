@@ -99,11 +99,6 @@ util::Status RunOptions::Validate() const {
     return util::Status::InvalidArgument(
         "mbet.trie_min_groups must be >= 1 (1 builds a trie everywhere)");
   }
-  if (!(mbet.bitmap_density >= 0.0)) {  // negatives and NaN
-    return util::Status::InvalidArgument(
-        "mbet.bitmap_density must be >= 0 (0 forces bitmaps, > 1 disables "
-        "them)");
-  }
   if (threads > 1 && mbet.best_edges != nullptr) {
     return util::Status::InvalidArgument(
         "mbet.best_edges (branch-and-bound watermark) is unsynchronized "

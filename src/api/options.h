@@ -127,12 +127,11 @@ struct RunOptions {
 
   /// Workload-adaptive auto-tuning (core/tuner.h, docs/TUNING.md): the
   /// session maps the engine's sampled graph profile through the tuner's
-  /// decision table and overrides `mbet.bitmap_density` with its pick
-  /// (the fields above keep their values; only the effective run
-  /// configuration changes).
-  /// The decision is recorded in EnumStats::auto_tuned / tuned_*. Results
-  /// are byte-identical under any decision — the tuned knobs trade speed
-  /// and memory, never output.
+  /// decision table and runs the engine it picks, MBET or BBK, where the
+  /// query lets the two interchange (the fields above keep their values;
+  /// only the effective run configuration changes).
+  /// The decision is recorded in EnumStats::auto_tuned / tuner_rule /
+  /// tuned_algorithm. The enumerated set is identical under any decision.
   bool auto_tune = false;
 
   /// Run control: cooperative cancellation, wall-clock deadline, result /

@@ -123,7 +123,6 @@ class EngineWorker : public SubtreeWorker {
     EnumStats stats = engine_.stats();
     stats.simd_intersect_calls += kernel_calls_.intersect;
     stats.simd_mask_calls += kernel_calls_.mask;
-    stats.simd_word_calls += kernel_calls_.word;
     return stats;
   }
 
@@ -132,7 +131,6 @@ class EngineWorker : public SubtreeWorker {
     const simd::KernelCallCounters after = simd::ThreadKernelCalls();
     kernel_calls_.intersect += after.intersect - before.intersect;
     kernel_calls_.mask += after.mask - before.mask;
-    kernel_calls_.word += after.word - before.word;
   }
 
   Enumerator engine_;
@@ -198,22 +196,20 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   effective_algorithm_ = options_.algorithm;
 
   // Workload-adaptive tuning: map the engine's build-time graph profile
-  // through the decision table and override the *effective* knobs. The
+  // through the decision table and override the *effective* engine. The
   // caller's RunOptions stay untouched; the decision is recorded in the
   // run's stats so `--stats` / bench JSON can show what actually ran.
-  // Every decision preserves the enumerated result set — the knobs trade
-  // speed and memory, and the engine pick below swaps between two engines
-  // proven set-identical by the digest matrix.
+  // Every decision preserves the enumerated result set: the pick swaps
+  // between two engines proven set-identical by the digest matrix.
   if (options_.auto_tune) {
     const TunerDecision tuned = Tune(engine_->profile());
-    effective_mbet_.bitmap_density = tuned.bitmap_density;
     // Engine selection is honored only where MBET and BBK are
     // interchangeable: a plain enumeration query (no size thresholds, no
     // baked core reduction, no branch-and-bound watermark) whose algorithm
     // is already one of the two. A query that pinned a baseline engine
-    // (MBEA/iMBEA/...) keeps it — only its knobs are tuned. The pick is a
-    // pure function of (graph, options), so a resumed checkpoint and the
-    // original run derive the same engine.
+    // (MBEA/iMBEA/...) keeps it; only the matched rule is recorded. The
+    // pick is a pure function of (graph, options), so a resumed checkpoint
+    // and the original run derive the same engine.
     const bool engine_selectable =
         (options_.algorithm == Algorithm::kMbet ||
          options_.algorithm == Algorithm::kBbk) &&
@@ -229,8 +225,6 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
       stats_.tuned_algorithm = static_cast<uint64_t>(tuned.engine);
     }
     stats_.auto_tuned = 1;
-    stats_.tuned_bitmap_density_x1000 =
-        static_cast<uint64_t>(tuned.bitmap_density * 1000.0);
     stats_.tuner_rule = static_cast<uint64_t>(tuned.rule);
   }
   monolithic_ = !SupportsParallel(effective_algorithm_);

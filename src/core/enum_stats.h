@@ -37,11 +37,12 @@ struct EnumStats {
   /// Subtrees skipped entirely at the root because an earlier vertex
   /// dominates the root's L.
   uint64_t subtrees_pruned = 0;
-  /// Sorted-list -> bitmap materializations: MBET's per-node density
-  /// policy and BBK's per-node L' bitmaps (docs/SET_REPRESENTATION.md).
+  /// Sorted-list -> bitmap materializations: BBK's per-node L' bitmaps
+  /// (docs/SET_REPRESENTATION.md). MBET keeps sorted lists and leaves
+  /// this 0.
   uint64_t bitmap_conversions = 0;
-  /// Intersections answered by the word-AND bitmap kernels instead of a
-  /// merge/gallop over sorted lists.
+  /// Intersections BBK answered by probing a list against a bitmap
+  /// instead of a merge/gallop over two sorted lists. 0 for MBET.
   uint64_t bitmap_kernel_calls = 0;
   /// Always 0: the batched candidate frontier that counted here is gone.
   /// Stays until a benchmark change stops reading it.
@@ -58,7 +59,8 @@ struct EnumStats {
   uint64_t simd_intersect_calls = 0;
   /// mask_count / mask_filter (membership-mask probe) family.
   uint64_t simd_mask_calls = 0;
-  /// and_count (bitmap word) family.
+  /// Always 0: the bitmap-word (AND + popcount) kernel family is gone. Stays
+  /// until a benchmark change stops reading it.
   uint64_t simd_word_calls = 0;
   /// Always 0: the batched multi-mask kernel family is gone. Stays until a
   /// benchmark change stops reading it.
@@ -112,9 +114,6 @@ struct EnumStats {
   /// (RunOptions::auto_tune; docs/TUNING.md). NOT additive: merged via
   /// max, like the other run-level (not per-worker) fields below.
   uint64_t auto_tuned = 0;
-  /// Bitmap density the tuner chose (valid only when auto_tuned; stored
-  /// ×1000 to stay integral). NOT additive: merged via max.
-  uint64_t tuned_bitmap_density_x1000 = 0;
   /// Decision-table row the tuner matched (core/tuner.h TunerRule numeric
   /// value; 0 = none). NOT additive: merged via max.
   uint64_t tuner_rule = 0;
@@ -158,9 +157,6 @@ struct EnumStats {
     queue_wait_ns += other.queue_wait_ns;
     checkpoints_written += other.checkpoints_written;
     if (other.auto_tuned > auto_tuned) auto_tuned = other.auto_tuned;
-    if (other.tuned_bitmap_density_x1000 > tuned_bitmap_density_x1000) {
-      tuned_bitmap_density_x1000 = other.tuned_bitmap_density_x1000;
-    }
     if (other.tuner_rule > tuner_rule) tuner_rule = other.tuner_rule;
     if (other.tuned_algorithm > tuned_algorithm) {
       tuned_algorithm = other.tuned_algorithm;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <numeric>
 
-#include "util/bitset.h"
 #include "util/fault.h"
 #include "util/memory.h"
 
@@ -18,12 +17,9 @@ MbetEnumerator::MbetEnumerator(const BipartiteGraph& graph,
       lp_mask_(graph.num_left()) {
   // MBETM stores no local lists, so there is nothing to build a trie over,
   // and its recomputation intersects global adjacency lists, so the local
-  // renumbering (and with it the bitmap path) does not apply.
+  // renumbering does not apply.
   if (options_.recompute_locals) options_.use_trie = false;
   renumber_ = !options_.recompute_locals;
-#ifdef PMBE_FORCE_BITMAP
-  options_.bitmap_density = 0.0;
-#endif
 }
 
 MbetEnumerator::Level& MbetEnumerator::LevelAt(size_t depth) {
@@ -238,26 +234,8 @@ void MbetEnumerator::Classify(Level& lvl) {
     }
     return;
   }
-  if (lvl.words_built) {
-    // Dense node: one AND+popcount per group over the fixed-width local
-    // bitmaps. Probe accounting stays logical (|loc| per group, like the
-    // direct scan) so the trie-vs-direct probe-ratio metric keeps its
-    // meaning across representations; bitmap_kernel_calls records the
-    // physical kernel used.
-    const size_t words = lvl.words_per_group;
-    const std::span<const uint64_t> lp(*lvl.lp_words);
-    for (size_t h = 0; h < n; ++h) {
-      const Group& g = lvl.groups[h];
-      const std::span<const uint64_t> loc(lvl.loc_words->data() + h * words,
-                                          words);
-      lvl.counts[h] = static_cast<uint32_t>(IntersectSize(loc, lp));
-      stats_.trie_probes += g.loc_len;
-      stats_.local_scan_size += g.loc_len;
-    }
-    stats_.bitmap_kernel_calls += n;
-    return;
-  }
-  // Direct per-group scan over stored locals (trie ablated). Pull the
+  // Direct per-group scan over stored locals, on every node the trie does
+  // not take (narrow, ablated, or declined under memory pressure). Pull the
   // next group's loc run toward L1 while the mask kernel chews on the
   // current one; the runs live in one arena but groups are visited in
   // aggregation order, so the hardware streamer does not cover the hops.
@@ -391,44 +369,6 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
     }
   }
 
-  // Adaptive bitmaps (docs/SET_REPRESENTATION.md): on nodes the trie does
-  // not take, dense-enough locals are materialized once into fixed-width
-  // bitmaps over the local universe, turning every classification pass at
-  // this node into AND+popcount kernels.
-  lvl.words_built = false;
-  lvl.loc_words = nullptr;
-  lvl.lp_words = nullptr;
-  if (!lvl.trie_built && renumber_ && !lvl.groups.empty() &&
-      options_.bitmap_density <= 1.0) {
-    uint64_t total_loc = 0;
-    for (const Group& g : lvl.groups) total_loc += g.loc_len;
-    if (static_cast<double>(total_loc) >=
-        options_.bitmap_density * static_cast<double>(root_.l0.size()) *
-            static_cast<double>(lvl.groups.size())) {
-      // "bitmap.build" models the word arrays failing to allocate.
-      if (PMBE_FAULT("bitmap.build")) util::CurrentMemoryBudget().ForceExhaust();
-      if (util::CurrentMemoryBudget().UnderPressure() ||
-          util::CurrentMemoryBudget().exhausted()) {
-        // Degrade: stay on sorted lists — slower kernels, same results.
-        util::CurrentMemoryBudget().NoteDegradation();
-      } else {
-        const size_t words = util::WordsFor(root_.l0.size());
-        lvl.loc_words = frame.AcquireWords();
-        lvl.lp_words = frame.AcquireWords();
-        lvl.loc_words->assign(words * lvl.groups.size(), 0);
-        lvl.lp_words->assign(words, 0);
-        for (size_t h = 0; h < lvl.groups.size(); ++h) {
-          util::SetBits(lvl.LocOf(lvl.groups[h]),
-                        std::span<uint64_t>(lvl.loc_words->data() + h * words,
-                                            words));
-        }
-        lvl.words_per_group = words;
-        lvl.words_built = true;
-        stats_.bitmap_conversions += lvl.groups.size();
-      }
-    }
-  }
-
   // Charge this node's level state (groups, locals, trie) to the memory
   // budget for the duration of its subtree. RAII: an exception unwinding
   // through the subtree (throwing sink, injected fault) must return the
@@ -477,10 +417,6 @@ void MbetEnumerator::Recurse(size_t depth, ResultSink* sink) {
     }
 
     lp_mask_.Set(child.l);
-    if (lvl.words_built) {
-      util::ClearWords(*lvl.lp_words);
-      util::SetBits(child.l, *lvl.lp_words);
-    }
     Classify(lvl);
 
     // Maximality (node) check: a forbidden group dominating L' witnesses

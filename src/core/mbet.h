@@ -35,10 +35,11 @@
 ///    never allocate. Equal locals are found by one hash pass per level
 ///    that chains duplicate groups in place (see Aggregate).
 ///  * Each subtree runs in the local universe [0, |L0|) its root's
-///    locals arrive in (core/subtree.h), and nodes the trie does not take
-///    classify through fixed-width bitmaps when their locals are dense enough
-///    (core/set_ops.h; `bitmap_density`). Per-node scratch comes from
-///    an EnumContext arena instead of ad-hoc vectors.
+///    locals arrive in (core/subtree.h). Locals stay sorted lists: nodes
+///    the trie does not take classify by scanning each group's list
+///    against the membership mask of L' (docs/SET_REPRESENTATION.md).
+///    Per-node scratch comes from an EnumContext arena instead of ad-hoc
+///    vectors.
 ///  * `MbetOptions` exposes each technique as a switch for the ablation
 ///    experiments, plus the MBETM space-optimized mode which stores no
 ///    local lists and recomputes counts from the graph.
@@ -66,14 +67,9 @@ struct MbetOptions {
   /// nodes amortize the build cost while narrow nodes classify directly.
   /// 1 forces a trie everywhere (sensitivity axis, see bench_s11).
   uint32_t trie_min_groups = 4;
-  /// Density threshold of the adaptive set-representation layer
-  /// (docs/SET_REPRESENTATION.md). Nodes the trie does not take whose
-  /// average local density (Σ|loc| / (groups · |L0|)) reaches this
-  /// threshold classify through fixed-width bitmaps over the renumbered
-  /// local universe instead of per-element scans. 0 forces bitmaps on
-  /// every such node; > 1 disables them. Building with
-  /// -DPMBE_FORCE_BITMAP=ON pins this to 0 (the CI differential leg).
-  /// Ignored in MBETM mode, which stores no locals to convert.
+  /// Ignored: MBET keeps its locals as sorted lists on every node
+  /// (docs/SET_REPRESENTATION.md). Stays until a benchmark change stops
+  /// setting it.
   double bitmap_density = 0.10;
 
   /// Size-constrained enumeration: only maximal bicliques (of the whole
@@ -149,15 +145,6 @@ class MbetEnumerator {
     std::vector<uint32_t> order;    ///< candidate traversal order buffer
     std::vector<std::span<const VertexId>> lists;  ///< trie build scratch
 
-    // Bitmap classification state for this node, valid only inside its
-    // Recurse frame: EnumContext word buffers holding one fixed-width
-    // bitmap per group (loc_words) and the current L' (lp_words) over the
-    // subtree's local universe.
-    bool words_built = false;
-    std::vector<uint64_t>* loc_words = nullptr;
-    std::vector<uint64_t>* lp_words = nullptr;
-    size_t words_per_group = 0;
-
     std::span<const VertexId> LocOf(const Group& g) const {
       return {locs.data() + g.loc_off, g.loc_len};
     }
@@ -214,12 +201,13 @@ class MbetEnumerator {
   SubtreeRoot root_;
   std::vector<VertexId> root_absorbed_;
 
-  /// All per-node scratch (bitmap word arenas, absorbed-member buffers)
-  /// comes from here; one context per enumerator (= per thread).
+  /// All per-node scratch (aggregation slot tables, absorbed-member
+  /// buffers) comes from here; one context per enumerator (= per thread).
   EnumContext ctx_;
-  /// Run each subtree in the builder's local ids [0, |L0|), so L'/loc
-  /// bitmaps are a handful of words. Disabled in MBETM mode, whose sets
-  /// stay in global ids because it counts against global adjacency.
+  /// Run each subtree in the builder's local ids [0, |L0|), so every probe
+  /// of lp_mask_ lands in its first WordsFor(|L0|) words. Disabled in MBETM mode,
+  /// whose sets stay in global ids because it counts against global
+  /// adjacency.
   bool renumber_ = false;
   std::vector<VertexId> emit_l_;       ///< local -> global translation buffer
 };

@@ -161,11 +161,6 @@ void IntersectWithMask(std::span<const VertexId> s, const MembershipMask& mask,
   IntersectInto(s, MaskWords(mask), out);
 }
 
-size_t IntersectSize(std::span<const uint64_t> a,
-                     std::span<const uint64_t> b) {
-  return util::AndCountBits(a, b);
-}
-
 void IntersectInto(std::span<const VertexId> a, std::span<const uint64_t> b,
                    std::vector<VertexId>* out) {
   if (a.size() < kSmallOperand) {

@@ -120,11 +120,8 @@ void IntersectWithMask(std::span<const VertexId> s, const MembershipMask& mask,
 
 // --- Fixed-width bitmaps over a local universe -----------------------------
 // A bitmap over the renumbered universe [0, m) is `util::WordsFor(m)` words
-// (util/bitset.h). MBET's dense classification counts bitmap × bitmap;
-// BBK keeps L' as a bitmap and probes it with sorted local lists.
-
-/// |a ∩ b| of two bitmaps over the same universe (AND + popcount).
-size_t IntersectSize(std::span<const uint64_t> a, std::span<const uint64_t> b);
+// (util/bitset.h). BBK keeps L' as a bitmap and probes it with sorted
+// local lists; the membership-mask overloads above run the same kernels.
 
 /// Sorted list × bitmap -> sorted list into `*out` (cleared first).
 void IntersectInto(std::span<const VertexId> a, std::span<const uint64_t> b,

@@ -83,34 +83,25 @@ TunerDecision Tune(const GraphProfile& profile) {
   // bench_s11 / bench_b13 sweeps on the gen:: families (docs/TUNING.md
   // records the numbers behind each row).
   if (profile.num_edges < 256) {
-    // Too little total work to amortize wide bitmaps. MBET's fixed costs
-    // are negligible here and it filters by size for free.
+    // Too little total work for BBK's per-node bitmaps to pay off. MBET's
+    // fixed costs are negligible here and it filters by size for free.
     d.rule = TunerRule::kTiny;
-    d.bitmap_density = 0.10;
     d.engine = TunerEngine::kMbet;
   } else if (profile.density >= 0.08 || profile.two_hop_ratio >= 4.0) {
-    // Dense / crowded candidate space: nodes are wide, locals fill words
-    // (bitmaps pay off earlier). The regime where the prefix tree's
+    // Dense / crowded candidate space: nodes are wide and many candidates
+    // share local prefixes. The regime where the prefix tree's
     // shared-prefix savings beat BBK's lighter nodes.
     d.rule = TunerRule::kDense;
-    d.bitmap_density = 0.05;
     d.engine = TunerEngine::kMbet;
   } else if (profile.degree_skew >= 8.0) {
     // Hub-dominated: BBK's root-clipped locals sidestep rescanning the hub
-    // rows at every node — the dominant cost in this regime. Density 0 forces
-    // bitmaps: BBK's witness probes are 2x faster dense (the engine sweep
-    // behind bench/BENCH_engines.json), and MBET measured flat, so the
-    // knob is safe even when the query pins the engine.
+    // rows at every node — the dominant cost in this regime.
     d.rule = TunerRule::kSkewed;
-    d.bitmap_density = 0.0;
     d.engine = TunerEngine::kBbk;
   } else {
     // Sparse, roughly uniform: trie construction is overhead-dominated on
-    // these shapes, so the pivot-free engine wins; bitmaps forced for the
-    // same reason as the skewed row (subtree universes are one vertex
-    // degree wide, so dense words stay small).
+    // these shapes, so the pivot-free engine wins.
     d.rule = TunerRule::kSparse;
-    d.bitmap_density = 0.0;
     d.engine = TunerEngine::kBbk;
   }
   return d;

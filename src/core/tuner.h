@@ -8,21 +8,19 @@
 /// \file
 /// Workload-adaptive auto-tuner (docs/TUNING.md).
 ///
-/// The enumeration knobs that matter for throughput — the engine and the
-/// bitmap density threshold — have workload-dependent sweet spots: dense
-/// graphs want aggressive bitmaps (their locals fill words), hub-dominated
-/// graphs want BBK's root-clipped locals, tiny graphs want none of the
-/// machinery. Instead of
-/// hand-setting them per dataset, `ProfileGraph` samples cheap statistics
-/// of the built graph once (O(edges) worst case, sampled well below that)
-/// and `Tune` maps them through a small measured decision table. The
-/// chosen knobs are recorded in `EnumStats` (auto_tuned / tuned_*) and the
-/// bench JSON context so tuning regressions stay visible.
+/// Which engine enumerates fastest depends on the workload: dense graphs
+/// favour MBET's prefix tree (wide nodes, shared local prefixes),
+/// hub-dominated and sparse graphs favour BBK's root-clipped locals.
+/// Instead of hand-picking the engine per dataset, `ProfileGraph` samples
+/// cheap statistics of the built graph once (O(edges) worst case, sampled
+/// well below that) and `Tune` maps them through a small measured decision
+/// table. The pick is recorded in `EnumStats` (auto_tuned / tuner_rule /
+/// tuned_algorithm) and the bench JSON context so tuning regressions stay
+/// visible.
 ///
-/// The tuner only picks knob *values*; every knob keeps its manual
-/// override path (RunOptions fields / CLI flags), and results are
-/// byte-identical under any decision — the knobs it touches trade speed
-/// and memory, never output.
+/// The tuner only picks the engine; `RunOptions::algorithm` (`pmbe
+/// --algorithm`) keeps the manual path, and the enumerated set is the same
+/// under any decision — the two engines are set-identical.
 
 namespace mbe {
 
@@ -78,10 +76,8 @@ enum class TunerEngine : uint8_t {
 /// Human-readable engine name ("MBET", "BBK", "none").
 const char* TunerEngineName(TunerEngine engine);
 
-/// Knobs chosen by the tuner. Field meanings match MbetOptions /
-/// RunOptions; defaults equal the untuned defaults.
+/// What the tuner chose: the matched row and its engine.
 struct TunerDecision {
-  double bitmap_density = 0.10;
   TunerRule rule = TunerRule::kNone;
   /// Which engine the profile's regime favors (docs/TUNING.md). Advisory:
   /// the session only honors it for plain-enumeration queries where the

@@ -14,7 +14,7 @@
 /// Deterministic fault injection (docs/ROBUSTNESS.md).
 ///
 /// A *fault point* is a named site in the library where a resource failure
-/// can plausibly happen: an arena growing, a bitmap or trie being built, a
+/// can plausibly happen: an arena growing, a trie being built, a
 /// sink buffer flushing, a worker picking up a task, a loader reading a
 /// line. Sites test the point with the `PMBE_FAULT(name)` macro and, when
 /// it fires, take their real failure path — the same one a genuine
@@ -52,7 +52,6 @@ namespace mbe::util {
 /// sweeps this list; docs/ROBUSTNESS.md documents each entry).
 inline constexpr const char* kFaultPoints[] = {
     "arena.grow",    // EnumContext scratch-pool growth (all engines)
-    "bitmap.build",  // adaptive bitmap materialization (MBET)
     "trie.build",    // prefix-tree construction at an enumeration node
     "sink.buffer",   // BufferedSink batch-arena growth
     "sink.flush",    // BufferedSink handing a batch downstream (throws)

@@ -174,6 +174,16 @@ bool FlagParser::GetBool(const std::string& name) const {
   return GetFlagOrDie(name, Type::kBool).value == "true";
 }
 
+Status FlagParser::CheckIntRange(const std::string& name, int64_t lo,
+                                 int64_t hi) const {
+  const int64_t value = GetInt(name);
+  if (value >= lo && value <= hi) return Status::Ok();
+  return Status::InvalidArgument("--" + name + " must be in [" +
+                                 std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "] (got " +
+                                 std::to_string(value) + ")");
+}
+
 void FlagParser::PrintUsage(const char* argv0) const {
   std::fprintf(stderr, "usage: %s [flags]\n", argv0);
   for (const auto& [name, flag] : flags_) {

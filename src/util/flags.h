@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.h"
+
 /// \file
 /// A tiny command-line flag parser for the benchmark and example binaries.
 /// Supports `--name=value`, `--name value` and boolean `--name` /
@@ -39,6 +41,11 @@ class FlagParser {
   int64_t GetInt(const std::string& name) const;
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
+
+  /// InvalidArgument unless int flag `name` lies in [lo, hi]. Check before
+  /// casting a value to a narrower or unsigned type, so a negative or
+  /// oversized value is rejected instead of wrapping.
+  Status CheckIntRange(const std::string& name, int64_t lo, int64_t hi) const;
 
   /// Arguments that were not flags, in order.
   const std::vector<std::string>& positional() const { return positional_; }

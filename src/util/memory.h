@@ -16,13 +16,13 @@ namespace mbe::util {
 /// A hard memory budget with graceful degradation (docs/ROBUSTNESS.md).
 ///
 /// The enumeration-side allocators — EnumContext scratch arenas, MBET's
-/// per-node level/trie/bitmap state, BufferedSink batch arenas — *charge*
+/// per-node level/trie state, BufferedSink batch arenas — *charge*
 /// their bytes here and release them when the capacity is returned. Two
 /// thresholds drive the behavior:
 ///
 ///  * past the **soft fraction** of the cap, `UnderPressure()` turns true
 ///    and the degradable consumers shed memory-hungry accelerations:
-///    the adaptive set layer stays on sorted lists instead of bitmaps,
+///    BBK keeps L' as a sorted list instead of a bitmap,
 ///    nodes skip building tries, and sink buffers flush at a fraction of
 ///    their thresholds. Degradations change performance, never results.
 ///  * past the **hard cap**, `TryCharge` declines — the charge is rolled

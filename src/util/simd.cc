@@ -18,7 +18,6 @@ const KernelTable kScalarTable = {
     internal::ScalarIntersect,     internal::ScalarIntersectSize,
     internal::ScalarIntersectSizeCapped, internal::ScalarIsSubset,
     internal::ScalarMaskCount,     internal::ScalarMaskFilter,
-    internal::ScalarAndCount,
 };
 
 const KernelTable& TableFor(DispatchLevel level) {

@@ -10,8 +10,8 @@
 /// Runtime-dispatched vectorized kernels (docs/SET_REPRESENTATION.md,
 /// "The vectorized kernel layer").
 ///
-/// Every sorted-list, membership-mask, and bitmap-word kernel underneath
-/// the enumerators routes through one function-pointer table selected once
+/// Every sorted-list and membership-mask kernel underneath the
+/// enumerators routes through one function-pointer table selected once
 /// per process: AVX2 when the CPU and the build provide it, scalar
 /// otherwise. The AVX2 translation unit is compiled with a per-file
 /// `-mavx2` flag whenever the compiler accepts it, so the rest of the build
@@ -62,8 +62,6 @@ struct KernelTable {
   /// out = {x in xs : bit x set in words}, order preserved; returns |out|.
   size_t (*mask_filter)(const VertexId* xs, size_t n, const uint64_t* words,
                         VertexId* out);
-  /// Returns popcount(a & b) over n words.
-  size_t (*and_count)(const uint64_t* a, const uint64_t* b, size_t n);
 };
 
 /// The active kernel table. Resolved once (cpuid + PMBE_FORCE_SCALAR) on
@@ -96,15 +94,13 @@ DispatchLevel ForceLevel(DispatchLevel want);
 enum class KernelOp : uint8_t {
   kIntersect = 0,  // intersect / intersect_size / intersect_size_capped
   kMask = 1,       // mask_count / mask_filter
-  kWord = 2,       // and_count
 };
-inline constexpr size_t kNumKernelOps = 3;
+inline constexpr size_t kNumKernelOps = 2;
 
 /// Totals per kernel family at one point in time.
 struct KernelCallCounters {
   uint64_t intersect = 0;
   uint64_t mask = 0;
-  uint64_t word = 0;
 };
 
 namespace internal {
@@ -123,8 +119,7 @@ inline void CountKernelCall(KernelOp op) {
 inline KernelCallCounters ThreadKernelCalls() {
   const uint64_t* c = internal::g_tls_counters;
   return {c[static_cast<size_t>(KernelOp::kIntersect)],
-          c[static_cast<size_t>(KernelOp::kMask)],
-          c[static_cast<size_t>(KernelOp::kWord)]};
+          c[static_cast<size_t>(KernelOp::kMask)]};
 }
 
 }  // namespace mbe::simd

@@ -246,36 +246,12 @@ size_t AvxMaskFilter(const VertexId* xs, size_t n, const uint64_t* words,
   return count;
 }
 
-size_t AvxAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  // AND vectorized, popcount scalar: without AVX-512 VPOPCNTDQ the
-  // in-register popcount schemes only pay off past sizes these masks
-  // reach, and scalar popcnt on the AND result keeps the sum exact.
-  size_t i = 0, count = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    alignas(32) uint64_t w[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(w), _mm256_and_si256(va, vb));
-    count += static_cast<size_t>(std::popcount(w[0])) +
-             static_cast<size_t>(std::popcount(w[1])) +
-             static_cast<size_t>(std::popcount(w[2])) +
-             static_cast<size_t>(std::popcount(w[3]));
-  }
-  for (; i < n; ++i) {
-    count += static_cast<size_t>(std::popcount(a[i] & b[i]));
-  }
-  return count;
-}
-
 }  // namespace
 
 const KernelTable& Avx2KernelTable() {
   static const KernelTable table = {
       AvxIntersect,  AvxIntersectSize, AvxIntersectSizeCapped,
       AvxIsSubset,   AvxMaskCount,     AvxMaskFilter,
-      AvxAndCount,
   };
   return table;
 }

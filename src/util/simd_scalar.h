@@ -1,7 +1,6 @@
 #ifndef PMBE_UTIL_SIMD_SCALAR_H_
 #define PMBE_UTIL_SIMD_SCALAR_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -12,8 +11,7 @@
 /// (util/simd.h). Header-only so the AVX2 translation unit can reuse them
 /// for block tails: a tail compiled in that TU runs the exact same
 /// algorithm, which keeps the differential fuzzer's "AVX2 byte-matches
-/// scalar" property trivial. The AVX2 TU also gets these bodies compiled
-/// under its -mavx2 flag, so its tails use hardware popcount.
+/// scalar" property trivial.
 
 namespace mbe::simd::internal {
 
@@ -101,14 +99,6 @@ inline size_t ScalarMaskFilter(const VertexId* xs, size_t n,
     const VertexId x = xs[i];
     out[count] = x;
     count += (words[x >> 6] >> (x & 63)) & 1;
-  }
-  return count;
-}
-
-inline size_t ScalarAndCount(const uint64_t* a, const uint64_t* b, size_t n) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    count += static_cast<size_t>(std::popcount(a[i] & b[i]));
   }
   return count;
 }

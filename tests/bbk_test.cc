@@ -165,8 +165,9 @@ TEST(BbkEngineTest, PressuredParallelRunMatchesSerial) {
 }
 
 TEST(BbkEngineTest, FacadeBbkIgnoresBitmapDensity) {
-  // `mbet.bitmap_density` is MBET's knob: a setting that disables MBET's
-  // bitmaps leaves BBK's per-node bitmaps, and its output, unchanged.
+  // `mbet.bitmap_density` is an ignored field, kept for callers that still
+  // set it: any value leaves BBK's per-node bitmaps, and its output,
+  // unchanged.
   const BipartiteGraph graph = gen::PowerLaw(250, 180, 1400, 0.85, 0.8, 70);
   RunOptions o;
   o.algorithm = Algorithm::kBbk;

@@ -180,9 +180,11 @@ TEST(EnumContextTest, NoScratchEscapesARewoundFrameInAnyEngine) {
   ASSERT_GT(want, 0u);
 
   EnumContext::SetParanoidForTesting(true);
+  // BBK acquires word buffers (its L' bitmaps) on every node, so the
+  // word scratch runs through the paranoid frames too.
   for (Algorithm algorithm :
        {Algorithm::kMbet, Algorithm::kMbetM, Algorithm::kMineLmbc,
-        Algorithm::kMbea, Algorithm::kImbea}) {
+        Algorithm::kMbea, Algorithm::kImbea, Algorithm::kBbk}) {
     // MineLMBC and MBEA have no parallel support.
     const bool parallel_ok = algorithm != Algorithm::kMineLmbc &&
                              algorithm != Algorithm::kMbea;
@@ -191,9 +193,6 @@ TEST(EnumContextTest, NoScratchEscapesARewoundFrameInAnyEngine) {
       RunOptions options;
       options.algorithm = algorithm;
       options.threads = threads;
-      // Exercise the bitmap classification path too (kernel scratch lives
-      // in the same frames).
-      options.mbet.bitmap_density = 0.0;
       CountSink sink;
       RunResult run;
       ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());

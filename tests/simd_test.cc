@@ -152,7 +152,7 @@ TEST(SimdKernelTest, AllLevelsMatchScalarOnRandomPairs) {
   }
 }
 
-TEST(SimdKernelTest, MaskAndWordKernelsMatchScalar) {
+TEST(SimdKernelTest, MaskKernelsMatchScalar) {
   using namespace simd::internal;
   util::Rng rng(99173);
   const std::vector<DispatchLevel> levels = AvailableLevels();
@@ -163,16 +163,12 @@ TEST(SimdKernelTest, MaskAndWordKernelsMatchScalar) {
     const std::vector<VertexId> probes = RandomSorted(300, universe, rng);
     std::vector<uint64_t> words((universe + 63) / 64, 0);
     for (VertexId x : marked) words[x >> 6] |= uint64_t{1} << (x & 63);
-    std::vector<uint64_t> other(words.size());
-    for (uint64_t& w : other) w = rng.Next();
 
     const size_t ref_count =
         ScalarMaskCount(probes.data(), probes.size(), words.data());
     std::vector<VertexId> ref_out = PadCopy(probes);
     const size_t ref_filtered = ScalarMaskFilter(
         probes.data(), probes.size(), words.data(), ref_out.data());
-    const size_t ref_and =
-        ScalarAndCount(words.data(), other.data(), words.size());
 
     for (DispatchLevel lvl : levels) {
       ScopedDispatch forced(lvl);
@@ -190,10 +186,6 @@ TEST(SimdKernelTest, MaskAndWordKernelsMatchScalar) {
       ASSERT_TRUE(std::equal(out.begin(),
                              out.begin() + static_cast<ptrdiff_t>(filtered),
                              ref_out.begin()))
-          << name << " round " << round;
-
-      ASSERT_EQ(k.and_count(words.data(), other.data(), words.size()),
-                ref_and)
           << name << " round " << round;
     }
   }
@@ -309,26 +301,20 @@ TEST(SimdDispatchTest, KernelCallCountersAttributeFamilies) {
   }
   MembershipMask mask(256);
   mask.Set(b);
-  const std::vector<uint64_t> words(4, ~uint64_t{0});
   auto delta = [](const simd::KernelCallCounters& before) {
     const simd::KernelCallCounters after = simd::ThreadKernelCalls();
-    return std::array<uint64_t, 3>{after.intersect - before.intersect,
-                                   after.mask - before.mask,
-                                   after.word - before.word};
+    return std::array<uint64_t, 2>{after.intersect - before.intersect,
+                                   after.mask - before.mask};
   };
   simd::KernelCallCounters before = simd::ThreadKernelCalls();
   (void)IntersectSize(a, b);
-  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{1, 0, 0}));
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 2>{1, 0}));
   before = simd::ThreadKernelCalls();
   (void)IntersectSizeWithMask(a, mask);
-  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 1, 0}));
-  before = simd::ThreadKernelCalls();
-  (void)IntersectSize(std::span<const uint64_t>(words),
-                      std::span<const uint64_t>(words));
-  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 0, 1}));
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 2>{0, 1}));
   before = simd::ThreadKernelCalls();
   (void)IsSubset(a, a);
-  EXPECT_EQ(delta(before), (std::array<uint64_t, 3>{0, 0, 0}));
+  EXPECT_EQ(delta(before), (std::array<uint64_t, 2>{0, 0}));
 }
 
 TEST(SimdDispatchTest, EveryTableEntryIsPopulated) {
@@ -345,97 +331,53 @@ TEST(SimdDispatchTest, EveryTableEntryIsPopulated) {
     EXPECT_NE(k.is_subset, nullptr) << name;
     EXPECT_NE(k.mask_count, nullptr) << name;
     EXPECT_NE(k.mask_filter, nullptr) << name;
-    EXPECT_NE(k.and_count, nullptr) << name;
   }
 }
 
 // --- Whole-engine digest identity across levels --------------------------
 
+// MBET classifies every node through the trie or the direct mask scan,
+// BBK through list x bitmap probes, the MBEA family through list kernels;
+// none of it may show in the output. Any dispatch level, any thread count
+// (the engines that take one): same digest, same count. MBET runs also
+// pin that no node converts a list to a bitmap.
 TEST(SimdDispatchTest, EnginesDigestIdenticalAcrossLevels) {
   util::Rng rng(777);
   const std::vector<DispatchLevel> levels = AvailableLevels();
   for (int g = 0; g < 4; ++g) {
     const BipartiteGraph graph =
         gen::ErdosRenyi(30 + g * 10, 25 + g * 5, 0.15, rng.Next());
-    for (Algorithm algorithm :
-         {Algorithm::kMbet, Algorithm::kImbea, Algorithm::kMineLmbc}) {
+    for (Algorithm algorithm : {Algorithm::kMbet, Algorithm::kBbk,
+                                Algorithm::kImbea, Algorithm::kMineLmbc}) {
       uint64_t ref_digest = 0;
       uint64_t ref_count = 0;
-      for (size_t li = 0; li < levels.size(); ++li) {
-        ScopedDispatch forced(levels[li]);
-        FingerprintSink sink;
-        RunOptions options;
-        options.algorithm = algorithm;
-        RunResult run;
-        ASSERT_TRUE(
-            Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
-        EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch),
-                  levels[li]);
-        if (li == 0) {
-          ref_digest = sink.Digest();
-          ref_count = sink.count();
-        } else {
-          EXPECT_EQ(sink.Digest(), ref_digest)
-              << "algorithm " << static_cast<int>(algorithm) << " level "
-              << simd::DispatchLevelName(levels[li]);
-          EXPECT_EQ(sink.count(), ref_count);
-        }
-      }
-    }
-  }
-}
-
-// MBET's per-candidate classification takes one of three paths per node
-// (trie, bitmap words, sorted-list scan); none may show in the output. Any
-// bitmap density, any thread count, any dispatch level — same digest, same
-// count. Single-threaded runs also pin which path ran: density 0 forces
-// the bitmap kernels onto every node the trie declines, > 1 disables them.
-TEST(SimdDispatchTest, MbetDigestIdenticalAcrossBitmapDensities) {
-  // -DPMBE_FORCE_BITMAP=ON pins every density to 0 inside MBET.
-#ifdef PMBE_FORCE_BITMAP
-  constexpr bool kForceBitmap = true;
-#else
-  constexpr bool kForceBitmap = false;
-#endif
-  util::Rng rng(424242);
-  const std::vector<DispatchLevel> levels = AvailableLevels();
-  for (int g = 0; g < 3; ++g) {
-    const BipartiteGraph graph =
-        gen::ErdosRenyi(40 + g * 8, 30 + g * 6, 0.18, rng.Next());
-    uint64_t ref_digest = 0;
-    uint64_t ref_count = 0;
-    bool have_ref = false;
-    for (DispatchLevel lvl : levels) {
-      ScopedDispatch forced(lvl);
-      for (double density : {0.0, 0.10, 2.0}) {
+      bool have_ref = false;
+      for (DispatchLevel lvl : levels) {
+        ScopedDispatch forced(lvl);
         for (unsigned threads : {1u, 8u}) {
+          if (threads > 1 && !SupportsParallel(algorithm)) continue;
           FingerprintSink sink;
           RunOptions options;
-          options.mbet.bitmap_density = density;
+          options.algorithm = algorithm;
           options.threads = threads;
           RunResult run;
           ASSERT_TRUE(
               Enumerate(graph, GraphOptions(), options, &sink, &run).ok());
+          EXPECT_EQ(static_cast<DispatchLevel>(run.stats.kernel_dispatch),
+                    lvl);
           if (!have_ref) {
             ref_digest = sink.Digest();
             ref_count = sink.count();
             have_ref = true;
           } else {
-            ASSERT_EQ(sink.Digest(), ref_digest)
-                << simd::DispatchLevelName(lvl) << " bitmap_density "
-                << density << " threads " << threads;
-            ASSERT_EQ(sink.count(), ref_count);
+            EXPECT_EQ(sink.Digest(), ref_digest)
+                << AlgorithmName(algorithm) << " level "
+                << simd::DispatchLevelName(lvl) << " threads " << threads;
+            EXPECT_EQ(sink.count(), ref_count);
           }
-          if (threads != 1) continue;
-          if (density == 0.0) {
-            // Graphs this size have nodes too narrow for the trie.
-            EXPECT_GT(run.stats.bitmap_kernel_calls, 0u)
-                << simd::DispatchLevelName(lvl)
-                << " bitmap_density 0 must take the bitmap path";
-          } else if (density > 1.0 && !kForceBitmap) {
-            EXPECT_EQ(run.stats.bitmap_kernel_calls, 0u)
-                << simd::DispatchLevelName(lvl)
-                << " bitmap_density > 1 must take the list path";
+          if (algorithm == Algorithm::kMbet) {
+            EXPECT_EQ(run.stats.bitmap_conversions, 0u);
+            EXPECT_EQ(run.stats.bitmap_kernel_calls, 0u);
           }
         }
       }
@@ -455,7 +397,6 @@ TEST(SimdDispatchTest, RetiredBatchCountersReadZero) {
       for (unsigned threads : {1u, 4u}) {
         CountSink sink;
         RunOptions options;
-        options.mbet.bitmap_density = 0.0;
         options.auto_tune = tune;
         options.threads = threads;
         RunResult run;

@@ -65,7 +65,6 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kDense);
-    EXPECT_DOUBLE_EQ(d.bitmap_density, 0.05);
     EXPECT_EQ(d.engine, TunerEngine::kMbet);
   }
 
@@ -74,26 +73,21 @@ TEST(TunerDecisionTest, TableRowsPinned) {
   p.two_hop_ratio = 5.0;
   EXPECT_EQ(Tune(p).rule, TunerRule::kDense);
 
-  // Row 3: hub-dominated degree distribution. BBK, bitmaps forced
-  // (density 0): its witness probes run ~2x faster on word kernels and
-  // MBET measured flat, so the knob is safe even when the engine is
-  // pinned by the query.
+  // Row 3: hub-dominated degree distribution -> BBK.
   p.two_hop_ratio = 1.0;
   p.degree_skew = 20.0;
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kSkewed);
     EXPECT_EQ(d.engine, TunerEngine::kBbk);
-    EXPECT_DOUBLE_EQ(d.bitmap_density, 0.0);
   }
 
-  // Row 4: the measured defaults.
+  // Row 4: sparse, roughly uniform -> BBK.
   p.degree_skew = 2.0;
   {
     const TunerDecision d = Tune(p);
     EXPECT_EQ(d.rule, TunerRule::kSparse);
     EXPECT_EQ(d.engine, TunerEngine::kBbk);
-    EXPECT_DOUBLE_EQ(d.bitmap_density, 0.0);
   }
 }
 
@@ -136,7 +130,6 @@ TEST(TunerEndToEndTest, AutoTunedRunIsOutputIdenticalAndRecorded) {
   ASSERT_TRUE(Enumerate(graph, GraphOptions(), o, &tuned, &run).ok());
   EXPECT_EQ(run.stats.auto_tuned, 1u);
   EXPECT_NE(run.stats.tuner_rule, static_cast<uint64_t>(TunerRule::kNone));
-  EXPECT_GT(run.stats.tuned_bitmap_density_x1000, 0u);
   // This fixture is dense (density 0.15 >= 0.08), so the engine pick is
   // MBET, and the honored pick is recorded in the stats.
   EXPECT_EQ(run.stats.tuned_algorithm,

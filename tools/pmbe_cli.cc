@@ -21,6 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -154,13 +155,10 @@ int main(int argc, char** argv) {
                   "build; see docs/ROBUSTNESS.md)");
   flags.AddInt("min-left", 1, "only bicliques with |L| >= this");
   flags.AddInt("min-right", 1, "only bicliques with |R| >= this");
-  flags.AddDouble("bitmap_density", 0.10,
-                  "density threshold for bitmap-set classification "
-                  "(0 = always bitmap, > 1 = never)");
   flags.AddBool("tune", false,
-                "auto-tune the engine and bitmap_density from the graph "
-                "profile, overriding those flags "
-                "(docs/TUNING.md); the decision prints under --stats");
+                "auto-tune the engine (MBET or BBK) from the graph profile, "
+                "overriding --algorithm mbet|bbk (docs/TUNING.md); the "
+                "decision prints under --stats");
   flags.AddBool("max-biclique", false,
                 "find one maximum-edge biclique instead of enumerating");
   flags.AddString("output", "", "write bicliques to this file");
@@ -171,6 +169,26 @@ int main(int argc, char** argv) {
   if (!flags.GetString("merge_checkpoints").empty()) {
     return MergeCheckpoints(flags.GetString("merge_checkpoints"),
                             flags.GetString("checkpoint_path"));
+  }
+
+  // --- Integer ranges -----------------------------------------------------
+  // The int flags land in unsigned fields below; a negative or oversized
+  // value would wrap (--threads -1 asking for 2^32 - 1 workers), so each
+  // range is checked before anything is loaded or started.
+  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+  for (const util::Status& range : {
+           flags.CheckIntRange("threads", 1, kMaxU32),
+           flags.CheckIntRange("min-left", 1, kMaxU32),
+           flags.CheckIntRange("min-right", 1, kMaxU32),
+           flags.CheckIntRange("max_results", 0, kMaxI64),
+           flags.CheckIntRange("max_nodes", 0, kMaxI64),
+           flags.CheckIntRange("max_memory_mb", 0, kMaxI64 >> 20),
+       }) {
+    if (!range.ok()) {
+      std::fprintf(stderr, "error: %s\n", range.ToString().c_str());
+      return 2;
+    }
   }
 
   // --- Load or generate the graph ---------------------------------------
@@ -205,18 +223,16 @@ int main(int argc, char** argv) {
   options.threads = static_cast<unsigned>(flags.GetInt("threads"));
   options.mbet.min_left = static_cast<uint32_t>(flags.GetInt("min-left"));
   options.mbet.min_right = static_cast<uint32_t>(flags.GetInt("min-right"));
-  options.mbet.bitmap_density = flags.GetDouble("bitmap_density");
   options.auto_tune = flags.GetBool("tune");
 
   // --- Run control --------------------------------------------------------
   // Negative values would be silently reinterpreted by the unsigned /
   // fallback plumbing below; reject them up front.
-  if (flags.GetDouble("timeout_s") < 0 || flags.GetInt("max_results") < 0 ||
-      flags.GetInt("max_nodes") < 0 ||
+  if (flags.GetDouble("timeout_s") < 0 ||
       flags.GetDouble("progress_every_s") < 0) {
     std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --timeout_s / --max_results / "
-                 "--max_nodes / --progress_every_s must be >= 0\n");
+                 "error: INVALID_ARGUMENT: --timeout_s / --progress_every_s "
+                 "must be >= 0\n");
     return 2;
   }
   std::signal(SIGINT, HandleSigint);
@@ -237,10 +253,9 @@ int main(int argc, char** argv) {
     };
   }
   // --- Robustness: memory cap, watchdog, fault injection ------------------
-  if (flags.GetInt("max_memory_mb") < 0 || flags.GetDouble("watchdog_s") < 0) {
+  if (flags.GetDouble("watchdog_s") < 0) {
     std::fprintf(stderr,
-                 "error: INVALID_ARGUMENT: --max_memory_mb / --watchdog_s "
-                 "must be >= 0\n");
+                 "error: INVALID_ARGUMENT: --watchdog_s must be >= 0\n");
     return 2;
   }
   options.max_memory_bytes =
@@ -394,22 +409,19 @@ int main(int argc, char** argv) {
     std::printf("  bitmap kernels:      %llu calls, %llu conversions\n",
                 static_cast<unsigned long long>(s.bitmap_kernel_calls),
                 static_cast<unsigned long long>(s.bitmap_conversions));
-    std::printf("  kernel dispatch:     %s (intersect %llu, mask %llu, "
-                "word %llu calls)\n",
+    std::printf("  kernel dispatch:     %s (intersect %llu, mask %llu "
+                "calls)\n",
                 simd::DispatchLevelName(
                     static_cast<simd::DispatchLevel>(s.kernel_dispatch)),
                 static_cast<unsigned long long>(s.simd_intersect_calls),
-                static_cast<unsigned long long>(s.simd_mask_calls),
-                static_cast<unsigned long long>(s.simd_word_calls));
+                static_cast<unsigned long long>(s.simd_mask_calls));
     if (s.auto_tuned != 0) {
-      std::printf("  auto-tune:           rule '%s' -> engine %s, "
-                  "bitmap_density %.3f\n",
+      std::printf("  auto-tune:           rule '%s' -> engine %s\n",
                   TunerRuleName(static_cast<TunerRule>(s.tuner_rule)),
                   s.tuned_algorithm != 0
                       ? TunerEngineName(
                             static_cast<TunerEngine>(s.tuned_algorithm))
-                      : "(pinned)",
-                  static_cast<double>(s.tuned_bitmap_density_x1000) / 1000.0);
+                      : "(pinned)");
     }
     if (options.max_memory_bytes > 0 || s.degradations > 0 ||
         s.faults_injected > 0) {

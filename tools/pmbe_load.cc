@@ -30,7 +30,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -97,6 +99,29 @@ int main(int argc, char** argv) {
                "many sessions finished (0 = never)");
   flags.AddString("out", "", "write a JSON latency report here");
   flags.Parse(argc, argv);
+
+  // Check each int flag's range before the casts below, so a negative or
+  // oversized value is rejected instead of wrapping.
+  constexpr int64_t kMaxI32 = std::numeric_limits<int32_t>::max();
+  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+  for (const mbe::util::Status& range : {
+           flags.CheckIntRange("port", 0, 65535),
+           flags.CheckIntRange("min-left", 1, kMaxU32),
+           flags.CheckIntRange("min-right", 1, kMaxU32),
+           flags.CheckIntRange("sessions", 0, kMaxI32),
+           flags.CheckIntRange("concurrent", 0, kMaxI32),
+           flags.CheckIntRange("max-results", 0, kMaxI64),
+           flags.CheckIntRange("max-memory", 0, kMaxI64),
+           flags.CheckIntRange("batch", 0, kMaxU32),
+           flags.CheckIntRange("retries", 0, kMaxU32),
+           flags.CheckIntRange("reload-after", 0, kMaxI32),
+       }) {
+    if (!range.ok()) {
+      std::fprintf(stderr, "error: %s\n", range.ToString().c_str());
+      return 2;
+    }
+  }
 
   mbe::Algorithm algorithm = mbe::Algorithm::kMbet;
   if (auto status =

@@ -327,23 +327,11 @@ int main(int argc, char** argv) {
       configs.push_back({"MBET random order w/o Q-prune", o, g});
     }
     {
-      // Bitmap classification forced onto every eligible node. Disabling
-      // the trie removes the higher-priority classifier so the bitmap
-      // kernels actually run everywhere, not just on trie-rejected nodes.
+      // Without the trie every node classifies by the direct mask scan,
+      // with aggregation on (the "w/o trie+agg" config above lacks it).
       RunOptions o;
-      o.mbet.bitmap_density = 0.0;
       o.mbet.use_trie = false;
-      configs.push_back({"MBET forced bitmap w/o trie", o});
-    }
-    {
-      RunOptions o;
-      o.mbet.bitmap_density = 0.0;
-      configs.push_back({"MBET forced bitmap", o});
-    }
-    {
-      RunOptions o;
-      o.mbet.bitmap_density = 2.0;
-      configs.push_back({"MBET bitmap disabled", o});
+      configs.push_back({"MBET w/o trie", o});
     }
     {
       // Whatever the tuner picks must stay output-identical.

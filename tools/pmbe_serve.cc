@@ -24,6 +24,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -97,6 +99,23 @@ int main(int argc, char** argv) {
   // connection, never as process death. The per-call guard is MSG_NOSIGNAL
   // in serve/net.h; this covers any path outside the shim.
   std::signal(SIGPIPE, SIG_IGN);
+
+  // The int flags land in unsigned fields below; check each range first so
+  // a negative value is rejected instead of wrapping (--pool-threads=-1
+  // would otherwise ask the pool for 2^32 - 1 workers).
+  constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+  constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+  for (const mbe::util::Status& range : {
+           flags.CheckIntRange("port", 0, 65535),
+           flags.CheckIntRange("pool-threads", 0, kMaxU32),
+           flags.CheckIntRange("max-active", 0, kMaxI64),
+           flags.CheckIntRange("max-queued", 0, kMaxI64),
+       }) {
+    if (!range.ok()) {
+      std::fprintf(stderr, "error: %s\n", range.ToString().c_str());
+      return 2;
+    }
+  }
 
   mbe::serve::ServerOptions options;
   options.unix_path = flags.GetString("unix");
