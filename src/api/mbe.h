@@ -41,10 +41,11 @@
 /// create Sessions directly; the facade re-pays preprocessing on every
 /// call.
 ///
-/// Interrupted runs — cancellation, deadline, budget — are *not* errors:
-/// they return OK with `RunResult::termination` describing why the run
-/// stopped, and the sink holds the valid prefix of results emitted before
-/// the stop.
+/// Interrupted runs — cancellation, deadline, budget, and a contained
+/// failure such as a throwing sink — are *not* errors: they return OK with
+/// `RunResult::termination` describing why the run stopped (a failure as
+/// kInternal with `RunResult::message`), and the sink holds the valid
+/// prefix of results emitted before the stop.
 
 namespace mbe {
 
@@ -52,8 +53,8 @@ namespace mbe {
 /// `*result` (which may be null). Emitted bicliques use the caller's
 /// original vertex ids and side orientation. Returns InvalidArgument —
 /// without starting the run — when `sink` is null or either options half
-/// fails its `Validate()`. Interrupted runs (see RunOptions::control)
-/// return OK with `result->termination` set.
+/// fails its `Validate()`. Interrupted runs (see RunOptions::control) and
+/// contained failures return OK with `result->termination` set.
 ///
 /// The engine is built for this one query, so its core reduction follows
 /// the query: `graph_options.min_left/min_right` are replaced by `run`'s

@@ -136,7 +136,8 @@ struct RunOptions {
 
   /// Run control: cooperative cancellation, wall-clock deadline, result /
   /// node budgets, and periodic progress reporting (core/run_control.h).
-  /// Default-constructed control is inert and costs nothing.
+  /// Default-constructed control never stops a run on its own; the
+  /// session's controller still contains failures and honors Cancel.
   RunControl control;
 
   /// Hard cap, in bytes, on the enumeration memory this run accounts

@@ -17,7 +17,6 @@
 #include "engines/bbk.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/frontier.h"
-#include "util/fault.h"
 #include "util/simd.h"
 
 namespace mbe {
@@ -88,7 +87,7 @@ class TranslatingSink : public ResultSink {
 };
 
 /// SubtreeWorker adapter over one engine, polling the run's shared
-/// controller (may be null), so any worker tripping a limit stops all
+/// controller, so any worker tripping a limit stops all
 /// workers *of that session* — and nothing else. An engine without a
 /// subtree decomposition (no EnumerateSubtree) runs its whole enumeration
 /// as the one task "subtree 0" (Session::monolithic()).
@@ -141,8 +140,12 @@ class EngineWorker : public SubtreeWorker {
 
 Session::Session(std::shared_ptr<const Engine> engine, RunOptions options,
                  uint64_t id)
-    : id_(id), engine_(std::move(engine)), options_(std::move(options)) {
+    : id_(id),
+      engine_(std::move(engine)),
+      options_(std::move(options)),
+      controller_(options_.control) {
   budget_.set_session_id(id_);
+  controller_.AttachMemoryBudget(&budget_);
 }
 
 Session::~Session() = default;
@@ -175,7 +178,7 @@ util::Status Session::ValidateAgainstEngine() const {
   return util::Status::Ok();
 }
 
-util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
+util::Status Session::Prepare(ResultSink* sink) {
   if (prepared_ || finished_) {
     return util::Status::InvalidArgument(
         "a Session runs once; build a new Session for another query");
@@ -237,51 +240,17 @@ util::Status Session::PrepareImpl(ResultSink* sink, bool force_controller) {
   translator_ = std::make_unique<TranslatingSink>(
       sink, engine_->left_map(), engine_->right_map(), engine_->swapped());
 
-  // Run control: one controller shared by every worker of this session,
+  // Run control: the session's controller, shared by every worker, is
   // spliced into the sink chain so emissions count against the result
   // budget and the stop flag is visible to all existing ShouldStop polls.
-  // Inert control skips the machinery entirely — but a memory cap, a
-  // watchdog, an armed fault registry, a pre-issued Cancel, or a
-  // cooperative scheduler needs the controller too (it is what converts
-  // exhaustion/failure/cancellation into a typed termination).
-  const bool wants_controller =
-      force_controller || options_.control.active() ||
-      options_.max_memory_bytes > 0 || options_.watchdog_stall_seconds > 0 ||
-      options_.checkpoint.enabled() ||
-      util::FaultRegistry::Global().armed() ||
-      pre_cancelled_.load(std::memory_order_acquire);
-  if (wants_controller) {
-    controller_.emplace(options_.control);
-    controller_->AttachMemoryBudget(&budget_);
-    controlled_.emplace(translator_.get(), &*controller_);
-    run_sink_ = &*controlled_;
-    live_controller_.store(&*controller_, std::memory_order_release);
-    // Close the Cancel/Prepare race: a Cancel that ran between the
-    // wants_controller read and the publication above set the latch but
-    // missed the controller.
-    if (pre_cancelled_.load(std::memory_order_acquire)) {
-      controller_->RequestStop(Termination::kCancelled);
-    }
-  } else {
-    run_sink_ = translator_.get();
-  }
+  controlled_.emplace(translator_.get(), &controller_);
 
   prepared_ = true;
-  timer_.Reset();
+  controller_.StartClock();
   return util::Status::Ok();
 }
 
-util::Status Session::Prepare(ResultSink* sink) {
-  return PrepareImpl(sink, /*force_controller=*/true);
-}
-
-void Session::Cancel() {
-  pre_cancelled_.store(true, std::memory_order_release);
-  if (RunController* ctrl =
-          live_controller_.load(std::memory_order_acquire)) {
-    ctrl->RequestStop(Termination::kCancelled);
-  }
-}
+void Session::Cancel() { controller_.RequestStop(Termination::kCancelled); }
 
 size_t Session::task_count() const {
   if (frontier_ != nullptr) return frontier_tasks_.size();
@@ -295,9 +264,7 @@ VertexId Session::task_vertex(size_t index) const {
 }
 
 std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
-  RunController* ctrl =
-      controller_.has_value() ? const_cast<RunController*>(&*controller_)
-                              : nullptr;
+  RunController* ctrl = &controller_;
   const BipartiteGraph& work = engine_->graph();
   switch (effective_algorithm_) {
     case Algorithm::kMbet:
@@ -318,11 +285,7 @@ std::unique_ptr<SubtreeWorker> Session::MakeWorker() const {
   return nullptr;
 }
 
-ResultSink* Session::run_sink() { return run_sink_; }
-
-RunController* Session::controller() {
-  return controller_.has_value() ? &*controller_ : nullptr;
-}
+ResultSink* Session::run_sink() { return &*controlled_; }
 
 void Session::AddWorkerStats(const EnumStats& stats) {
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -330,15 +293,7 @@ void Session::AddWorkerStats(const EnumStats& stats) {
 }
 
 void Session::ReportFailure(const std::string& what) {
-  if (RunController* ctrl = controller()) {
-    ctrl->ReportInternal(what);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  if (!failed_) {
-    failed_ = true;
-    failure_ = what;
-  }
+  controller_.ReportInternal(what);
 }
 
 void Session::Finish(RunResult* result) {
@@ -347,7 +302,7 @@ void Session::Finish(RunResult* result) {
 
   RunResult out;
   out.session_id = id_;
-  out.seconds = timer_.Seconds();
+  out.seconds = controller_.elapsed_seconds();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     out.stats = stats_;
@@ -360,19 +315,12 @@ void Session::Finish(RunResult* result) {
   out.stats.peak_charged_bytes = budget_.peak();
   out.stats.degradations = budget_.degradations();
   out.stats.faults_injected = budget_.faults();
-  if (controller_.has_value()) {
-    // The memory latch may have tripped after the last worker checkpoint;
-    // fold it in so short runs still report kMemoryLimit.
-    if (budget_.exhausted()) {
-      controller_->RequestStop(Termination::kMemoryLimit);
-    }
-    out.termination = controller_->termination();
-    out.results_emitted = controller_->results();
-    out.message = controller_->message();
-  } else {
-    out.termination = Termination::kComplete;
-    out.results_emitted = out.stats.maximal;
-  }
+  // The memory latch may have tripped after the last worker checkpoint;
+  // fold it in so short runs still report kMemoryLimit.
+  if (budget_.exhausted()) controller_.RequestStop(Termination::kMemoryLimit);
+  out.termination = controller_.termination();
+  out.results_emitted = controller_.results();
+  out.message = controller_.message();
   if (frontier_ != nullptr) {
     out.frontier_digest = frontier_->MergedDigest().Value();
     out.frontier_completed = frontier_->completed_count();
@@ -419,7 +367,6 @@ util::Status Session::SeedFrontier() {
 }
 
 void Session::RunOnPool(RunResult* out) {
-  RunController* ctrl = controller();
   const unsigned workers = static_cast<unsigned>(std::min<size_t>(
       options_.threads, std::max<size_t>(1, task_count())));
   SessionPool pool(workers);
@@ -437,16 +384,13 @@ void Session::RunOnPool(RunResult* out) {
   const snapshot::CheckpointOptions& checkpoint = options_.checkpoint;
   const bool persisting = frontier_ != nullptr && checkpoint.enabled();
   const uint64_t stall_ns =
-      ctrl != nullptr
-          ? static_cast<uint64_t>(options_.watchdog_stall_seconds * 1e9)
-          : 0;
+      static_cast<uint64_t>(options_.watchdog_stall_seconds * 1e9);
   const uint64_t every_ns =
       persisting && checkpoint.every_s > 0
           ? static_cast<uint64_t>(checkpoint.every_s * 1e9)
           : 0;
   const std::atomic<bool>* stop_token =
-      frontier_ != nullptr && ctrl != nullptr ? checkpoint.checkpoint_stop
-                                              : nullptr;
+      frontier_ != nullptr ? checkpoint.checkpoint_stop : nullptr;
   std::atomic<bool> monitor_stop{false};
   uint64_t watchdog_checks = 0;
   uint64_t checkpoints_written = 0;
@@ -467,7 +411,7 @@ void Session::RunOnPool(RunResult* out) {
             const uint64_t since = pool.busy_since_ns(w);
             if (since != 0 && now > since && now - since > stall_ns) {
               stall_reported = true;  // one report stops the run
-              ctrl->ReportInternal(
+              controller_.ReportInternal(
                   "watchdog: worker " + std::to_string(w) +
                   " has run one task for over " +
                   std::to_string(options_.watchdog_stall_seconds) + "s");
@@ -476,14 +420,14 @@ void Session::RunOnPool(RunResult* out) {
         }
         if (stop_token != nullptr &&
             stop_token->load(std::memory_order_relaxed)) {
-          ctrl->RequestStop(Termination::kCheckpointed);
+          controller_.RequestStop(Termination::kCheckpointed);
         }
         if (every_ns > 0 && now - last_write >= every_ns) {
           last_write = now;
           const util::Status written = snapshot::WriteSnapshotFile(
               checkpoint.path, frontier_->BuildSnapshot());
           if (!written.ok()) {
-            ctrl->ReportInternal(written.ToString());
+            controller_.ReportInternal(written.ToString());
             return;
           }
           ++checkpoints_written;
@@ -511,9 +455,9 @@ void Session::RunOnPool(RunResult* out) {
     if (written.ok()) {
       ++checkpoints_written;
     } else {
-      ctrl->ReportInternal(written.ToString());
-      out->termination = ctrl->termination();
-      out->message = ctrl->message();
+      controller_.ReportInternal(written.ToString());
+      out->termination = controller_.termination();
+      out->message = controller_.message();
     }
   }
   out->stats.watchdog_checks = watchdog_checks;
@@ -530,7 +474,7 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
   // the destruction of enumerator scratch and buffers, so charges and
   // releases pair under the same budget.
   util::ScopedBudgetBinding binding(&budget_);
-  PMBE_RETURN_IF_ERROR(PrepareImpl(sink, /*force_controller=*/false));
+  PMBE_RETURN_IF_ERROR(Prepare(sink));
 
   // Durable runs are frontier-driven (docs/CHECKPOINT.md). Setup failures
   // (unreadable, corrupt, or mismatched snapshot) surface as a Status
@@ -553,7 +497,7 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
     // component failure, not a crash.
     try {
       std::unique_ptr<SubtreeWorker> worker = MakeWorker();
-      worker->EnumerateAll(run_sink_);
+      worker->EnumerateAll(run_sink());
       AddWorkerStats(worker->stats());
     } catch (const std::exception& e) {
       ReportFailure(e.what());
@@ -561,15 +505,6 @@ util::Status Session::Run(ResultSink* sink, RunResult* result) {
       ReportFailure("unknown exception");
     }
     Finish(&out);
-  }
-  // With a controller a failure already ended the run as kInternal and
-  // the sink keeps its valid prefix; without one it is reported as a
-  // kInternal Status.
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (failed_) {
-      return util::Status::Internal("enumeration failed: " + failure_);
-    }
   }
   if (result != nullptr) *result = std::move(out);
   return util::Status::Ok();

@@ -1,7 +1,6 @@
 #ifndef PMBE_API_SESSION_H_
 #define PMBE_API_SESSION_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -126,8 +125,10 @@ class Session {
   /// control trips, filling `*result` (which may be null). Returns
   /// InvalidArgument — without starting — when `sink` is null, the options
   /// fail Validate(), or the query is looser than the engine's baked core
-  /// reduction. Interrupted runs are OK with `result->termination` set.
-  /// A session runs once; a second Run returns FailedPrecondition-style
+  /// reduction. Once started, every run returns OK with
+  /// `result->termination` saying how it ended: a throwing sink or task is
+  /// contained as Termination::kInternal with `result->message` set. A
+  /// session runs once; a second Run returns FailedPrecondition-style
   /// InvalidArgument.
   util::Status Run(ResultSink* sink, RunResult* result = nullptr);
 
@@ -152,10 +153,9 @@ class Session {
   // this session's budget(). After the last task retires the scheduler
   // reports each worker's stats() via AddWorkerStats and calls Finish.
 
-  /// Validates and builds the run state (controller, budget, sink chain).
-  /// Cooperative mode always creates a controller, so cancellation,
-  /// deadline, memory containment, and exception containment work per
-  /// session even with inert RunControl.
+  /// Validates and builds the run state (budget, sink chain) and starts
+  /// the controller's clock, so a deadline counts from here, not from
+  /// construction (a served session's admission wait is not run time).
   util::Status Prepare(ResultSink* sink);
 
   /// Subtree tasks of this run: the frontier's live tasks for a durable
@@ -178,19 +178,16 @@ class Session {
   /// thread. Virtual so a test can run the pool with recording workers.
   virtual std::unique_ptr<SubtreeWorker> MakeWorker() const;
 
-  /// The session's sink chain (translation + run control). Thread-safe.
+  /// The session's sink chain (translation + run control); valid after
+  /// Prepare. Thread-safe.
   ResultSink* run_sink();
-
-  /// The session's controller (valid after Prepare until destruction).
-  RunController* controller();
 
   /// Folds one worker's counters into the session result (thread-safe).
   void AddWorkerStats(const EnumStats& stats);
 
-  /// Contains a failed task or flush (thread-safe): with a controller the
-  /// session stops with Termination::kInternal; without one (a standalone
-  /// Run over inert options) the first message is kept and Run returns it
-  /// as an Internal status.
+  /// Contains a failed task or flush (thread-safe): the session stops with
+  /// Termination::kInternal and the first message becomes
+  /// RunResult::message.
   void ReportFailure(const std::string& what);
 
   /// Finalizes accounting (termination, budget peak, wall time) into
@@ -200,12 +197,6 @@ class Session {
 
  private:
   util::Status ValidateAgainstEngine() const;
-
-  /// Shared Prepare body. Standalone Run keeps the legacy
-  /// controller-on-demand behavior (an uncontrolled run reports a throwing
-  /// sink as an Internal *status*); cooperative callers force the
-  /// controller.
-  util::Status PrepareImpl(ResultSink* sink, bool force_controller);
 
   /// Builds the durable run's frontier: restores checkpoint.path or seeds
   /// this process's shard of the right side.
@@ -221,22 +212,21 @@ class Session {
 
   util::MemoryBudget budget_;
 
-  /// Cancel-before-Run latch and the live controller for Cancel().
-  std::atomic<bool> pre_cancelled_{false};
-  std::atomic<RunController*> live_controller_{nullptr};
+  /// Shared by every worker of this session (mutable: the const
+  /// MakeWorker attaches workers to it). Built with the session, so a
+  /// Cancel before Prepare is simply an early stop.
+  mutable RunController controller_;
 
   /// Run state between Prepare and Finish.
   bool prepared_ = false;
   bool finished_ = false;
   bool monolithic_ = false;
-  std::optional<RunController> controller_;
   std::unique_ptr<ResultSink> translator_;
   std::optional<ControlledSink> controlled_;
-  ResultSink* run_sink_ = nullptr;
   MbetOptions effective_mbet_;  ///< thresholds swapped into engine space
   /// The engine that actually runs. Equals options_.algorithm except when
   /// auto_tune's engine recommendation was honored (MBET ↔ BBK on
-  /// plain-enumeration queries; see PrepareImpl). Drives MakeWorker and
+  /// plain-enumeration queries; see Prepare). Drives MakeWorker and
   /// the durable frontier's algorithm tag — deterministic per (graph,
   /// options), so a resumed checkpoint re-derives the same engine.
   Algorithm effective_algorithm_ = Algorithm::kMbet;
@@ -246,14 +236,9 @@ class Session {
   std::unique_ptr<snapshot::TaskFrontier> frontier_;
   std::vector<VertexId> frontier_tasks_;
 
-  /// Merged worker counters and the first uncontrolled failure (all
-  /// guarded by stats_mu_).
+  /// Merged worker counters (guarded by stats_mu_).
   std::mutex stats_mu_;
   EnumStats stats_;
-  bool failed_ = false;
-  std::string failure_;
-
-  util::WallTimer timer_;
 };
 
 }  // namespace mbe

@@ -243,9 +243,9 @@ void SessionPool::RunTask(ActiveSession& active, size_t worker_index,
       }
     }
   } catch (const std::exception& e) {
-    // Containment: this session stops (kInternal, or an Internal status
-    // for an uncontrolled standalone run) with its already-flushed results
-    // a valid prefix; every other session on the pool is untouched.
+    // Containment: this session stops with kInternal, its already-flushed
+    // results a valid prefix; every other session on the pool is
+    // untouched.
     session.ReportFailure(e.what());
     active.stopped.store(true, std::memory_order_relaxed);
   } catch (...) {

@@ -1,7 +1,10 @@
 #ifndef PMBE_CORE_ENUM_STATS_H_
 #define PMBE_CORE_ENUM_STATS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 /// \file
 /// Counters shared by all enumerators. The pruning-efficiency table (T3)
@@ -11,8 +14,9 @@
 
 namespace mbe {
 
-/// Per-run enumeration counters. Additive: MergeFrom combines the counters
-/// of parallel workers.
+/// Per-run enumeration counters. MergeFrom combines the counters of
+/// parallel workers, each by its row's rule in kEnumStatsFields (below):
+/// a new member needs a row there, or the build fails.
 struct EnumStats {
   /// Enumeration-tree nodes whose child generation was attempted.
   uint64_t nodes_expanded = 0;
@@ -123,46 +127,90 @@ struct EnumStats {
   /// additive: merged via max.
   uint64_t tuned_algorithm = 0;
 
-  void MergeFrom(const EnumStats& other) {
-    nodes_expanded += other.nodes_expanded;
-    maximal += other.maximal;
-    non_maximal += other.non_maximal;
-    candidates_dropped += other.candidates_dropped;
-    candidates_absorbed += other.candidates_absorbed;
-    vertices_aggregated += other.vertices_aggregated;
-    trie_probes += other.trie_probes;
-    local_scan_size += other.local_scan_size;
-    subtrees_pruned += other.subtrees_pruned;
-    bitmap_conversions += other.bitmap_conversions;
-    bitmap_kernel_calls += other.bitmap_kernel_calls;
-    if (other.kernel_dispatch > kernel_dispatch) {
-      kernel_dispatch = other.kernel_dispatch;
-    }
-    simd_intersect_calls += other.simd_intersect_calls;
-    simd_mask_calls += other.simd_mask_calls;
-    simd_word_calls += other.simd_word_calls;
-    if (other.arena_peak_bytes > arena_peak_bytes) {
-      arena_peak_bytes = other.arena_peak_bytes;
-    }
-    steals += other.steals;
-    sink_flushes += other.sink_flushes;
-    busy_ns += other.busy_ns;
-    idle_ns += other.idle_ns;
-    faults_injected += other.faults_injected;
-    degradations += other.degradations;
-    if (other.peak_charged_bytes > peak_charged_bytes) {
-      peak_charged_bytes = other.peak_charged_bytes;
-    }
-    watchdog_checks += other.watchdog_checks;
-    queue_wait_ns += other.queue_wait_ns;
-    checkpoints_written += other.checkpoints_written;
-    if (other.auto_tuned > auto_tuned) auto_tuned = other.auto_tuned;
-    if (other.tuner_rule > tuner_rule) tuner_rule = other.tuner_rule;
-    if (other.tuned_algorithm > tuned_algorithm) {
-      tuned_algorithm = other.tuned_algorithm;
-    }
-  }
+  /// Folds `other` in, field by field, by each field's kEnumStatsFields
+  /// rule.
+  void MergeFrom(const EnumStats& other);
 };
+
+/// How a field combines the counters of two workers (or runs).
+enum class StatMerge {
+  kSum,  ///< additive work counter
+  kMax,  ///< high-water mark or run-level value shared by every worker
+};
+
+/// One row of the counter table: the field's name (what `pmbe --stats`
+/// prints), its member, and its merge rule.
+struct EnumStatsField {
+  const char* name;
+  uint64_t EnumStats::*member;
+  StatMerge merge;
+};
+
+#define PMBE_STAT(field, rule) \
+  EnumStatsField { #field, &EnumStats::field, StatMerge::rule }
+/// The counter table: every EnumStats member, once, in declaration order.
+inline constexpr EnumStatsField kEnumStatsFields[] = {
+    PMBE_STAT(nodes_expanded, kSum),
+    PMBE_STAT(maximal, kSum),
+    PMBE_STAT(non_maximal, kSum),
+    PMBE_STAT(candidates_dropped, kSum),
+    PMBE_STAT(candidates_absorbed, kSum),
+    PMBE_STAT(vertices_aggregated, kSum),
+    PMBE_STAT(trie_probes, kSum),
+    PMBE_STAT(local_scan_size, kSum),
+    PMBE_STAT(subtrees_pruned, kSum),
+    PMBE_STAT(bitmap_conversions, kSum),
+    PMBE_STAT(bitmap_kernel_calls, kSum),
+    PMBE_STAT(batch_candidates_classified, kSum),
+    PMBE_STAT(kernel_dispatch, kMax),
+    PMBE_STAT(simd_intersect_calls, kSum),
+    PMBE_STAT(simd_mask_calls, kSum),
+    PMBE_STAT(simd_word_calls, kSum),
+    PMBE_STAT(simd_batch_calls, kSum),
+    PMBE_STAT(arena_peak_bytes, kMax),
+    PMBE_STAT(steals, kSum),
+    PMBE_STAT(split_tasks, kSum),
+    PMBE_STAT(sink_flushes, kSum),
+    PMBE_STAT(busy_ns, kSum),
+    PMBE_STAT(idle_ns, kSum),
+    PMBE_STAT(faults_injected, kSum),
+    PMBE_STAT(degradations, kSum),
+    PMBE_STAT(peak_charged_bytes, kMax),
+    PMBE_STAT(watchdog_checks, kSum),
+    PMBE_STAT(queue_wait_ns, kSum),
+    PMBE_STAT(checkpoints_written, kSum),
+    PMBE_STAT(auto_tuned, kMax),
+    PMBE_STAT(tuner_rule, kMax),
+    PMBE_STAT(tuned_algorithm, kMax),
+};
+#undef PMBE_STAT
+
+// Every member is a uint64_t, so a member without a row (or a row listed
+// twice) changes one side of the size check.
+static_assert(sizeof(EnumStats) ==
+                  std::size(kEnumStatsFields) * sizeof(uint64_t),
+              "every EnumStats member needs exactly one kEnumStatsFields row");
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kEnumStatsFields); ++i) {
+        for (size_t j = i + 1; j < std::size(kEnumStatsFields); ++j) {
+          if (kEnumStatsFields[i].member == kEnumStatsFields[j].member) {
+            return false;
+          }
+        }
+      }
+      return true;
+    }(),
+    "a kEnumStatsFields row is listed twice");
+
+inline void EnumStats::MergeFrom(const EnumStats& other) {
+  for (const EnumStatsField& field : kEnumStatsFields) {
+    uint64_t& mine = this->*field.member;
+    const uint64_t theirs = other.*field.member;
+    mine = field.merge == StatMerge::kSum ? mine + theirs
+                                          : std::max(mine, theirs);
+  }
+}
 
 }  // namespace mbe
 

@@ -105,13 +105,6 @@ struct RunControl {
   /// Progress firing interval. <= 0 with a callback set fires on every
   /// checkpoint (useful in tests).
   double progress_every_s = 1.0;
-
-  /// True when any control is configured; inert control skips the
-  /// controller machinery entirely.
-  bool active() const {
-    return cancel != nullptr || deadline_seconds > 0 || max_results > 0 ||
-           max_nodes_expanded > 0 || progress != nullptr;
-  }
 };
 
 /// Shared runtime state of one controlled run. Thread-safe; one instance
@@ -173,7 +166,11 @@ class RunController {
     return results_.load(std::memory_order_relaxed);
   }
 
-  /// Wall-clock seconds since construction.
+  /// Restarts the clock the deadline and progress count from. Call before
+  /// any worker polls (a session calls it when its run is prepared).
+  void StartClock() { timer_.Reset(); }
+
+  /// Wall-clock seconds since StartClock (or construction).
   double elapsed_seconds() const { return timer_.Seconds(); }
 
  private:
@@ -226,8 +223,6 @@ class RunPoller {
     if (slot_ == kUnregistered) slot_ = controller_->RegisterWorker();
     return controller_->Checkpoint(slot_, stats);
   }
-
-  bool attached() const { return controller_ != nullptr; }
 
  private:
   static constexpr uint32_t kUnregistered = static_cast<uint32_t>(-1);

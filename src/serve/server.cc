@@ -628,8 +628,8 @@ void Server::StartSession(const std::shared_ptr<Connection>& conn,
       session_id, batch_results);
 
   // Register before admission so kCancelSession reaches the session even
-  // while it waits in the admission queue (Cancel before Prepare is a
-  // supported latch).
+  // while it waits in the admission queue (the session's controller
+  // exists from construction, so a Cancel before Prepare stops the run).
   {
     std::lock_guard<std::mutex> lock(conn->sessions_mu);
     conn->sessions[session_id] = rec;

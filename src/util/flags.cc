@@ -65,11 +65,17 @@ void FlagParser::AddBool(const std::string& name, bool default_value,
   flags_[name] = Flag{Type::kBool, help, default_value ? "true" : "false"};
 }
 
-void FlagParser::SetValueOrDie(const std::string& name,
-                               const std::string& value) {
+Status FlagParser::SetValue(const std::string& name,
+                            const std::string& value) {
   auto it = flags_.find(name);
-  PMBE_CHECK_MSG(it != flags_.end(), "unknown flag --%s", name.c_str());
+  if (it == flags_.end()) {
+    return Status::InvalidArgument("unknown flag --" + name);
+  }
   Flag& flag = it->second;
+  const auto malformed = [&](const char* type) {
+    return Status::InvalidArgument("flag --" + name + " expects " + type +
+                                   ", got '" + value + "'");
+  };
   switch (flag.type) {
     case Type::kString:
       flag.value = value;
@@ -77,34 +83,37 @@ void FlagParser::SetValueOrDie(const std::string& name,
     case Type::kInt: {
       char* end = nullptr;
       (void)strtoll(value.c_str(), &end, 10);
-      PMBE_CHECK_MSG(end && *end == '\0' && !value.empty(),
-                     "flag --%s expects an integer, got '%s'", name.c_str(),
-                     value.c_str());
+      if (value.empty() || *end != '\0') return malformed("an integer");
       flag.value = value;
       break;
     }
     case Type::kDouble: {
       char* end = nullptr;
       (void)strtod(value.c_str(), &end);
-      PMBE_CHECK_MSG(end && *end == '\0' && !value.empty(),
-                     "flag --%s expects a double, got '%s'", name.c_str(),
-                     value.c_str());
+      if (value.empty() || *end != '\0') return malformed("a double");
       flag.value = value;
       break;
     }
     case Type::kBool: {
       bool parsed = false;
-      PMBE_CHECK_MSG(ParseBoolText(value, &parsed),
-                     "flag --%s expects a bool, got '%s'", name.c_str(),
-                     value.c_str());
+      if (!ParseBoolText(value, &parsed)) return malformed("a bool");
       flag.value = parsed ? "true" : "false";
       break;
     }
   }
+  return Status::Ok();
 }
 
 void FlagParser::Parse(int argc, char** argv) {
   parsed_ = true;
+  if (Status parsed = ParseArgs(argc, argv); !parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.ToString().c_str());
+    PrintUsage(argv[0]);
+    std::exit(2);
+  }
+}
+
+Status FlagParser::ParseArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -118,7 +127,7 @@ void FlagParser::Parse(int argc, char** argv) {
     std::string body = arg.substr(2);
     const size_t eq = body.find('=');
     if (eq != std::string::npos) {
-      SetValueOrDie(body.substr(0, eq), body.substr(eq + 1));
+      PMBE_RETURN_IF_ERROR(SetValue(body.substr(0, eq), body.substr(eq + 1)));
       continue;
     }
     // `--no-name` for booleans.
@@ -132,18 +141,19 @@ void FlagParser::Parse(int argc, char** argv) {
     }
     auto it = flags_.find(body);
     if (it == flags_.end()) {
-      std::fprintf(stderr, "unknown flag --%s\n", body.c_str());
-      PrintUsage(argv[0]);
-      std::exit(2);
+      return Status::InvalidArgument("unknown flag --" + body);
     }
     if (it->second.type == Type::kBool) {
       it->second.value = "true";
       continue;
     }
     // Value is the next argument.
-    PMBE_CHECK_MSG(i + 1 < argc, "flag --%s is missing a value", body.c_str());
-    SetValueOrDie(body, argv[++i]);
+    if (i + 1 >= argc) {
+      return Status::InvalidArgument("flag --" + body + " is missing a value");
+    }
+    PMBE_RETURN_IF_ERROR(SetValue(body, argv[++i]));
   }
+  return Status::Ok();
 }
 
 const FlagParser::Flag& FlagParser::GetFlagOrDie(const std::string& name,

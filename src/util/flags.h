@@ -11,9 +11,10 @@
 /// \file
 /// A tiny command-line flag parser for the benchmark and example binaries.
 /// Supports `--name=value`, `--name value` and boolean `--name` /
-/// `--no-name` forms. Unknown flags abort with a usage listing, so typos in
-/// experiment invocations fail loudly rather than silently running the
-/// default configuration.
+/// `--no-name` forms. An unknown flag, a malformed value or a missing value
+/// prints `error: INVALID_ARGUMENT: ...` with a usage listing and exits 2,
+/// so typos in experiment invocations fail loudly rather than silently
+/// running the default configuration.
 
 namespace mbe::util {
 
@@ -31,8 +32,9 @@ class FlagParser {
   void AddBool(const std::string& name, bool default_value,
                const std::string& help);
 
-  /// Parses the command line. Aborts with usage on unknown flags or
-  /// malformed values. `--help` prints usage and exits(0).
+  /// Parses the command line. Exits 2 with an INVALID_ARGUMENT error and
+  /// usage on an unknown flag or a malformed or missing value. `--help`
+  /// prints usage and exits(0).
   void Parse(int argc, char** argv);
 
   /// Typed accessors; abort if the flag was not registered with the
@@ -62,7 +64,8 @@ class FlagParser {
   };
 
   const Flag& GetFlagOrDie(const std::string& name, Type type) const;
-  void SetValueOrDie(const std::string& name, const std::string& value);
+  Status ParseArgs(int argc, char** argv);
+  Status SetValue(const std::string& name, const std::string& value);
 
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_;

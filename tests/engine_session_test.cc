@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -125,6 +126,23 @@ TEST(EngineSessionTest, CancelBeforeRunStopsImmediately) {
   RunResult result;
   ASSERT_TRUE(session.Run(&sink, &result).ok());
   EXPECT_EQ(result.termination, Termination::kCancelled);
+}
+
+TEST(EngineSessionTest, DeadlineCountsFromPrepareNotConstruction) {
+  // The controller exists from construction, but its clock starts when the
+  // run is prepared: time a session spends waiting (a served session's
+  // admission queue) is not run time. The first poll checkpoints, so a
+  // clock started at construction would trip this deadline at once.
+  auto engine = BuildEngine(gen::PowerLaw(30, 50, 250, 0.8, 0.8, 61));
+  RunOptions options;
+  options.control.deadline_seconds = 0.4;
+  Session session(engine, options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  CountSink sink;
+  RunResult result;
+  ASSERT_TRUE(session.Run(&sink, &result).ok());
+  EXPECT_EQ(result.termination, Termination::kComplete);
+  EXPECT_GT(sink.count(), 0u);
 }
 
 TEST(EngineSessionTest, QueryLooserThanBakedReductionRejected) {

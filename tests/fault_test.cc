@@ -10,6 +10,7 @@
 #include <memory>
 #include <stdexcept>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "api/mbe.h"
@@ -200,25 +201,33 @@ TEST(MemoryLimitTest, CapSweepIsCompleteOrValidPrefix) {
 
 // --- Sink-failure containment ---------------------------------------------
 
-TEST(ContainmentTest, ThrowingSinkWithoutControllerIsInternalStatus) {
-  // Inline at one thread, on the session pool at four: the same contract.
+TEST(ContainmentTest, ThrowingSinkUnderDefaultOptionsIsInternalTermination) {
+  // Default (inert) options still run under the session's controller, so
+  // inline at one thread and on the session pool at four a throwing sink
+  // ends the run OK as kInternal with a message, keeping the valid prefix
+  // delivered before the throw.
+  const BipartiteGraph graph = MediumGraph();
   for (unsigned threads : {1u, 4u}) {
     RunOptions options;
     options.threads = threads;
     ThrowAfterSink sink(4);
     RunResult run;
-    const util::Status status =
-        Enumerate(MediumGraph(), GraphOptions(), options, &sink, &run);
-    ASSERT_FALSE(status.ok()) << "threads=" << threads;
-    EXPECT_EQ(status.code(), util::StatusCode::kInternal)
+    ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok())
         << "threads=" << threads;
+    EXPECT_EQ(run.termination, Termination::kInternal) << "threads=" << threads;
+    EXPECT_NE(run.message.find("consumer failed"), std::string::npos)
+        << run.message;
+    EXPECT_EQ(sink.delivered(), 3u) << "threads=" << threads;
+    ExpectAllMaximal(graph, sink.collected());
   }
 }
 
 TEST(ContainmentTest, ThrowingSinkWithControllerIsInternalTermination) {
+  // An armed deadline changes nothing about containment: same typed end,
+  // same prefix as under inert options.
   const BipartiteGraph graph = MediumGraph();
   RunOptions options;
-  options.control.deadline_seconds = 3600;  // activates the controller
+  options.control.deadline_seconds = 3600;
   ThrowAfterSink sink(4);
   RunResult run;
   ASSERT_TRUE(Enumerate(graph, GraphOptions(), options, &sink, &run).ok());

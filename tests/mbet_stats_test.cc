@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "api/mbe.h"
@@ -211,15 +212,30 @@ TEST(MbetStatsTest, TwinBlowUpLeavesSearchTreeUnchanged) {
 }
 
 TEST(MbetStatsTest, EnumStatsMergeAddsFields) {
+  // Every row of the counter table merges by its rule: sum rows add, max
+  // rows keep the larger value whichever side holds it.
   EnumStats a, b;
-  a.maximal = 3;
-  a.nodes_expanded = 10;
-  b.maximal = 4;
-  b.trie_probes = 7;
-  a.MergeFrom(b);
-  EXPECT_EQ(a.maximal, 7u);
-  EXPECT_EQ(a.nodes_expanded, 10u);
-  EXPECT_EQ(a.trie_probes, 7u);
+  for (size_t i = 0; i < std::size(kEnumStatsFields); ++i) {
+    a.*kEnumStatsFields[i].member = 10 * (i + 1);
+    b.*kEnumStatsFields[i].member = i % 2 == 0 ? 7 : 10 * (i + 1) + 5;
+  }
+  EnumStats merged = a;
+  merged.MergeFrom(b);
+  size_t max_rows = 0;
+  for (const EnumStatsField& field : kEnumStatsFields) {
+    const uint64_t mine = a.*field.member;
+    const uint64_t theirs = b.*field.member;
+    if (field.merge == StatMerge::kSum) {
+      EXPECT_EQ(merged.*field.member, mine + theirs) << field.name;
+    } else {
+      ++max_rows;
+      EXPECT_EQ(merged.*field.member, std::max(mine, theirs)) << field.name;
+    }
+  }
+  EXPECT_GT(max_rows, 0u);
+  EXPECT_EQ(a.nodes_expanded + b.nodes_expanded, merged.nodes_expanded);
+  EXPECT_EQ(std::max(a.peak_charged_bytes, b.peak_charged_bytes),
+            merged.peak_charged_bytes);
 }
 
 }  // namespace

@@ -40,11 +40,22 @@ TEST(TerminationTest, NamesAreStable) {
   EXPECT_STREQ(TerminationName(Termination::kBudget), "budget");
 }
 
-TEST(RunControlTest, InertControlIsInactive) {
-  RunControl control;
-  EXPECT_FALSE(control.active());
-  control.max_results = 10;
-  EXPECT_TRUE(control.active());
+TEST(RunControlTest, InertControlNeverStopsOnItsOwn) {
+  // Every session runs under a controller, default options included: one
+  // built from inert control admits every emission and never trips at a
+  // checkpoint, but still honors an explicit stop.
+  RunController controller{RunControl{}};
+  const uint32_t slot = controller.RegisterWorker();
+  EnumStats stats;
+  for (int i = 0; i < 1000; ++i) {
+    stats.nodes_expanded += RunPoller::kStride;
+    ASSERT_TRUE(controller.AdmitEmit());
+    ASSERT_FALSE(controller.Checkpoint(slot, stats));
+  }
+  EXPECT_EQ(controller.results(), 1000u);
+  EXPECT_EQ(controller.termination(), Termination::kComplete);
+  controller.RequestStop(Termination::kCancelled);
+  EXPECT_EQ(controller.termination(), Termination::kCancelled);
 }
 
 TEST(RunControlTest, UncontrolledRunReportsComplete) {

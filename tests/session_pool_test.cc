@@ -408,21 +408,40 @@ TEST(SessionPoolBasicTest, FrontierSeedsOnlyItsPendingTasks) {
   EXPECT_EQ(run.stats.checkpoints_written, 1u);
 }
 
-TEST(SessionPoolBasicTest, WorkerExceptionWithoutControllerIsInternalStatus) {
-  // No controller to report to: the first task failure stops the session
-  // and Run returns it as an Internal status once the pool has drained.
+TEST(SessionPoolBasicTest,
+     WorkerExceptionUnderDefaultOptionsIsInternalTermination) {
+  // Default (inert) options still run under the session's controller: the
+  // first task failure stops the session as kInternal with its message
+  // once the pool has drained, and no subtree runs twice — on a one-worker
+  // pool (tasks before the failing one all ran, in order) and on a
+  // standalone run's private pool of four.
   auto engine = BuildEngine(gen::ErdosRenyi(20, 100, 0.2, 56),
                             /*swap_sides=*/false);
-  std::vector<std::atomic<int>> hits(engine->graph().num_right());
-  RunOptions options;
-  options.threads = 4;
-  RecordingSession session(engine, options, &hits, nullptr,
-                           /*throw_at=*/VertexId{17});
-  CountSink sink;
-  const util::Status status = session.Run(&sink);
-  EXPECT_EQ(status.code(), util::StatusCode::kInternal) << status.ToString();
-  for (VertexId v = 0; v < hits.size(); ++v) {
-    EXPECT_LE(hits[v].load(), 1) << "subtree " << v;
+  constexpr VertexId kFailing = 17;
+  for (unsigned threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> hits(engine->graph().num_right());
+    RunOptions options;
+    options.threads = threads;
+    auto session = std::make_shared<RecordingSession>(engine, options, &hits,
+                                                      nullptr, kFailing);
+    CountSink sink;
+    RunResult run;
+    if (threads == 1) {
+      // A standalone one-thread run is the engine's whole-graph traversal;
+      // subtree tasks need a pool.
+      ASSERT_TRUE(session->Prepare(&sink).ok());
+      run = RunOnPool(session, 1);
+    } else {
+      ASSERT_TRUE(session->Run(&sink, &run).ok());
+    }
+    EXPECT_EQ(run.termination, Termination::kInternal) << "threads=" << threads;
+    EXPECT_EQ(run.message, "worker failure") << "threads=" << threads;
+    for (VertexId v = 0; v < hits.size(); ++v) {
+      EXPECT_LE(hits[v].load(), 1) << "subtree " << v;
+      if (threads == 1) {
+        EXPECT_EQ(hits[v].load(), v < kFailing ? 1 : 0) << "subtree " << v;
+      }
+    }
   }
 }
 

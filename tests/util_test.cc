@@ -204,11 +204,41 @@ TEST(FlagParserTest, BoolTextForms) {
   EXPECT_FALSE(flags.GetBool("b"));
 }
 
-TEST(FlagParserDeathTest, BadIntegerAborts) {
+// Command-line mistakes are usage errors (exit 2), not aborts.
+TEST(FlagParserDeathTest, BadIntegerIsUsageError) {
+  for (const char* arg : {"--n=abc", "--n=2x", "--n="}) {
+    FlagParser flags;
+    flags.AddInt("n", 0, "");
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(flags.Parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2),
+                "INVALID_ARGUMENT: flag --n expects an integer")
+        << arg;
+  }
+}
+
+TEST(FlagParserDeathTest, BadDoubleAndBoolAreUsageErrors) {
   FlagParser flags;
-  flags.AddInt("n", 0, "");
-  const char* argv[] = {"prog", "--n=abc"};
-  EXPECT_DEATH(flags.Parse(2, const_cast<char**>(argv)), "expects an integer");
+  flags.AddDouble("x", 0, "");
+  flags.AddBool("b", false, "");
+  const char* bad_double[] = {"prog", "--x", "1.5s"};
+  EXPECT_EXIT(flags.Parse(3, const_cast<char**>(bad_double)),
+              ::testing::ExitedWithCode(2), "expects a double");
+  const char* bad_bool[] = {"prog", "--b=maybe"};
+  EXPECT_EXIT(flags.Parse(2, const_cast<char**>(bad_bool)),
+              ::testing::ExitedWithCode(2), "expects a bool");
+}
+
+TEST(FlagParserDeathTest, UnknownFlagIsUsageError) {
+  for (const char* arg : {"--bogus=1", "--bogus"}) {
+    FlagParser flags;
+    flags.AddInt("n", 0, "");
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(flags.Parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2),
+                "INVALID_ARGUMENT: unknown flag --bogus")
+        << arg;
+  }
 }
 
 TEST(FlagParserDeathTest, WrongTypeAccessAborts) {
@@ -219,11 +249,13 @@ TEST(FlagParserDeathTest, WrongTypeAccessAborts) {
   EXPECT_DEATH((void)flags.GetString("n"), "has type");
 }
 
-TEST(FlagParserDeathTest, MissingValueAborts) {
+TEST(FlagParserDeathTest, MissingValueIsUsageError) {
   FlagParser flags;
   flags.AddInt("n", 0, "");
   const char* argv[] = {"prog", "--n"};
-  EXPECT_DEATH(flags.Parse(2, const_cast<char**>(argv)), "missing a value");
+  EXPECT_EXIT(flags.Parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "INVALID_ARGUMENT: flag --n is missing a value");
 }
 
 // --- MemoryBudget accounting ------------------------------------------------

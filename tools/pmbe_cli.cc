@@ -368,6 +368,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", ran.ToString().c_str());
     return 2;
   }
+  // A failed write (disk full) only sets the stream's error state; a
+  // result file missing bicliques must not pass for a complete one.
+  if (out.is_open() && !out.flush()) {
+    std::fprintf(stderr, "error: cannot write %s\n",
+                 flags.GetString("output").c_str());
+    return 1;
+  }
 
   const bool truncated = !run.complete();
   if (truncated) {
@@ -387,75 +394,40 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.frontier_pending));
   }
   if (flags.GetBool("stats")) {
+    // Every nonzero counter under its EnumStats field name (a counter the
+    // listing leaves out is 0), then the derived and decoded lines.
     const EnumStats& s = run.stats;
-    std::printf("  nodes expanded:      %llu\n",
-                static_cast<unsigned long long>(s.nodes_expanded));
-    std::printf("  non-maximal pruned:  %llu\n",
-                static_cast<unsigned long long>(s.non_maximal));
-    std::printf("  candidates absorbed: %llu  dropped: %llu\n",
-                static_cast<unsigned long long>(s.candidates_absorbed),
-                static_cast<unsigned long long>(s.candidates_dropped));
-    std::printf("  vertices aggregated: %llu  subtrees pruned: %llu\n",
-                static_cast<unsigned long long>(s.vertices_aggregated),
-                static_cast<unsigned long long>(s.subtrees_pruned));
+    for (const EnumStatsField& field : kEnumStatsFields) {
+      if (const uint64_t value = s.*field.member; value != 0) {
+        std::printf("  %-28s %llu\n", (std::string(field.name) + ":").c_str(),
+                    static_cast<unsigned long long>(value));
+      }
+    }
     if (s.local_scan_size > 0) {
-      std::printf("  trie probe ratio:    %.3f (%s of %s probes)\n",
+      std::printf("  %-28s %.3f (%s of %s probes)\n", "trie probe ratio:",
                   static_cast<double>(s.trie_probes) /
                       static_cast<double>(s.local_scan_size),
                   util::HumanCount(static_cast<double>(s.trie_probes)).c_str(),
                   util::HumanCount(static_cast<double>(s.local_scan_size))
                       .c_str());
     }
-    std::printf("  bitmap kernels:      %llu calls, %llu conversions\n",
-                static_cast<unsigned long long>(s.bitmap_kernel_calls),
-                static_cast<unsigned long long>(s.bitmap_conversions));
-    std::printf("  kernel dispatch:     %s (intersect %llu, mask %llu "
-                "calls)\n",
+    const double busy = static_cast<double>(s.busy_ns);
+    const double total = busy + static_cast<double>(s.idle_ns);
+    if (total > 0) {
+      std::printf("  %-28s %.1f%% (busy %.3fs, idle %.3fs)\n",
+                  "worker busy share:", 100.0 * busy / total, busy * 1e-9,
+                  static_cast<double>(s.idle_ns) * 1e-9);
+    }
+    std::printf("  %-28s %s\n", "kernel dispatch:",
                 simd::DispatchLevelName(
-                    static_cast<simd::DispatchLevel>(s.kernel_dispatch)),
-                static_cast<unsigned long long>(s.simd_intersect_calls),
-                static_cast<unsigned long long>(s.simd_mask_calls));
+                    static_cast<simd::DispatchLevel>(s.kernel_dispatch)));
     if (s.auto_tuned != 0) {
-      std::printf("  auto-tune:           rule '%s' -> engine %s\n",
+      std::printf("  %-28s rule '%s' -> engine %s\n", "auto-tune:",
                   TunerRuleName(static_cast<TunerRule>(s.tuner_rule)),
                   s.tuned_algorithm != 0
                       ? TunerEngineName(
                             static_cast<TunerEngine>(s.tuned_algorithm))
                       : "(pinned)");
-    }
-    if (options.max_memory_bytes > 0 || s.degradations > 0 ||
-        s.faults_injected > 0) {
-      std::printf("  memory budget:       peak %s bytes charged, "
-                  "%llu degradations, %llu faults injected\n",
-                  util::HumanCount(static_cast<double>(s.peak_charged_bytes))
-                      .c_str(),
-                  static_cast<unsigned long long>(s.degradations),
-                  static_cast<unsigned long long>(s.faults_injected));
-    }
-    if (s.checkpoints_written > 0) {
-      std::printf("  checkpoints:         %llu snapshots written (incl. "
-                  "final)\n",
-                  static_cast<unsigned long long>(s.checkpoints_written));
-    }
-    if (s.watchdog_checks > 0) {
-      std::printf("  watchdog:            %llu sweeps\n",
-                  static_cast<unsigned long long>(s.watchdog_checks));
-    }
-    if (s.arena_peak_bytes > 0) {
-      std::printf("  arena peak:          %s bytes (per-thread scratch)\n",
-                  util::HumanCount(static_cast<double>(s.arena_peak_bytes))
-                      .c_str());
-    }
-    if (options.threads > 1) {
-      std::printf("  sink flushes:        %llu (batched emission)\n",
-                  static_cast<unsigned long long>(s.sink_flushes));
-      const double busy = static_cast<double>(s.busy_ns);
-      const double total = busy + static_cast<double>(s.idle_ns);
-      if (total > 0) {
-        std::printf("  worker busy share:   %.1f%% (busy %.3fs, idle %.3fs)\n",
-                    100.0 * busy / total, busy * 1e-9,
-                    static_cast<double>(s.idle_ns) * 1e-9);
-      }
     }
   }
   return 0;
